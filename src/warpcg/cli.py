@@ -8,7 +8,7 @@ Single run:
 Sweep (comma lists; --dims switches modes):
 
     warpcg --problem squiggle --dims 2,10,50 --method rcg,euclid_cg \\
-           --jobs 4 --summary-out sweep.json
+           --summary-out sweep.json
 
 Exit codes: 0 on success, 1 for an invalid run specification, 2 when a
 single run stops with numerical breakdown. Sweep failures are recorded per
@@ -21,8 +21,7 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -191,17 +190,12 @@ class SweepSpec:
     base: RunSpec
     dims: list[int]
     methods: list[str]
-    jobs: int = 1
     trace_out: Path | None = None
-    rows: list = field(default_factory=list)
 
 
 def run_sweep(sweep: SweepSpec, summary_out: Path | None) -> int:
     """One run per (method, dim) pair; failures become rows, not crashes."""
-    combos = [(m, d) for m in sweep.methods for d in sweep.dims]
-
-    def one(combo: tuple[str, int]) -> dict:
-        method, dim = combo
+    def one(method: str, dim: int) -> dict:
         spec = RunSpec(
             **{**sweep.base.__dict__, "method": method, "dim": dim}
         )
@@ -220,11 +214,7 @@ def run_sweep(sweep: SweepSpec, summary_out: Path | None) -> int:
             _write_trace(path, result.trace)
         return summary
 
-    if sweep.jobs > 1:
-        with ThreadPoolExecutor(max_workers=sweep.jobs) as pool:
-            rows = list(pool.map(one, combos))
-    else:
-        rows = [one(c) for c in combos]
+    rows = [one(method, dim) for method in sweep.methods for dim in sweep.dims]
 
     out = {"sweep": True, "rows": rows, "version": __version__}
     text = json.dumps(out, indent=2)
@@ -264,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--dims",
         help="comma-separated dimensions; presence switches to sweep mode",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="sweep parallelism (threads)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.dims is not None:
+        sweep = args.dims is not None
+        if sweep:
             dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
             if not dims:
                 raise ValueError("--dims is empty")
@@ -280,42 +270,17 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("--method is empty")
             # Validate shared scalars against the largest dimension so one
             # bad dim degrades to an error row instead of killing the sweep.
-            base = RunSpec(
-                problem=args.problem,
-                dim=max(dims),
-                method=methods[0],
-                sigma_sq=args.sigma_sq,
-                max_iters=args.max_iters,
-                tol_df=args.tol_df,
-                tol_grad=args.tol_grad,
-                wolfe_c1=args.wolfe_c1,
-                wolfe_c2=args.wolfe_c2,
-                fd_step=args.fd_step,
-                minimize=args.minimize,
-            )
-            base.validate()
-            for m in methods:
-                if m not in METHOD_NAMES:
-                    raise ValueError(f"unknown method {m!r}; choose from {METHOD_NAMES}")
-            if args.jobs < 1:
-                raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-            sweep = SweepSpec(
-                base=base,
-                dims=dims,
-                methods=methods,
-                jobs=args.jobs,
-                trace_out=args.trace_out,
-            )
-            return run_sweep(sweep, args.summary_out)
-
-        if args.dim is None:
-            raise ValueError("either --dim (single run) or --dims (sweep) is required")
-        if "," in args.method:
-            raise ValueError("comma-separated --method needs sweep mode (--dims)")
+            dim, method = max(dims), methods[0]
+        else:
+            if args.dim is None:
+                raise ValueError("either --dim (single run) or --dims (sweep) is required")
+            if "," in args.method:
+                raise ValueError("comma-separated --method needs sweep mode (--dims)")
+            dim, method = args.dim, args.method
         spec = RunSpec(
             problem=args.problem,
-            dim=args.dim,
-            method=args.method,
+            dim=dim,
+            method=method,
             sigma_sq=args.sigma_sq,
             max_iters=args.max_iters,
             tol_df=args.tol_df,
@@ -325,7 +290,16 @@ def main(argv: list[str] | None = None) -> int:
             fd_step=args.fd_step,
             minimize=args.minimize,
         )
-        return run_single(spec, args.trace_out, args.summary_out)
+        if not sweep:
+            return run_single(spec, args.trace_out, args.summary_out)
+        spec.validate()
+        for m in methods:
+            if m not in METHOD_NAMES:
+                raise ValueError(f"unknown method {m!r}; choose from {METHOD_NAMES}")
+        return run_sweep(
+            SweepSpec(base=spec, dims=dims, methods=methods, trace_out=args.trace_out),
+            args.summary_out,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

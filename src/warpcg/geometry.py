@@ -24,24 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdown, PsiDegenerate
+from .errors import NumericalBreakdown
 from .objective import FdConfig, Objective, hvp_or_fallback
 
 __all__ = [
     "WarpConfig",
     "GeometryCache",
-    "GeodesicAcceleration",
     "GeodesicJet",
     "build_cache",
     "metric_inner",
     "metric_norm",
-    "inverse_metric_apply",
     "riemannian_gradient",
-    "embed_tangent",
-    "project_to_tangent",
-    "normal_vector",
-    "second_fundamental_form",
-    "geodesic_acceleration",
     "taylor_coefficients",
 ]
 
@@ -160,55 +153,12 @@ def metric_norm(cache: GeometryCache, x: np.ndarray) -> float:
     return float(np.sqrt(max(metric_inner(cache, x, x), 0.0)))
 
 
-def inverse_metric_apply(cache: GeometryCache, z: np.ndarray) -> np.ndarray:
-    """Apply G^{-1} = I - (psi^2 / W^2) grad grad^T to z. O(dim)."""
-    return z - (cache.psi_sq / cache.w_sq) * (cache.grad @ z) * cache.grad
-
-
 def riemannian_gradient(cache: GeometryCache) -> np.ndarray:
     """Chart coordinates of the warped-metric gradient: grad / W^2.
 
     G^{-1} grad collapses because grad is the rank-one direction itself.
     """
     return cache.grad / cache.w_sq
-
-
-def embed_tangent(cache: GeometryCache, v: np.ndarray) -> np.ndarray:
-    """Ambient (dim+1)-coordinates of the tangent vector with chart part v:
-    the graph component is the directional derivative <grad, v>."""
-    return np.append(v, cache.grad @ v)
-
-
-def project_to_tangent(cache: GeometryCache, z: np.ndarray) -> np.ndarray:
-    """Chart coordinates of the warped-orthogonal projection of an ambient
-    vector z (shape (dim+1,)) onto the graph tangent space.
-
-    Solves the rank-one normal equations in closed form:
-    v = G^{-1} (z_head + psi^2 z_tail grad).
-    """
-    z = np.asarray(z, dtype=float)
-    if z.size != cache.dim + 1:
-        raise ValueError(f"ambient vector must have length {cache.dim + 1}")
-    rhs = z[:-1] + cache.psi_sq * z[-1] * cache.grad
-    return inverse_metric_apply(cache, rhs)
-
-
-def normal_vector(cache: GeometryCache) -> np.ndarray:
-    """Ambient unit normal to the graph under the warped ambient metric:
-    (-psi grad / W, 1 / (psi W)).
-
-    Raises PsiDegenerate at critical points (psi = 0), where the normal
-    blows up in these coordinates.
-    """
-    if cache.psi_sq == 0.0:
-        raise PsiDegenerate("normal vector undefined where the gradient vanishes")
-    psi = np.sqrt(cache.psi_sq)
-    w = np.sqrt(cache.w_sq)
-    n = np.append(-(psi / w) * cache.grad, 1.0 / (psi * w))
-    bad = ~np.isfinite(n)
-    if bad.any():
-        raise NumericalBreakdown("non-finite normal vector", component=int(np.argmax(bad)))
-    return n
 
 
 def _accel_scalars(
@@ -223,72 +173,6 @@ def _accel_scalars(
     u1 = (a * b + cache.psi_sq * c + 0.5 * cache.psi_sq * e * b * b) / cache.w_sq
     u2 = 0.5 * b * b
     return a, b, c, e, u1, u2
-
-
-@dataclass(frozen=True, eq=False)
-class GeodesicAcceleration:
-    """Initial acceleration of the geodesic through the cache point with
-    velocity v: v_dot = -coef_grad * grad + coef_warp * grad_psi_sq."""
-
-    coef_grad: float
-    coef_warp: float
-    v_dot: np.ndarray
-    hess_v: np.ndarray
-
-
-def geodesic_acceleration(
-    obj: Objective,
-    cache: GeometryCache,
-    v: np.ndarray,
-    fd: FdConfig,
-    hess_v: np.ndarray | None = None,
-) -> GeodesicAcceleration:
-    """Chart acceleration -Gamma(v, v) of the warped geodesic equation.
-
-    Costs one hvp (H v); pass hess_v to reuse one. The result keeps the two
-    scalar coefficients because the third-order expansion needs them, and
-    keeps H v so callers never recompute it.
-    """
-    v = np.asarray(v, dtype=float)
-    if hess_v is None:
-        hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
-    _, _, _, _, u1, u2 = _accel_scalars(cache, v, hess_v)
-    v_dot = -u1 * cache.grad + u2 * cache.grad_psi_sq
-    bad = ~np.isfinite(v_dot)
-    if bad.any():
-        raise NumericalBreakdown(
-            "non-finite geodesic acceleration", component=int(np.argmax(bad))
-        )
-    return GeodesicAcceleration(coef_grad=u1, coef_warp=u2, v_dot=v_dot, hess_v=hess_v)
-
-
-def second_fundamental_form(
-    obj: Objective,
-    cache: GeometryCache,
-    v: np.ndarray,
-    fd: FdConfig,
-    hess_v: np.ndarray | None = None,
-    normalized: bool = False,
-) -> float:
-    """Scalar curvature of the graph along tangent direction v.
-
-    By default returns the psi-scaled coefficient that multiplies -grad in
-    the geodesic acceleration (finite everywhere, quadratic in v). With
-    normalized=True returns the genuine second-fundamental-form value
-    (W / psi) times that coefficient, which requires psi > 0 and raises
-    PsiDegenerate at critical points.
-    """
-    v = np.asarray(v, dtype=float)
-    if hess_v is None:
-        hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
-    _, _, _, _, u1, _ = _accel_scalars(cache, v, hess_v)
-    if not normalized:
-        return u1
-    if cache.psi_sq == 0.0:
-        raise PsiDegenerate(
-            "normalized curvature undefined where the gradient vanishes"
-        )
-    return float(np.sqrt(cache.w_sq / cache.psi_sq) * u1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,39 +120,6 @@ def hvp_or_fallback(
     return _check_finite(out, "hessian-vector product")
 
 
-def third_directional_derivative(
-    obj: Objective,
-    theta: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-    fd: FdConfig,
-) -> np.ndarray:
-    """The vector D^3 f(theta)[v, w, .], i.e. the directional derivative of
-    the Hessian-vector product H(theta) w along v.
-
-    Computed as (hvp(theta + r v, w) - hvp(theta - r v, w)) / (2 r). For C^3
-    objectives the result is symmetric under exchanging v and w; tests check
-    this rather than assume it.
-    """
-    if not np.any(v):
-        return np.zeros_like(np.asarray(theta, dtype=float))
-    r = fd.scaled(theta, v)
-    hi = hvp_or_fallback(obj, theta + r * v, w, fd)
-    lo = hvp_or_fallback(obj, theta - r * v, w, fd)
-    return _check_finite((hi - lo) / (2.0 * r), "third directional derivative")
-
-
-def central_diff_grad(obj: Objective, theta: np.ndarray, step: float) -> np.ndarray:
-    """Dense central-difference gradient; test/diagnostic use only."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = step
-        out[i] = (obj.value(theta + e) - obj.value(theta - e)) / (2.0 * step)
-    return out
-
-
 class NegatedObjective(Objective):
     """Flips the sign of another objective, turning minimization of f into
     maximization of -f. Used by the CLI's --minimize flag."""

@@ -1,12 +1,17 @@
-"""Dense reference geometry and a geodesic integrator, for verification.
+"""Reference geometry for verification: dense operators, a geodesic
+integrator, and the matrix-free operations only the tests need.
 
-Everything here is deliberately slow and explicit: dense metric, dense
-Christoffel symbols (by closed form AND by finite differences of the
-metric, two independent routes), dense projections, and a fixed-step RK4
-integrator for the exact geodesic equation. The optimizer never imports
-this module; tests use it as the measuring stick for the matrix-free code.
+Everything dense here is deliberately slow and explicit: dense metric,
+dense Christoffel symbols (by closed form AND by finite differences of the
+metric, two independent routes), and a fixed-step RK4 integrator for the
+exact geodesic equation. The matrix-free section holds the tangent-space
+projection, the unit normal, the curvature scalar, the geodesic
+acceleration, projection transport and finite-difference helpers, which
+the optimizer never calls. The optimizer never imports this module; tests
+use it as the measuring stick for the matrix-free code.
 
-Capped at dim <= 64 since costs are cubic-ish and no test needs more.
+Dense routines are capped at dim <= 64 since costs are cubic-ish and no
+test needs more.
 """
 
 from __future__ import annotations
@@ -16,15 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdown, PsiDegenerate, StepUnstable
-from .geometry import (
-    GeometryCache,
-    WarpConfig,
-    build_cache,
-    geodesic_acceleration,
-)
-from .objective import FdConfig, Objective, hvp_or_fallback
+from .geometry import GeometryCache, WarpConfig, _accel_scalars, build_cache
+from .objective import FdConfig, Objective, _check_finite, hvp_or_fallback
 
 __all__ = [
+    "inverse_metric_apply",
+    "embed_tangent",
+    "project_to_tangent",
+    "normal_vector",
+    "GeodesicAcceleration",
+    "geodesic_acceleration",
+    "second_fundamental_form",
+    "transport_by_projection",
+    "third_directional_derivative",
+    "central_diff_grad",
     "DENSE_DIM_CAP",
     "DenseGeometry",
     "build_dense_geometry",
@@ -36,6 +46,161 @@ __all__ = [
 ]
 
 DENSE_DIM_CAP = 64
+
+
+def inverse_metric_apply(cache: GeometryCache, z: np.ndarray) -> np.ndarray:
+    """Apply G^{-1} = I - (psi^2 / W^2) grad grad^T to z. O(dim)."""
+    return z - (cache.psi_sq / cache.w_sq) * (cache.grad @ z) * cache.grad
+
+
+def embed_tangent(cache: GeometryCache, v: np.ndarray) -> np.ndarray:
+    """Ambient (dim+1)-coordinates of the tangent vector with chart part v:
+    the graph component is the directional derivative <grad, v>."""
+    return np.append(v, cache.grad @ v)
+
+
+def project_to_tangent(cache: GeometryCache, z: np.ndarray) -> np.ndarray:
+    """Chart coordinates of the warped-orthogonal projection of an ambient
+    vector z (shape (dim+1,)) onto the graph tangent space.
+
+    Solves the rank-one normal equations in closed form:
+    v = G^{-1} (z_head + psi^2 z_tail grad).
+    """
+    z = np.asarray(z, dtype=float)
+    if z.size != cache.dim + 1:
+        raise ValueError(f"ambient vector must have length {cache.dim + 1}")
+    rhs = z[:-1] + cache.psi_sq * z[-1] * cache.grad
+    return inverse_metric_apply(cache, rhs)
+
+
+def normal_vector(cache: GeometryCache) -> np.ndarray:
+    """Ambient unit normal to the graph under the warped ambient metric:
+    (-psi grad / W, 1 / (psi W)).
+
+    Raises PsiDegenerate at critical points (psi = 0), where the normal
+    blows up in these coordinates.
+    """
+    if cache.psi_sq == 0.0:
+        raise PsiDegenerate("normal vector undefined where the gradient vanishes")
+    psi = np.sqrt(cache.psi_sq)
+    w = np.sqrt(cache.w_sq)
+    n = np.append(-(psi / w) * cache.grad, 1.0 / (psi * w))
+    bad = ~np.isfinite(n)
+    if bad.any():
+        raise NumericalBreakdown("non-finite normal vector", component=int(np.argmax(bad)))
+    return n
+
+
+
+@dataclass(frozen=True, eq=False)
+class GeodesicAcceleration:
+    """Initial acceleration of the geodesic through the cache point with
+    velocity v: v_dot = -coef_grad * grad + coef_warp * grad_psi_sq."""
+
+    coef_grad: float
+    coef_warp: float
+    v_dot: np.ndarray
+    hess_v: np.ndarray
+
+
+def geodesic_acceleration(
+    obj: Objective,
+    cache: GeometryCache,
+    v: np.ndarray,
+    fd: FdConfig,
+    hess_v: np.ndarray | None = None,
+) -> GeodesicAcceleration:
+    """Chart acceleration -Gamma(v, v) of the warped geodesic equation.
+
+    Costs one hvp (H v); pass hess_v to reuse one. The result keeps the two
+    scalar coefficients because the third-order expansion needs them, and
+    keeps H v so callers never recompute it.
+    """
+    v = np.asarray(v, dtype=float)
+    if hess_v is None:
+        hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
+    _, _, _, _, u1, u2 = _accel_scalars(cache, v, hess_v)
+    v_dot = -u1 * cache.grad + u2 * cache.grad_psi_sq
+    bad = ~np.isfinite(v_dot)
+    if bad.any():
+        raise NumericalBreakdown(
+            "non-finite geodesic acceleration", component=int(np.argmax(bad))
+        )
+    return GeodesicAcceleration(coef_grad=u1, coef_warp=u2, v_dot=v_dot, hess_v=hess_v)
+
+
+def second_fundamental_form(
+    obj: Objective,
+    cache: GeometryCache,
+    v: np.ndarray,
+    fd: FdConfig,
+    hess_v: np.ndarray | None = None,
+    normalized: bool = False,
+) -> float:
+    """Scalar curvature of the graph along tangent direction v.
+
+    By default returns the psi-scaled coefficient that multiplies -grad in
+    the geodesic acceleration (finite everywhere, quadratic in v). With
+    normalized=True returns the genuine second-fundamental-form value
+    (W / psi) times that coefficient, which requires psi > 0 and raises
+    PsiDegenerate at critical points.
+    """
+    v = np.asarray(v, dtype=float)
+    if hess_v is None:
+        hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
+    _, _, _, _, u1, _ = _accel_scalars(cache, v, hess_v)
+    if not normalized:
+        return u1
+    if cache.psi_sq == 0.0:
+        raise PsiDegenerate(
+            "normalized curvature undefined where the gradient vanishes"
+        )
+    return float(np.sqrt(cache.w_sq / cache.psi_sq) * u1)
+
+
+def transport_by_projection(
+    src: GeometryCache, dst: GeometryCache, u: np.ndarray
+) -> np.ndarray:
+    """Transport an arbitrary tangent vector by embedding at src and
+    metric-projecting at dst. Linear in u by construction; used by tests as
+    the reference for transport linearity and for general vectors the
+    secant form does not cover.
+    """
+    ambient = np.append(u, src.grad @ u)
+    return project_to_tangent(dst, ambient)
+
+
+def third_directional_derivative(
+    obj: Objective,
+    theta: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    fd: FdConfig,
+) -> np.ndarray:
+    """The vector D^3 f(theta)[v, w, .], i.e. the directional derivative of
+    the Hessian-vector product H(theta) w along v.
+
+    Computed as (hvp(theta + r v, w) - hvp(theta - r v, w)) / (2 r). For C^3
+    objectives the result is symmetric under exchanging v and w; tests check
+    this rather than assume it.
+    """
+    if not np.any(v):
+        return np.zeros_like(np.asarray(theta, dtype=float))
+    r = fd.scaled(theta, v)
+    hi = hvp_or_fallback(obj, theta + r * v, w, fd)
+    lo = hvp_or_fallback(obj, theta - r * v, w, fd)
+    return _check_finite((hi - lo) / (2.0 * r), "third directional derivative")
+
+
+def central_diff_grad(obj: Objective, theta: np.ndarray, step: float) -> np.ndarray:
+    """Dense central-difference gradient; test/diagnostic use only."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty_like(theta)
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = step
+        out[i] = (obj.value(theta + e) - obj.value(theta - e)) / (2.0 * step)
+    return out
 
 
 def _warp_scalars(warp: WarpConfig, grad: np.ndarray) -> tuple[float, float]:

@@ -25,6 +25,10 @@ the update subtracts beta times the transported direction; a positive value
 signals loss of conjugacy and is clamped to zero, which restarts the
 direction to steepest ascent. Line-search failure on a non-steepest
 direction also restarts; failure on steepest ascent stops the run.
+
+The loop itself only asks its geometry for points, search curves and
+transport; run_euclidean_cg in baseline.py runs the same loop over the
+identity metric.
 """
 
 from __future__ import annotations
@@ -176,6 +180,30 @@ def dy_beta(
     return num / den
 
 
+class _WarpedGeometry:
+    """The warped graph metric: geometry caches, cubic geodesic jets and
+    secant transport. Every call goes through this module's globals so the
+    benchmark tracer's spans see it."""
+
+    def __init__(self, obj: Objective, warp: WarpConfig, fd: FdConfig):
+        self.obj = obj
+        self.warp = warp
+        self.fd = fd
+        self.builds = 0
+
+    def point(self, theta: np.ndarray, value_grad=None) -> GeometryCache:
+        self.builds += 1
+        return build_cache(self.obj, self.warp, theta, self.fd, value_grad=value_grad)
+
+    def jet(self, point: GeometryCache, v: np.ndarray) -> GeodesicJet:
+        return taylor_coefficients(self.obj, point, v, self.fd)
+
+    def transport(
+        self, src: GeometryCache, dst: GeometryCache, v: np.ndarray, t: float
+    ) -> TransportResult:
+        return vector_transport(src, dst, v, t)
+
+
 def run_rcg(
     obj: Objective,
     theta0: np.ndarray,
@@ -189,20 +217,21 @@ def run_rcg(
     stop_reason reports it and the result carries the last good iterate.
     Argument validation errors (shapes, config ranges) do raise.
     """
-    warp = warp or WarpConfig()
-    cfg = cfg or RcgConfig()
-    fd = fd or FdConfig()
     counting = CountingObjective(obj)
+    geometry = _WarpedGeometry(counting, warp or WarpConfig(), fd or FdConfig())
+    return _run_cg(counting, geometry, theta0, cfg or RcgConfig())
+
+
+def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgConfig) -> RcgResult:
+    """The CG ascent loop of both drivers, over a geometry that provides
+    point(theta, value_grad=None), jet(point, v), transport(src, dst, v, t)
+    and a builds counter. A point has theta, value, grad, grad_sq, w_sq and
+    grad_norm_riem."""
     theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape != (counting.dim,):
+        raise ValueError(f"theta must have shape ({counting.dim},), got {theta0.shape}")
 
-    cache_builds = 0
-
-    def checked_build(theta, value_grad=None):
-        nonlocal cache_builds
-        cache_builds += 1
-        return build_cache(counting, warp, theta, fd, value_grad=value_grad)
-
-    cache = checked_build(theta0)
+    cache = geometry.point(theta0)
     v = riemannian_gradient(cache)
     trace: list[IterationTrace] = []
     jets: list[GeodesicJet] = []
@@ -215,24 +244,6 @@ def run_rcg(
     attempts = 0
     failed_attempts = 0
 
-    def result() -> RcgResult:
-        counts = counting.counts
-        return RcgResult(
-            theta=cache.theta,
-            value=cache.value,
-            stop_reason=stop,
-            iterations=k,
-            grad_norm_riem=cache.grad_norm_riem,
-            grad_norm_eucl=float(np.sqrt(cache.grad_sq)),
-            trace=trace,
-            jets=jets,
-            n_value=counts.n_value,
-            n_grad=counts.n_grad,
-            n_hvp=counts.n_hvp,
-            cache_builds=cache_builds,
-            failed_attempts=failed_attempts,
-        )
-
     while True:
         if cache.grad_norm_riem < cfg.tol_grad:
             stop = StopReason.SMALL_GRAD
@@ -243,7 +254,7 @@ def run_rcg(
         attempts += 1
         wall_start = time.perf_counter_ns()
         counts_before = counting.counts.snapshot()
-        builds_before = cache_builds
+        builds_before = geometry.builds
         restarted = 1 if pending_restart else 0
         pending_restart = False
 
@@ -258,7 +269,7 @@ def run_rcg(
                     stop = StopReason.SMALL_GRAD
                     break
 
-            jet = taylor_coefficients(counting, cache, v, fd)
+            jet = geometry.jet(cache, v)
             if prev_slope is None:
                 t_init = 1.0
             else:
@@ -286,9 +297,9 @@ def run_rcg(
                 pending_restart = True
                 continue
 
-            dst = checked_build(ls.point, value_grad=(ls.value, ls.grad))
+            dst = geometry.point(ls.point, value_grad=(ls.value, ls.grad))
             try:
-                transported = vector_transport(cache, dst, v, ls.t)
+                transported = geometry.transport(cache, dst, v, ls.t)
                 beta = dy_beta(cache, dst, v, transported)
             except (DegenerateStep, DegenerateBeta):
                 beta = 0.0
@@ -323,7 +334,7 @@ def run_rcg(
                 n_value=counts_after.n_value - counts_before.n_value,
                 n_grad=counts_after.n_grad - counts_before.n_grad,
                 n_hvp=counts_after.n_hvp - counts_before.n_hvp,
-                cache_builds=cache_builds - builds_before,
+                cache_builds=geometry.builds - builds_before,
                 theta=dst.theta if cfg.record_thetas else None,
             )
         )
@@ -341,4 +352,19 @@ def run_rcg(
             stop = StopReason.SMALL_DELTA_F
             break
 
-    return result()
+    counts = counting.counts
+    return RcgResult(
+        theta=cache.theta,
+        value=cache.value,
+        stop_reason=stop,
+        iterations=k,
+        grad_norm_riem=cache.grad_norm_riem,
+        grad_norm_eucl=float(np.sqrt(cache.grad_sq)),
+        trace=trace,
+        jets=jets,
+        n_value=counts.n_value,
+        n_grad=counts.n_grad,
+        n_hvp=counts.n_hvp,
+        cache_builds=geometry.builds,
+        failed_attempts=failed_attempts,
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStep, NumericalBreakdown
-from .geometry import GeodesicJet, GeometryCache, metric_norm, project_to_tangent
+from .geometry import GeodesicJet, GeometryCache, metric_norm
 from .objective import Objective
 
 __all__ = [
@@ -121,15 +121,3 @@ def vector_transport(
         raise DegenerateStep("transported vector has zero norm")
     scale = min(1.0, metric_norm(src, v) / dst_norm)
     return TransportResult(coords=coords, scale=scale)
-
-
-def transport_by_projection(
-    src: GeometryCache, dst: GeometryCache, u: np.ndarray
-) -> np.ndarray:
-    """Transport an arbitrary tangent vector by embedding at src and
-    metric-projecting at dst. Linear in u by construction; used by tests as
-    the reference for transport linearity and for general vectors the
-    secant form does not cover.
-    """
-    ambient = np.append(u, src.grad @ u)
-    return project_to_tangent(dst, ambient)

@@ -26,24 +26,28 @@ from warpcg import (
     SquiggleProblem,
     StopReason,
     WarpConfig,
-    build_cache,
     classify_rosenbrock_basin,
-    directional_value_and_slope,
-    geodesic_acceleration,
     initial_point,
-    inverse_metric_apply,
-    metric_inner,
-    normal_vector,
-    project_to_tangent,
-    retract,
-    riemannian_gradient,
     run_euclidean_cg,
     run_rcg,
-    taylor_coefficients,
-    vector_transport,
 )
-from warpcg.objective import central_diff_grad
-from warpcg.oracle import build_dense_geometry, fit_loglog_slope, integrate_geodesic
+from warpcg.geometry import (
+    build_cache,
+    metric_inner,
+    riemannian_gradient,
+    taylor_coefficients,
+)
+from warpcg.oracle import (
+    build_dense_geometry,
+    central_diff_grad,
+    fit_loglog_slope,
+    geodesic_acceleration,
+    integrate_geodesic,
+    inverse_metric_apply,
+    normal_vector,
+    project_to_tangent,
+)
+from warpcg.retraction import directional_value_and_slope, retract, vector_transport
 
 FD = FdConfig()
 WOLFE_C1 = 1e-4

@@ -10,8 +10,10 @@ from warpcg import (
     SquiggleProblem,
     StopReason,
     initial_point,
+    make_problem,
     run_euclidean_cg,
 )
+from warpcg.retraction import directional_value_and_slope
 
 
 class TestQuadraticTermination:
@@ -100,3 +102,22 @@ class TestSchemaParity:
         q = QuadraticProblem(3)
         res = run_euclidean_cg(q, np.full(3, 0.5), cfg=RcgConfig(record_thetas=False))
         assert all(row.theta is None for row in res.trace)
+
+
+class TestWolfeCertification:
+    @pytest.mark.parametrize("name", ["squiggle", "rosenbrock"])
+    def test_every_step_satisfies_strong_wolfe(self, name):
+        # Re-evaluate each accepted step from its recorded straight ray, as
+        # acceptance property C08 does for the warped driver.
+        problem = make_problem(name, 10)
+        cfg = RcgConfig(max_iters=2000, tol_df=0.0, tol_grad=1e-6, record_jets=True)
+        res = run_euclidean_cg(problem, initial_point(name, 10), cfg=cfg)
+        assert res.iterations > 0
+        assert len(res.jets) == res.iterations
+        for jet, row in zip(res.jets, res.trace):
+            assert not jet.q.any() and not jet.k.any()
+            f0 = problem.value(jet.theta)
+            slope0 = float(np.asarray(problem.grad(jet.theta), dtype=float) @ jet.v)
+            value, slope, _, _ = directional_value_and_slope(problem, jet, row.t)
+            assert value >= f0 + cfg.wolfe_c1 * row.t * slope0, row.k
+            assert abs(slope) <= cfg.wolfe_c2 * slope0, row.k

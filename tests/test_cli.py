@@ -142,7 +142,6 @@ class TestArgumentErrors:
         ["--problem", "quadratic", "--dim", "3", "--fd-step", "0"],
         ["--problem", "quadratic", "--dim", "3", "--method", "rcg,euclid_cg"],
         ["--problem", "quadratic", "--dims", ""],
-        ["--problem", "quadratic", "--dims", "2,3", "--jobs", "0"],
     ])
     def test_exit_one_with_stderr(self, capsys, argv):
         code, out, err = run_main(capsys, argv)
@@ -166,14 +165,6 @@ class TestSweep:
         combos = {(r["method"], r["dim"]) for r in data["rows"]}
         assert combos == {("rcg", 2), ("rcg", 3), ("euclid_cg", 2), ("euclid_cg", 3)}
         assert json.loads(summary.read_text()) == data
-
-    def test_parallel_jobs_match_serial(self, capsys):
-        argv = [
-            "--problem", "quadratic", "--dims", "2,3", "--method", "rcg", *FAST,
-        ]
-        _, serial, _ = run_main(capsys, argv)
-        _, threaded, _ = run_main(capsys, argv + ["--jobs", "2"])
-        assert json.loads(serial)["rows"] == json.loads(threaded)["rows"]
 
     def test_per_run_trace_files(self, tmp_path, capsys):
         trace = tmp_path / "sw.csv"

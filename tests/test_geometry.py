@@ -4,26 +4,24 @@ curvature scalars, and the geodesic jet."""
 import numpy as np
 import pytest
 
-from warpcg import (
-    FdConfig,
-    Objective,
-    PsiDegenerate,
-    QuadraticProblem,
-    SquiggleProblem,
-    WarpConfig,
+from warpcg import FdConfig, Objective, QuadraticProblem, SquiggleProblem, WarpConfig
+from warpcg.errors import PsiDegenerate
+from warpcg.geometry import (
     build_cache,
-    geodesic_acceleration,
-    inverse_metric_apply,
     metric_inner,
     metric_norm,
-    normal_vector,
-    project_to_tangent,
     riemannian_gradient,
-    second_fundamental_form,
     taylor_coefficients,
 )
-from warpcg.geometry import embed_tangent
 from warpcg.objective import CountingObjective
+from warpcg.oracle import (
+    embed_tangent,
+    geodesic_acceleration,
+    inverse_metric_apply,
+    normal_vector,
+    project_to_tangent,
+    second_fundamental_form,
+)
 
 FD = FdConfig()
 

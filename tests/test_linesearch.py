@@ -4,18 +4,11 @@ failure modes, exercised through scalar test paths."""
 import numpy as np
 import pytest
 
-from warpcg import (
-    FdConfig,
-    LineSearchFail,
-    NonAscent,
-    SquiggleProblem,
-    WarpConfig,
-    WolfeResult,
-    build_cache,
-    directional_value_and_slope,
-    strong_wolfe,
-    taylor_coefficients,
-)
+from warpcg import FdConfig, SquiggleProblem, WarpConfig
+from warpcg.errors import LineSearchFail, NonAscent
+from warpcg.geometry import build_cache, taylor_coefficients
+from warpcg.linesearch import WolfeResult, strong_wolfe
+from warpcg.retraction import directional_value_and_slope
 
 FD = FdConfig()
 
@@ -138,7 +131,7 @@ class TestOnCurvedPath:
         sq = SquiggleProblem(6)
         theta = np.array([-10.0, 10.0, -10.0, 10.0, -10.0, 10.0])
         cache = build_cache(sq, WarpConfig(1.0), theta, FD)
-        from warpcg import riemannian_gradient
+        from warpcg.geometry import riemannian_gradient
 
         v = riemannian_gradient(cache)
         jet = taylor_coefficients(sq, cache, v, FD)

@@ -4,20 +4,15 @@ import numpy as np
 import pytest
 
 from warpcg import (
-    CountingObjective,
-    DEFAULT_FD_STEP,
     FdConfig,
     NegatedObjective,
-    NumericalBreakdown,
     Objective,
     RosenbrockProblem,
     SquiggleProblem,
 )
-from warpcg.objective import (
-    central_diff_grad,
-    hvp_or_fallback,
-    third_directional_derivative,
-)
+from warpcg.errors import NumericalBreakdown
+from warpcg.objective import CountingObjective, DEFAULT_FD_STEP, hvp_or_fallback
+from warpcg.oracle import central_diff_grad, third_directional_derivative
 
 
 class GradOnly(Objective):

@@ -5,22 +5,15 @@ agreement between the dense and matrix-free right-hand sides."""
 import numpy as np
 import pytest
 
-from warpcg import (
-    FdConfig,
-    Objective,
-    PsiDegenerate,
-    QuadraticProblem,
-    SquiggleProblem,
-    StepUnstable,
-    WarpConfig,
-    geodesic_acceleration,
-)
+from warpcg import FdConfig, Objective, QuadraticProblem, SquiggleProblem, WarpConfig
+from warpcg.errors import PsiDegenerate, StepUnstable
 from warpcg.oracle import (
     DENSE_DIM_CAP,
     build_dense_geometry,
     christoffel_fd,
     dense_metric,
     fit_loglog_slope,
+    geodesic_acceleration,
     integrate_geodesic,
     warped_speed,
 )

@@ -13,7 +13,8 @@ from warpcg import (
     initial_point,
     make_problem,
 )
-from warpcg.objective import central_diff_grad, hvp_or_fallback
+from warpcg.objective import hvp_or_fallback
+from warpcg.oracle import central_diff_grad
 from warpcg.problems import PROBLEM_NAMES
 
 FD = FdConfig()

@@ -5,21 +5,22 @@ import numpy as np
 import pytest
 
 from warpcg import (
-    DegenerateBeta,
     FdConfig,
-    GeometryCache,
     Objective,
     QuadraticProblem,
     RcgConfig,
     RosenbrockProblem,
     SquiggleProblem,
     StopReason,
-    TransportResult,
     WarpConfig,
-    dy_beta,
     initial_point,
+    run_euclidean_cg,
     run_rcg,
 )
+from warpcg.errors import DegenerateBeta
+from warpcg.geometry import GeometryCache
+from warpcg.rcg import dy_beta
+from warpcg.retraction import TransportResult
 
 FD = FdConfig()
 
@@ -276,9 +277,18 @@ class TestFailureHandling:
         assert np.isfinite(res.value)
 
     def test_shape_mismatch_raises(self):
-        q = QuadraticProblem(3)
-        with pytest.raises(ValueError):
-            run_rcg(q, np.zeros(4))
+        # Both drivers reject a start of the wrong length before running.
+        # Rosenbrock's own arithmetic accepts any length, so only the
+        # driver's check can catch it there.
+        starts = [
+            (QuadraticProblem(3), np.zeros(4)),
+            (RosenbrockProblem(4), np.full(3, 0.3)),
+            (RosenbrockProblem(4), np.full(5, 0.3)),
+        ]
+        for driver in (run_rcg, run_euclidean_cg):
+            for problem, theta0 in starts:
+                with pytest.raises(ValueError, match="shape"):
+                    driver(problem, theta0)
 
 
 class TestWarpStrength:

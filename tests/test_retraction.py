@@ -4,23 +4,22 @@ backward-secant vector transport."""
 import numpy as np
 import pytest
 
-from warpcg import (
-    DegenerateStep,
-    FdConfig,
+from warpcg import FdConfig, SquiggleProblem, WarpConfig
+from warpcg.errors import DegenerateStep
+from warpcg.geometry import (
     GeodesicJet,
     GeometryCache,
-    SquiggleProblem,
-    WarpConfig,
     build_cache,
+    metric_norm,
+    taylor_coefficients,
+)
+from warpcg.oracle import project_to_tangent, transport_by_projection
+from warpcg.retraction import (
     curve_velocity,
     directional_value_and_slope,
-    metric_norm,
-    project_to_tangent,
     retract,
-    taylor_coefficients,
     vector_transport,
 )
-from warpcg.retraction import transport_by_projection
 
 FD = FdConfig()
 

@@ -11,13 +11,14 @@ experiments a like-for-like flat-space reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalBreakdown
 from .geometry import GeodesicJet
-from .objective import CountingObjective, Objective
+from .objective import CountingObjective, Objective, _check_finite
 from .rcg import RcgConfig, RcgResult, _run_cg
 from .retraction import TransportResult
 
@@ -38,7 +39,7 @@ class _FlatPoint:
 
     @property
     def grad_norm_riem(self) -> float:
-        return float(np.sqrt(self.grad_sq))
+        return math.sqrt(self.grad_sq)
 
 
 class _FlatGeometry:
@@ -54,8 +55,9 @@ class _FlatGeometry:
         if value_grad is None:
             value = float(self.obj.value(theta))
             grad = np.asarray(self.obj.grad(theta), dtype=float)
-            if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+            if not math.isfinite(value):
                 raise NumericalBreakdown("non-finite objective data")
+            _check_finite(grad, "objective data")
         else:
             # The line search accepts only trials of finite value and slope.
             value, grad = value_grad

@@ -20,12 +20,13 @@ trial).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .objective import FdConfig, Objective, hvp_or_fallback
+from .objective import FdConfig, Objective, _check_finite, hvp_or_fallback
 
 __all__ = [
     "WarpConfig",
@@ -92,7 +93,7 @@ class GeometryCache:
     @property
     def grad_norm_riem(self) -> float:
         """Warped norm of the Riemannian gradient, ||grad|| / W."""
-        return float(np.sqrt(self.grad_sq / self.w_sq))
+        return math.sqrt(self.grad_sq / self.w_sq)
 
 
 def build_cache(
@@ -116,11 +117,9 @@ def build_cache(
     else:
         value = float(value_grad[0])
         grad = np.asarray(value_grad[1], dtype=float)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalBreakdown("non-finite objective value")
-    bad = ~np.isfinite(grad)
-    if bad.any():
-        raise NumericalBreakdown("non-finite gradient", component=int(np.argmax(bad)))
+    _check_finite(grad, "gradient")
 
     grad_sq = float(grad @ grad)
     w_sigma_sq = warp.sigma_sq + grad_sq
@@ -150,7 +149,7 @@ def metric_inner(cache: GeometryCache, x: np.ndarray, y: np.ndarray) -> float:
 
 def metric_norm(cache: GeometryCache, x: np.ndarray) -> float:
     """Warped norm sqrt(metric_inner(x, x))."""
-    return float(np.sqrt(max(metric_inner(cache, x, x), 0.0)))
+    return math.sqrt(max(metric_inner(cache, x, x), 0.0))
 
 
 def riemannian_gradient(cache: GeometryCache) -> np.ndarray:
@@ -208,7 +207,7 @@ def taylor_coefficients(
     """
     v = np.asarray(v, dtype=float)
     theta = cache.theta
-    if not np.any(v):
+    if not v.any():
         z = np.zeros_like(theta)
         return GeodesicJet(theta=theta, v=v, q=z, k=z.copy())
 
@@ -226,8 +225,9 @@ def taylor_coefficients(
     c0 = 2.0 * cache.sigma_sq / (cache.w_sigma_sq * cache.w_sigma_sq)
 
     r = fd.scaled(theta, v)
-    th_hi = theta + r * v
-    th_lo = theta - r * v
+    rv = r * v
+    th_hi = theta + rv
+    th_lo = theta - rv
     g_hi = np.asarray(obj.grad(th_hi), dtype=float)
     g_lo = np.asarray(obj.grad(th_lo), dtype=float)
     # d/dt [H grad] along the curve; the probe pair fuses the third-derivative
@@ -255,10 +255,6 @@ def taylor_coefficients(
     u2_dot = b * b_dot
 
     k = -(u1_dot * g + u1 * hess_v) + u2_dot * p + u2 * p_dot
-    for name, vec in (("q", q), ("k", k)):
-        bad = ~np.isfinite(vec)
-        if bad.any():
-            raise NumericalBreakdown(
-                f"non-finite jet coefficient {name}", component=int(np.argmax(bad))
-            )
+    _check_finite(q, "jet coefficient q")
+    _check_finite(k, "jet coefficient k")
     return GeodesicJet(theta=theta, v=v, q=q, k=k)

@@ -62,14 +62,14 @@ def _cubic_min(a, fa, sa, b, fb, sb):
         return None
     d1 = sa + sb - 3.0 * (fa - fb) / (a - b)
     disc = d1 * d1 - sa * sb
-    if not np.isfinite(disc) or disc < 0.0:
+    if not math.isfinite(disc) or disc < 0.0:
         return None
     d2 = math.copysign(math.sqrt(disc), b - a)
     denom = sb - sa + 2.0 * d2
     if denom == 0.0:
         return None
     t = b - (b - a) * (sb + d2 - d1) / denom
-    return t if np.isfinite(t) else None
+    return t if math.isfinite(t) else None
 
 
 def strong_wolfe(
@@ -88,7 +88,7 @@ def strong_wolfe(
     LineSearchFail when the evaluation budget runs out or the zoom interval
     collapses without an acceptable point.
     """
-    if not np.isfinite(slope0) or slope0 <= 0.0:
+    if not math.isfinite(slope0) or slope0 <= 0.0:
         raise NonAscent(f"initial slope must be positive, got {slope0}")
     if not (t_init > 0.0):
         raise ValueError(f"t_init must be positive, got {t_init}")
@@ -106,7 +106,7 @@ def strong_wolfe(
         return _Trial(t=t, value=value, slope=slope, point=point, grad=grad)
 
     def sufficient(tr: _Trial) -> bool:
-        return np.isfinite(tr.value) and tr.value >= f0 + c1 * tr.t * slope0
+        return math.isfinite(tr.value) and tr.value >= f0 + c1 * tr.t * slope0
 
     def accepted(tr: _Trial) -> WolfeResult:
         return WolfeResult(
@@ -121,7 +121,7 @@ def strong_wolfe(
             if width <= 1e-14 * max(1.0, abs(lo.t)):
                 raise LineSearchFail("zoom interval collapsed without a Wolfe point")
             t = None
-            if np.isfinite(hi.value) and np.isfinite(hi.slope):
+            if math.isfinite(hi.value) and math.isfinite(hi.slope):
                 t = _cubic_min(lo.t, -lo.value, -lo.slope, hi.t, -hi.value, -hi.slope)
             left, right = min(lo.t, hi.t), max(lo.t, hi.t)
             margin = 0.1 * width
@@ -131,7 +131,7 @@ def strong_wolfe(
             if not sufficient(tr) or tr.value <= lo.value:
                 hi = tr
             else:
-                if np.isfinite(tr.slope) and abs(tr.slope) <= c2 * slope0:
+                if math.isfinite(tr.slope) and abs(tr.slope) <= c2 * slope0:
                     return accepted(tr)
                 if tr.slope * (hi.t - lo.t) <= 0.0:
                     hi = lo
@@ -144,7 +144,7 @@ def strong_wolfe(
         tr = ev(t)
         if not sufficient(tr) or (not first and tr.value <= prev.value):
             return zoom(prev, tr)
-        if np.isfinite(tr.slope) and abs(tr.slope) <= c2 * slope0:
+        if math.isfinite(tr.slope) and abs(tr.slope) <= c2 * slope0:
             return accepted(tr)
         if tr.slope <= 0.0:
             # Crest passed: the maximum lies between the previous point and

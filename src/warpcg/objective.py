@@ -13,6 +13,7 @@ insensitive to the magnitudes of both the point and the direction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -53,8 +54,10 @@ class FdConfig:
 
     def scaled(self, theta: np.ndarray, v: np.ndarray) -> float:
         """Actual step along v, scaled to the magnitudes of theta and v."""
-        nt = float(np.linalg.norm(theta))
-        nv = float(np.linalg.norm(v))
+        # math.sqrt of the dot product is what np.linalg.norm computes for a
+        # 1-D float array, without its per-call dispatch.
+        nt = math.sqrt(float(theta @ theta))
+        nv = math.sqrt(float(v @ v))
         return self.step * max(1.0, nt) / max(1.0, nv)
 
 
@@ -92,10 +95,14 @@ class Objective(ABC):
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    bad = ~np.isfinite(arr)
-    if bad.any():
+    """Return arr, or raise NumericalBreakdown naming its first NaN or inf.
+
+    The cheap all-finite screen runs on every call; the mask and argmax
+    only when it fails.
+    """
+    if not np.isfinite(arr).all():
         raise NumericalBreakdown(
-            f"non-finite {what}", component=int(np.argmax(bad))
+            f"non-finite {what}", component=int(np.argmax(~np.isfinite(arr)))
         )
     return arr
 
@@ -112,7 +119,7 @@ def hvp_or_fallback(
     if obj.has_hvp:
         out = np.asarray(obj.hvp(theta, v), dtype=float)
     else:
-        if not np.any(v):
+        if not v.any():
             return np.zeros_like(np.asarray(theta, dtype=float))
         r = fd.scaled(theta, v)
         out = (obj.grad(theta + r * v) - obj.grad(theta - r * v)) / (2.0 * r)

@@ -57,13 +57,13 @@ class SquiggleProblem(Objective):
 
     def value(self, theta: np.ndarray) -> float:
         s = self._bent(theta)
-        return self._log_norm - 0.5 * float(np.sum(self._lam * s * s))
+        return self._log_norm - 0.5 * float((self._lam * s * s).sum())
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         s = self._bent(theta)
         ls = self._lam * s
         out = -ls
-        out[0] -= self.freq * np.cos(self.freq * theta[0]) * float(np.sum(ls[1:]))
+        out[0] -= self.freq * np.cos(self.freq * theta[0]) * float(ls[1:].sum())
         return out
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -73,13 +73,13 @@ class SquiggleProblem(Objective):
         jv[1:] += self.freq * cos1 * v[0]
         ljv = self._lam * jv
         out = -ljv
-        out[0] -= self.freq * cos1 * float(np.sum(ljv[1:]))
+        out[0] -= self.freq * cos1 * float(ljv[1:].sum())
         # Curvature of the bend itself: only the (0, 0) entry.
         out[0] += (
             self.freq
             * self.freq
             * np.sin(self.freq * theta[0])
-            * float(np.sum(self._lam[1:] * s[1:]))
+            * float((self._lam[1:] * s[1:]).sum())
             * v[0]
         )
         return out
@@ -112,12 +112,12 @@ class RosenbrockProblem(Objective):
 
     def value(self, theta: np.ndarray) -> float:
         x, y = theta[:-1], theta[1:]
-        return -float(np.sum(self.bend * (y - x * x) ** 2 + (self.shift - x) ** 2))
+        return -float((self.bend * (y - x * x) ** 2 + (self.shift - x) ** 2).sum())
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         b = self.bend
         x, y = theta[:-1], theta[1:]
-        out = np.zeros_like(np.asarray(theta, dtype=float))
+        out = np.zeros(np.shape(theta))
         out[:-1] += 4.0 * b * x * (y - x * x) + 2.0 * (self.shift - x)
         out[1:] += -2.0 * b * (y - x * x)
         return out
@@ -125,7 +125,7 @@ class RosenbrockProblem(Objective):
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         b = self.bend
         x, y = theta[:-1], theta[1:]
-        diag = np.zeros_like(np.asarray(theta, dtype=float))
+        diag = np.zeros(np.shape(theta))
         diag[:-1] += 4.0 * b * (y - 3.0 * x * x) - 2.0
         diag[1:] += -2.0 * b
         off = 4.0 * b * x  # coupling between j and j+1
@@ -164,7 +164,7 @@ class QuadraticProblem(Objective):
 
     def value(self, theta: np.ndarray) -> float:
         d = theta - self.center
-        return -0.5 * float(np.sum(self.curvatures * d * d))
+        return -0.5 * float((self.curvatures * d * d).sum())
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return -self.curvatures * (theta - self.center)

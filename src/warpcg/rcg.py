@@ -33,6 +33,7 @@ identity metric.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -175,7 +176,7 @@ def dy_beta(
     den = transported.scale * float(dst.grad @ transported.coords) - float(
         src.grad @ direction
     )
-    if not np.isfinite(den) or abs(den) < 1e-300:
+    if not math.isfinite(den) or abs(den) < 1e-300:
         raise DegenerateBeta(f"conjugacy denominator degenerate: {den}")
     return num / den
 
@@ -260,7 +261,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
 
         try:
             slope0 = float(cache.grad @ v)
-            if not np.isfinite(slope0) or slope0 <= 0.0:
+            if not math.isfinite(slope0) or slope0 <= 0.0:
                 # Direction lost ascent: fall back to steepest.
                 v = riemannian_gradient(cache)
                 restarted = 1
@@ -274,7 +275,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 t_init = 1.0
             else:
                 t_init = prev_t * prev_slope / slope0
-                if not np.isfinite(t_init) or t_init <= 0.0:
+                if not math.isfinite(t_init) or t_init <= 0.0:
                     t_init = 1.0
                 t_init = min(max(t_init, 1e-12), 1e12)
 
@@ -324,7 +325,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 k=k,
                 f=ls.value,
                 grad_norm_riem=dst.grad_norm_riem,
-                grad_norm_eucl=float(np.sqrt(dst.grad_sq)),
+                grad_norm_eucl=math.sqrt(dst.grad_sq),
                 t=ls.t,
                 beta=beta_used,
                 s=scale,
@@ -359,7 +360,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         stop_reason=stop,
         iterations=k,
         grad_norm_riem=cache.grad_norm_riem,
-        grad_norm_eucl=float(np.sqrt(cache.grad_sq)),
+        grad_norm_eucl=math.sqrt(cache.grad_sq),
         trace=trace,
         jets=jets,
         n_value=counts.n_value,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStep, NumericalBreakdown
+from .errors import DegenerateStep
 from .geometry import GeodesicJet, GeometryCache, metric_norm
-from .objective import Objective
+from .objective import Objective, _check_finite
 
 __all__ = [
     "retract",
@@ -37,9 +37,9 @@ def retract(jet: GeodesicJet, t: float, order: int = 3) -> np.ndarray:
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
     out = jet.theta + t * jet.v
     if order >= 2:
-        out = out + (0.5 * t * t) * jet.q
+        out += (0.5 * t * t) * jet.q
     if order == 3:
-        out = out + (t * t * t / 6.0) * jet.k
+        out += (t * t * t / 6.0) * jet.k
     return out
 
 
@@ -47,11 +47,11 @@ def curve_velocity(jet: GeodesicJet, t: float, order: int = 3) -> np.ndarray:
     """Velocity of the retraction curve at parameter t (its t-derivative)."""
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    out = jet.v.copy()
-    if order >= 2:
-        out = out + t * jet.q
+    if order == 1:
+        return jet.v.copy()
+    out = jet.v + t * jet.q
     if order == 3:
-        out = out + (0.5 * t * t) * jet.k
+        out += (0.5 * t * t) * jet.k
     return out
 
 
@@ -106,16 +106,12 @@ def vector_transport(
     if not (t > 0.0):
         raise DegenerateStep(f"transport needs t > 0, got {t}")
     delta = src.theta - dst.theta
-    if not np.any(delta):
+    if not delta.any():
         raise DegenerateStep("transport endpoints coincide")
     delta_f = src.value - dst.value
     corr = (float(delta @ dst.grad) - delta_f) * (dst.psi_sq / dst.w_sq)
     coords = -(delta - corr * dst.grad) / t
-    bad = ~np.isfinite(coords)
-    if bad.any():
-        raise NumericalBreakdown(
-            "non-finite transported vector", component=int(np.argmax(bad))
-        )
+    _check_finite(coords, "transported vector")
     dst_norm = metric_norm(dst, coords)
     if dst_norm == 0.0:
         raise DegenerateStep("transported vector has zero norm")

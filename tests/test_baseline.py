@@ -7,6 +7,7 @@ import pytest
 from warpcg import (
     QuadraticProblem,
     RcgConfig,
+    RosenbrockProblem,
     SquiggleProblem,
     StopReason,
     initial_point,
@@ -57,6 +58,18 @@ class TestConvergence:
         b = run_euclidean_cg(sq, initial_point("squiggle", 6))
         np.testing.assert_array_equal(a.theta, b.theta)
         np.testing.assert_array_equal(a.f_history, b.f_history)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="stalls: 2000 iterations without a restart end at f=-20.53 with "
+        "beta near -1, where scipy's CG reaches the maximum in 237",
+    )
+    def test_rosenbrock_d10_converges(self):
+        problem = RosenbrockProblem(10)
+        res = run_euclidean_cg(problem, initial_point("rosenbrock", 10),
+                               cfg=RcgConfig(tol_df=0.0, max_iters=2000))
+        assert res.stop_reason == StopReason.SMALL_GRAD
+        assert abs(res.value - problem.max_value()) < 1e-6
 
 
 class TestSchemaParity:

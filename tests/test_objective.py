@@ -9,10 +9,14 @@ from warpcg import (
     Objective,
     RosenbrockProblem,
     SquiggleProblem,
+    WarpConfig,
+    run_euclidean_cg,
 )
 from warpcg.errors import NumericalBreakdown
+from warpcg.geometry import build_cache
 from warpcg.objective import CountingObjective, DEFAULT_FD_STEP, hvp_or_fallback
 from warpcg.oracle import central_diff_grad, third_directional_derivative
+from warpcg.retraction import vector_transport
 
 
 class GradOnly(Objective):
@@ -43,6 +47,23 @@ class PoisonHvp(Objective):
     def hvp(self, theta, v):
         out = np.zeros(3)
         out[1] = np.nan
+        return out
+
+
+class NanGrad(Objective):
+    """Finite value; gradient NaN at index bad and inf at every later index."""
+
+    def __init__(self, dim, bad):
+        super().__init__(dim)
+        self.bad = bad
+
+    def value(self, theta):
+        return 0.0
+
+    def grad(self, theta):
+        out = np.ones(self.dim)
+        out[self.bad + 1:] = np.inf
+        out[self.bad] = np.nan
         return out
 
 
@@ -85,6 +106,19 @@ class TestFdConfig:
         # Both norms below 1 clamp to 1.
         assert fd.scaled(np.zeros(2), np.array([0.1, 0.0])) == pytest.approx(1e-4)
 
+    @pytest.mark.parametrize("dim", [1, 3, 100, 10_000])
+    def test_scaled_step_equals_linalg_norm_formula(self, dim):
+        # The reference is the formula with np.linalg.norm; the step must
+        # match it bit for bit, so traces do not depend on how it is computed.
+        rng = np.random.default_rng(dim)
+        for step in (DEFAULT_FD_STEP, 1e-4, 0.3):
+            fd = FdConfig(step=step)
+            for _ in range(20):
+                theta = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+                v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+                want = step * max(1.0, np.linalg.norm(theta)) / max(1.0, np.linalg.norm(v))
+                assert fd.scaled(theta, v) == want
+
 
 class TestObjectiveContract:
     def test_zero_dimension_rejected(self):
@@ -122,6 +156,45 @@ class TestObjectiveContract:
         with pytest.raises(NumericalBreakdown) as info:
             hvp_or_fallback(PoisonHvp(), np.zeros(3), np.ones(3), FdConfig())
         assert info.value.component == 1
+
+
+def _nan_cache_gradient(dim, bad):
+    build_cache(NanGrad(dim, bad), WarpConfig(), np.zeros(dim), FdConfig())
+
+
+def _nan_flat_gradient(dim, bad):
+    run_euclidean_cg(NanGrad(dim, bad), np.zeros(dim))
+
+
+def _overflowing_transport(dim, bad):
+    # With zero gradients the transport is the plain secant -(src - dst) / t,
+    # so a 1e300 displacement over t = 1e-300 overflows exactly entries bad:.
+    def flat_cache(theta):
+        return build_cache(GradOnly(dim), WarpConfig(), theta, FdConfig(),
+                           value_grad=(0.0, np.zeros(dim)))
+
+    src = np.zeros(dim)
+    src[bad:] = 1e300
+    with np.errstate(over="ignore"):
+        vector_transport(flat_cache(src), flat_cache(np.zeros(dim)), np.ones(dim), 1e-300)
+
+
+@pytest.mark.parametrize("bad", [0, 2, 4])
+@pytest.mark.parametrize(
+    "provoke, message",
+    [
+        (_nan_cache_gradient, "non-finite gradient"),
+        (_overflowing_transport, "non-finite transported vector"),
+        (_nan_flat_gradient, "non-finite objective data"),
+    ],
+    ids=["build_cache", "vector_transport", "flat_point"],
+)
+def test_nonfinite_array_names_first_component(provoke, message, bad):
+    with pytest.raises(NumericalBreakdown) as info:
+        provoke(5, bad)
+    assert type(info.value) is NumericalBreakdown
+    assert info.value.component == bad
+    assert str(info.value) == f"{message} (first bad component: {bad})"
 
 
 class TestThirdDerivative:

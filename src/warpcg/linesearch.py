@@ -80,7 +80,6 @@ def strong_wolfe(
     c2: float = 0.1,
     t_init: float = 1.0,
     max_evals: int = 60,
-    grow: float = 2.0,
 ) -> WolfeResult:
     """Find t > 0 satisfying the strong Wolfe conditions along phi.
 
@@ -151,5 +150,5 @@ def strong_wolfe(
             # this one, with the current point the higher shoulder.
             return zoom(tr, prev)
         prev = tr
-        t *= grow
+        t *= 2.0  # still climbing: double the step
         first = False

@@ -67,7 +67,7 @@ class SquiggleProblem(Objective):
         return out
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        s = self._bent(theta)
+        sin1 = np.sin(self.freq * theta[0])
         cos1 = np.cos(self.freq * theta[0])
         jv = np.array(v, dtype=float)
         jv[1:] += self.freq * cos1 * v[0]
@@ -78,8 +78,8 @@ class SquiggleProblem(Objective):
         out[0] += (
             self.freq
             * self.freq
-            * np.sin(self.freq * theta[0])
-            * float((self._lam[1:] * s[1:]).sum())
+            * sin1
+            * float((self._lam[1:] * (theta[1:] + sin1)).sum())
             * v[0]
         )
         return out

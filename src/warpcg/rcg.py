@@ -99,8 +99,13 @@ class RcgConfig:
             raise ValueError(
                 f"need 0 < c1 < c2 < 1, got c1={self.wolfe_c1}, c2={self.wolfe_c2}"
             )
-        if self.tol_df < 0 or self.tol_grad < 0:
-            raise ValueError("tolerances must be >= 0")
+        # Written as not (x >= 0) so that NaN, which no stop test can meet, fails too.
+        if not (self.tol_df >= 0 and self.tol_grad >= 0):
+            raise ValueError(
+                f"tolerances must be >= 0, got tol_df={self.tol_df}, tol_grad={self.tol_grad}"
+            )
+        if self.max_ls_evals < 1:
+            raise ValueError(f"max_ls_evals must be >= 1, got {self.max_ls_evals}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,7 +49,7 @@ class TestSingleRun:
         assert tuple(rows[0]) == TRACE_COLUMNS
         assert len(rows) - 1 == printed["iterations"]
         # Float columns round-trip exactly through repr.
-        spec = RunSpec(problem="quadratic", dim=4, max_iters=40, tol_df=0.0)
+        spec = RunSpec(problem="quadratic", dim=4, cfg=RcgConfig(max_iters=40, tol_df=0.0))
         result, _ = execute(spec)
         assert float(rows[1][1]) == result.trace[0].f
 
@@ -87,7 +87,7 @@ class TestSingleRun:
         assert summary["config"]["minimize"] is True
 
         spec = RunSpec(problem="quadratic", dim=3, minimize=True,
-                       max_iters=40, tol_df=0.0)
+                       cfg=RcgConfig(max_iters=40, tol_df=0.0))
         result, exec_summary = execute(spec)
         assert exec_summary["final_f"] == -result.value
 
@@ -142,6 +142,8 @@ class TestArgumentErrors:
         ["--problem", "quadratic", "--dim", "3", "--fd-step", "0"],
         ["--problem", "quadratic", "--dim", "3", "--method", "rcg,euclid_cg"],
         ["--problem", "quadratic", "--dims", ""],
+        ["--problem", "quadratic", "--dims", "2,3", "--sigma-sq", "inf"],
+        ["--problem", "quadratic", "--dim", "3", "--tol-grad", "nan"],
     ])
     def test_exit_one_with_stderr(self, capsys, argv):
         code, out, err = run_main(capsys, argv)
@@ -199,7 +201,7 @@ class TestSweep:
 
 class TestRunSpecApi:
     def test_execute_returns_result_and_summary(self):
-        spec = RunSpec(problem="quadratic", dim=3, max_iters=30, tol_df=0.0)
+        spec = RunSpec(problem="quadratic", dim=3, cfg=RcgConfig(max_iters=30, tol_df=0.0))
         result, summary = execute(spec)
         assert summary["iterations"] == result.iterations
         assert summary["final_f"] == result.value
@@ -207,4 +209,4 @@ class TestRunSpecApi:
 
     def test_validate_rejects_without_running(self):
         with pytest.raises(ValueError):
-            RunSpec(problem="quadratic", dim=3, wolfe_c2=2.0).validate()
+            RunSpec(problem="quadratic", dim=3, cfg=RcgConfig(wolfe_c2=2.0)).validate()

@@ -44,6 +44,12 @@ class TestConfigValidation:
             RcgConfig(tol_df=-1.0)
         with pytest.raises(ValueError):
             RcgConfig(tol_grad=-1.0)
+        with pytest.raises(ValueError):
+            RcgConfig(tol_grad=float("nan"))
+        with pytest.raises(ValueError):
+            RcgConfig(max_ls_evals=0)
+        with pytest.raises(ValueError):
+            RcgConfig(max_ls_evals=-3)
 
 
 class TestTermination:

@@ -2,11 +2,12 @@
 
 The warped metric G = I + psi^2 grad grad^T tends to the identity as
 sigma_sq grows, so the flat-space baseline is the warped driver's loop run
-over the identity metric: points carry W^2 = 1, search curves are straight
-rays, transport is the identity with scale 1, and no geometry cache or hvp
-is ever built. Wolfe search, Dai-Yuan coefficient, sign policy, trace
-schema and stop reasons are therefore the warped driver's own. It gives
-experiments a like-for-like flat-space reference.
+over the identity metric: points carry W^2 = 1, search curves are jets
+without curvature terms (straight rays), transport is the identity with
+scale 1, and no geometry cache or hvp is ever built. Wolfe search,
+Dai-Yuan coefficient, sign policy, trace schema and stop reasons are
+therefore the warped driver's own. It gives experiments a like-for-like
+flat-space reference.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class _FlatGeometry:
 
     def __init__(self, obj: Objective):
         self.obj = obj
-        self._zeros = np.zeros(obj.dim)
 
     def point(self, theta: np.ndarray, value_grad=None) -> _FlatPoint:
         if value_grad is None:
@@ -64,7 +64,7 @@ class _FlatGeometry:
         return _FlatPoint(theta=theta, value=value, grad=grad, grad_sq=float(grad @ grad))
 
     def jet(self, point: _FlatPoint, v: np.ndarray) -> GeodesicJet:
-        return GeodesicJet(theta=point.theta, v=v, q=self._zeros, k=self._zeros)
+        return GeodesicJet(theta=point.theta, v=v)
 
     def transport(self, src: _FlatPoint, dst: _FlatPoint, v: np.ndarray, t: float) -> TransportResult:
         return TransportResult(coords=v, scale=1.0)

@@ -15,11 +15,11 @@ or FdConfig (--fd-step sets FdConfig.step), takes its default from there,
 and is range-checked there. The three configs are built once, before any
 run, in both modes.
 
-Exit codes: 0 on success, 1 for an invalid run specification, 2 when a
-single run stops with numerical breakdown. In a sweep an invalid shared
-setting (a config value, the problem or a method name) exits 1 before any
-run, while an invalid dimension becomes an error row. Sweep failures are
-recorded per row and do not change the exit code.
+Exit codes: 0 on success, 1 for an invalid run specification (also --dim
+with --dims), 2 when a single run stops with numerical breakdown. In a
+sweep an invalid shared setting (a config value, the problem or a method
+name) exits 1 before any run, while an invalid dimension becomes an error
+row. Sweep failures are recorded per row and do not change the exit code.
 """
 
 from __future__ import annotations
@@ -249,6 +249,8 @@ def main(argv: list[str] | None = None) -> int:
             if "," in args.method:
                 raise ValueError("comma-separated --method needs sweep mode (--dims)")
             return run_single(spec, args.trace_out, args.summary_out)
+        if args.dim is not None:
+            raise ValueError("--dim and --dims are exclusive: --dim is one run, --dims a sweep")
         dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
         if not dims:
             raise ValueError("--dims is empty")

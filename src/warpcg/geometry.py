@@ -176,13 +176,14 @@ def _accel_scalars(
 
 @dataclass(frozen=True, eq=False)
 class GeodesicJet:
-    """Third-order data of the geodesic leaving theta with velocity v:
-    position ~ theta + t v + t^2/2 q + t^3/6 k."""
+    """Taylor data of a search curve leaving theta with velocity v:
+    position ~ theta + t v + t^2/2 q + t^3/6 k. An order-n curve carries its
+    first n-1 coefficients; a straight ray has neither q nor k."""
 
     theta: np.ndarray
     v: np.ndarray
-    q: np.ndarray
-    k: np.ndarray
+    q: np.ndarray | None = None
+    k: np.ndarray | None = None
 
 
 def taylor_coefficients(

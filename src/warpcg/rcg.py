@@ -247,17 +247,15 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
     prev_slope: float | None = None
     pending_restart = False
     k = 0
-    attempts = 0
     failed_attempts = 0
 
     while True:
         if cache.grad_norm_riem < cfg.tol_grad:
             stop = StopReason.SMALL_GRAD
             break
-        if k >= cfg.max_iters or attempts >= 2 * cfg.max_iters + 1:
+        if k >= cfg.max_iters:
             stop = StopReason.MAX_ITERS
             break
-        attempts += 1
         wall_start = time.perf_counter_ns()
         counts_before = counting.counts.snapshot()
         builds_before = geometry.builds

@@ -1,11 +1,12 @@
 """Cubic geodesic retraction and secant vector transport.
 
 The retraction follows the Taylor jet of the geodesic: theta(t) = theta +
-t v + t^2/2 q + t^3/6 k. Its inverse (in the first-order secant sense)
-yields the transport: the chart displacement between the two endpoints,
-metric-projected at the destination and divided by the step length. In the
-Euclidean limit (warp -> 0, straight curve) the transported vector reduces
-to v itself.
+t v + t^2/2 q + t^3/6 k, summing only the terms the jet carries, so a
+straight ray is a jet with no terms. Its inverse (in the first-order
+secant sense) yields the transport: the chart displacement between the two
+endpoints, metric-projected at the destination and divided by the step
+length. In the Euclidean limit (warp -> 0, straight curve) the transported
+vector reduces to v itself.
 """
 
 from __future__ import annotations
@@ -27,30 +28,25 @@ __all__ = [
 ]
 
 
-def retract(jet: GeodesicJet, t: float, order: int = 3) -> np.ndarray:
-    """Point on the approximate geodesic at parameter t.
-
-    order selects the truncation: 1 is the straight line theta + t v, 2 adds
-    the t^2/2 q bend, 3 (default) adds t^3/6 k.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
+def retract(jet: GeodesicJet, t: float) -> np.ndarray:
+    """Point on the jet's search curve at parameter t: theta + t v, plus the
+    t^2/2 q and t^3/6 k terms the jet carries."""
     out = jet.theta + t * jet.v
-    if order >= 2:
+    if jet.q is not None:
         out += (0.5 * t * t) * jet.q
-    if order == 3:
+    if jet.k is not None:
         out += (t * t * t / 6.0) * jet.k
     return out
 
 
-def curve_velocity(jet: GeodesicJet, t: float, order: int = 3) -> np.ndarray:
-    """Velocity of the retraction curve at parameter t (its t-derivative)."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    if order == 1:
-        return jet.v.copy()
+def curve_velocity(jet: GeodesicJet, t: float) -> np.ndarray:
+    """Velocity of the jet's search curve at parameter t (its t-derivative).
+
+    A straight ray returns jet.v itself, not a copy."""
+    if jet.q is None:
+        return jet.v
     out = jet.v + t * jet.q
-    if order == 3:
+    if jet.k is not None:
         out += (0.5 * t * t) * jet.k
     return out
 

@@ -14,7 +14,7 @@ from warpcg import (
     make_problem,
     run_euclidean_cg,
 )
-from warpcg.retraction import directional_value_and_slope
+from warpcg.retraction import directional_value_and_slope, retract
 
 
 class TestQuadraticTermination:
@@ -128,7 +128,8 @@ class TestWolfeCertification:
         assert res.iterations > 0
         assert len(res.jets) == res.iterations
         for jet, row in zip(res.jets, res.trace):
-            assert not jet.q.any() and not jet.k.any()
+            assert jet.q is None and jet.k is None
+            assert retract(jet, row.t).tobytes() == (jet.theta + row.t * jet.v).tobytes(), row.k
             f0 = problem.value(jet.theta)
             slope0 = float(np.asarray(problem.grad(jet.theta), dtype=float) @ jet.v)
             value, slope, _, _ = directional_value_and_slope(problem, jet, row.t)

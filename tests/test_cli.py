@@ -144,6 +144,7 @@ class TestArgumentErrors:
         ["--problem", "quadratic", "--dims", ""],
         ["--problem", "quadratic", "--dims", "2,3", "--sigma-sq", "inf"],
         ["--problem", "quadratic", "--dim", "3", "--tol-grad", "nan"],
+        ["--problem", "quadratic", "--dim", "50", "--dims", "2"],
     ])
     def test_exit_one_with_stderr(self, capsys, argv):
         code, out, err = run_main(capsys, argv)

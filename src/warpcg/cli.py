@@ -29,6 +29,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,19 +50,21 @@ __all__ = ["RunSpec", "run_single", "run_sweep", "main", "TRACE_COLUMNS"]
 
 METHOD_NAMES = ("rcg", "euclid_cg")
 
-#: Pinned trace CSV schema; column order is part of the file format.
-TRACE_COLUMNS = (
-    "iter",
-    "f",
-    "grad_norm_riem",
-    "grad_norm_eucl",
-    "t_k",
-    "beta_k",
-    "s_k",
-    "ls_evals",
-    "wall_ns",
-    "restart",
-)
+#: Pinned trace CSV schema: each column and the IterationTrace field it
+#: holds. Column order is part of the file format.
+_TRACE_FIELDS = {
+    "iter": "k",
+    "f": "f",
+    "grad_norm_riem": "grad_norm_riem",
+    "grad_norm_eucl": "grad_norm_eucl",
+    "t_k": "t",
+    "beta_k": "beta",
+    "s_k": "s",
+    "ls_evals": "ls_evals",
+    "wall_ns": "wall_ns",
+    "restart": "restart",
+}
+TRACE_COLUMNS = tuple(_TRACE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -98,24 +101,11 @@ class RunSpec:
 
 
 def _write_trace(path: Path, trace: list[IterationTrace]) -> None:
+    # csv writes a float as str(), which is repr() in Python 3: round-trip exact.
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for row in trace:
-            writer.writerow(
-                [
-                    row.k,
-                    repr(row.f),
-                    repr(row.grad_norm_riem),
-                    repr(row.grad_norm_eucl),
-                    repr(row.t),
-                    repr(row.beta),
-                    repr(row.s),
-                    row.ls_evals,
-                    row.wall_ns,
-                    row.restart,
-                ]
-            )
+        writer.writerows(map(attrgetter(*_TRACE_FIELDS.values()), trace))
 
 
 def execute(spec: RunSpec) -> tuple[RcgResult, dict]:

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import NumericalBreakdown
 
 EPS = float(np.finfo(np.float64).eps)
-SQRT_EPS = float(np.sqrt(EPS))
 CBRT_EPS = float(np.cbrt(EPS))
 
 #: Default relative step for central differences of first derivatives.
@@ -35,16 +34,17 @@ class FdConfig:
     """Finite-difference step policy.
 
     Attributes:
-        step: base relative step. Must be positive. Values below 1e-12 are
-            allowed but trigger a warning: in float64 central differences
-            they produce pure rounding noise.
+        step: base relative step. Must be finite and positive. Values
+            below 1e-12 are allowed but trigger a warning: in float64
+            central differences they produce pure rounding noise.
     """
 
     step: float = DEFAULT_FD_STEP
 
     def __post_init__(self):
-        if not (self.step > 0.0):
-            raise ValueError(f"fd step must be positive, got {self.step}")
+        # Written as not (0 < x < inf) so that NaN fails too.
+        if not (0.0 < self.step < math.inf):
+            raise ValueError(f"fd step must be finite and > 0, got {self.step}")
         if self.step < 1e-12:
             warnings.warn(
                 f"fd step {self.step:g} is below float64 resolution for "

@@ -85,10 +85,7 @@ def normal_vector(cache: GeometryCache) -> np.ndarray:
     psi = np.sqrt(cache.psi_sq)
     w = np.sqrt(cache.w_sq)
     n = np.append(-(psi / w) * cache.grad, 1.0 / (psi * w))
-    bad = ~np.isfinite(n)
-    if bad.any():
-        raise NumericalBreakdown("non-finite normal vector", component=int(np.argmax(bad)))
-    return n
+    return _check_finite(n, "normal vector")
 
 
 
@@ -121,11 +118,7 @@ def geodesic_acceleration(
         hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
     _, _, _, _, u1, u2 = _accel_scalars(cache, v, hess_v)
     v_dot = -u1 * cache.grad + u2 * cache.grad_psi_sq
-    bad = ~np.isfinite(v_dot)
-    if bad.any():
-        raise NumericalBreakdown(
-            "non-finite geodesic acceleration", component=int(np.argmax(bad))
-        )
+    _check_finite(v_dot, "geodesic acceleration")
     return GeodesicAcceleration(coef_grad=u1, coef_warp=u2, v_dot=v_dot, hess_v=hess_v)
 
 

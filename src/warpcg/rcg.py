@@ -90,7 +90,6 @@ class RcgConfig:
     wolfe_c2: float = 0.1
     max_ls_evals: int = 60
     record_jets: bool = False
-    record_thetas: bool = True
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -110,9 +109,11 @@ class RcgConfig:
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """One accepted iteration. theta is the accepted point (omitted from CSV
-    output); the n_* fields count objective calls made by this iteration,
-    including its line search."""
+    """One accepted iteration, held as scalars so a trace costs O(1) memory
+    per row. The n_* fields count objective calls made by this iteration,
+    including its line search. The accepted point is not kept: the result's
+    theta is the last one, and with record_jets=True the next jet's theta is
+    this row's."""
 
     k: int
     f: float
@@ -128,7 +129,6 @@ class IterationTrace:
     n_grad: int
     n_hvp: int
     cache_builds: int
-    theta: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -339,7 +339,6 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 n_grad=counts_after.n_grad - counts_before.n_grad,
                 n_hvp=counts_after.n_hvp - counts_before.n_hvp,
                 cache_builds=geometry.builds - builds_before,
-                theta=dst.theta if cfg.record_thetas else None,
             )
         )
         if cfg.record_jets:

@@ -111,11 +111,6 @@ class TestSchemaParity:
         assert res.n_value == 1
         assert res.n_grad == 1
 
-    def test_record_thetas_toggle(self):
-        q = QuadraticProblem(3)
-        res = run_euclidean_cg(q, np.full(3, 0.5), cfg=RcgConfig(record_thetas=False))
-        assert all(row.theta is None for row in res.trace)
-
 
 class TestWolfeCertification:
     @pytest.mark.parametrize("name", ["squiggle", "rosenbrock"])

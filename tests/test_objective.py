@@ -1,5 +1,7 @@
 """Objective contract, finite-difference policy, and derivative utilities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from warpcg import (
 from warpcg.errors import NumericalBreakdown
 from warpcg.geometry import build_cache
 from warpcg.objective import CountingObjective, DEFAULT_FD_STEP, hvp_or_fallback
-from warpcg.oracle import central_diff_grad, third_directional_derivative
+from warpcg.oracle import central_diff_grad, normal_vector, third_directional_derivative
 from warpcg.retraction import vector_transport
 
 
@@ -93,6 +95,10 @@ class TestFdConfig:
             FdConfig(step=0.0)
         with pytest.raises(ValueError):
             FdConfig(step=-1e-6)
+        with pytest.raises(ValueError):
+            FdConfig(step=np.inf)
+        with pytest.raises(ValueError):
+            FdConfig(step=np.nan)
 
     def test_warns_below_float_resolution(self):
         with pytest.warns(UserWarning, match="below float64 resolution"):
@@ -179,6 +185,15 @@ def _overflowing_transport(dim, bad):
         vector_transport(flat_cache(src), flat_cache(np.zeros(dim)), np.ones(dim), 1e-300)
 
 
+def _inf_normal_vector(dim, bad):
+    # A finite cache whose gradient then gains inf entries from index bad on.
+    cache = build_cache(GradOnly(dim), WarpConfig(), np.zeros(dim), FdConfig(),
+                        value_grad=(0.0, np.ones(dim)))
+    grad = cache.grad.copy()
+    grad[bad:] = np.inf
+    normal_vector(dataclasses.replace(cache, grad=grad))
+
+
 @pytest.mark.parametrize("bad", [0, 2, 4])
 @pytest.mark.parametrize(
     "provoke, message",
@@ -186,8 +201,9 @@ def _overflowing_transport(dim, bad):
         (_nan_cache_gradient, "non-finite gradient"),
         (_overflowing_transport, "non-finite transported vector"),
         (_nan_flat_gradient, "non-finite objective data"),
+        (_inf_normal_vector, "non-finite normal vector"),
     ],
-    ids=["build_cache", "vector_transport", "flat_point"],
+    ids=["build_cache", "vector_transport", "flat_point", "normal_vector"],
 )
 def test_nonfinite_array_names_first_component(provoke, message, bad):
     with pytest.raises(NumericalBreakdown) as info:

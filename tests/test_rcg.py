@@ -1,5 +1,9 @@
 """The warped conjugate-gradient driver: termination, monotonicity,
-conjugacy coefficient policy, budget accounting, and failure handling."""
+conjugacy coefficient policy, budget accounting, memory held, and failure
+handling."""
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +199,8 @@ class TestTraceAccounting:
                       cfg=RcgConfig(tol_df=0.0, tol_grad=1e-6))
         assert [row.k for row in res.trace] == list(range(res.iterations))
         for row in res.trace:
+            for f in dataclasses.fields(row):
+                assert type(getattr(row, f.name)) in (int, float), f.name
             assert row.n_hvp <= 6
             assert row.cache_builds == 1
             assert row.ls_evals >= 1
@@ -204,30 +210,46 @@ class TestTraceAccounting:
             assert row.t > 0.0
         assert reconcile(res)
 
-    def test_theta_recording_toggle(self):
-        sq = SquiggleProblem(3)
-        with_theta = run_rcg(sq, initial_point("squiggle", 3),
-                             cfg=RcgConfig(max_iters=5, record_thetas=True))
-        without = run_rcg(sq, initial_point("squiggle", 3),
-                          cfg=RcgConfig(max_iters=5, record_thetas=False))
-        assert all(row.theta is not None for row in with_theta.trace)
-        assert all(row.theta is None for row in without.trace)
-        np.testing.assert_array_equal(with_theta.trace[-1].theta, with_theta.theta)
-
     def test_jet_recording(self):
         sq = SquiggleProblem(3)
-        res = run_rcg(sq, initial_point("squiggle", 3),
-                      cfg=RcgConfig(max_iters=7, record_jets=True))
+        start = initial_point("squiggle", 3)
+        res = run_rcg(sq, start, cfg=RcgConfig(max_iters=7, record_jets=True))
+        assert res.iterations == 7
         assert len(res.jets) == res.iterations
-        # Each jet's base point chains to the previous accepted point.
-        np.testing.assert_array_equal(res.jets[0].theta, initial_point("squiggle", 3))
-        for jet, row in zip(res.jets[1:], res.trace[:-1]):
-            np.testing.assert_array_equal(jet.theta, row.theta)
+        # Jet k's base point is where a run capped at k iterations stops.
+        for k, jet in enumerate(res.jets):
+            np.testing.assert_array_equal(
+                jet.theta, run_rcg(sq, start, cfg=RcgConfig(max_iters=k)).theta
+            )
 
     def test_jets_not_kept_by_default(self):
         sq = SquiggleProblem(3)
         res = run_rcg(sq, initial_point("squiggle", 3), cfg=RcgConfig(max_iters=3))
         assert res.jets == []
+
+
+@pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+def test_default_run_memory_does_not_grow_with_iterations(run):
+    # What a finished run still holds is its final point plus scalar trace
+    # rows, so 15 more iterations must hold less than one more dim-vector.
+    dim = 10_000
+    problem = RosenbrockProblem(dim)
+    theta0 = 1.0 + 0.05 * np.random.default_rng(0).standard_normal(dim)
+
+    def held_after(max_iters):
+        tracemalloc.start()
+        try:
+            res = run(problem, theta0,
+                      cfg=RcgConfig(max_iters=max_iters, tol_df=0.0, tol_grad=0.0))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert res.stop_reason is StopReason.MAX_ITERS
+        assert res.iterations == max_iters
+        return held
+
+    short, long = held_after(5), held_after(20)
+    assert long - short < theta0.nbytes, (short, long)
 
 
 class TestFailureHandling:

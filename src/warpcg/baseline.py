@@ -57,11 +57,15 @@ class _FlatGeometry:
             grad = np.asarray(self.obj.grad(theta), dtype=float)
             if not math.isfinite(value):
                 raise NumericalBreakdown("non-finite objective data")
-            _check_finite(grad, "objective data")
         else:
             # The line search accepts only trials of finite value and slope.
             value, grad = value_grad
-        return _FlatPoint(theta=theta, value=value, grad=grad, grad_sq=float(grad @ grad))
+        # A NaN or inf entry makes the self-dot non-finite, so the full
+        # check runs only when it is.
+        grad_sq = float(grad.dot(grad))
+        if not math.isfinite(grad_sq):
+            _check_finite(grad, "objective data")
+        return _FlatPoint(theta=theta, value=value, grad=grad, grad_sq=grad_sq)
 
     def jet(self, point: _FlatPoint, v: np.ndarray) -> GeodesicJet:
         return GeodesicJet(theta=point.theta, v=v)

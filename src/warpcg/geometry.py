@@ -119,9 +119,11 @@ def build_cache(
         grad = np.asarray(value_grad[1], dtype=float)
     if not math.isfinite(value):
         raise NumericalBreakdown("non-finite objective value")
-    _check_finite(grad, "gradient")
-
-    grad_sq = float(grad @ grad)
+    # A NaN or inf entry makes the self-dot non-finite, so the full check
+    # runs only when it is.
+    grad_sq = float(grad.dot(grad))
+    if not math.isfinite(grad_sq):
+        _check_finite(grad, "gradient")
     w_sigma_sq = warp.sigma_sq + grad_sq
     psi_sq = grad_sq / w_sigma_sq
     w_sq = 1.0 + psi_sq * grad_sq
@@ -144,7 +146,7 @@ def build_cache(
 
 def metric_inner(cache: GeometryCache, x: np.ndarray, y: np.ndarray) -> float:
     """Warped inner product <x, y> + psi^2 <grad, x> <grad, y>."""
-    return float(x @ y + cache.psi_sq * (cache.grad @ x) * (cache.grad @ y))
+    return float(x.dot(y) + cache.psi_sq * cache.grad.dot(x) * cache.grad.dot(y))
 
 
 def metric_norm(cache: GeometryCache, x: np.ndarray) -> float:
@@ -165,10 +167,10 @@ def _accel_scalars(
 ) -> tuple[float, float, float, float, float, float]:
     """Shared scalar contractions (a, b, c, e, U1, U2) for the curvature and
     acceleration formulas; hess_v is H v at the cache point."""
-    a = float(v @ cache.grad_psi_sq)
-    b = float(v @ cache.grad)
-    c = float(v @ hess_v)
-    e = float(cache.grad_psi_sq @ cache.grad)
+    a = float(v.dot(cache.grad_psi_sq))
+    b = float(v.dot(cache.grad))
+    c = float(v.dot(hess_v))
+    e = float(cache.grad_psi_sq.dot(cache.grad))
     u1 = (a * b + cache.psi_sq * c + 0.5 * cache.psi_sq * e * b * b) / cache.w_sq
     u2 = 0.5 * b * b
     return a, b, c, e, u1, u2
@@ -219,7 +221,7 @@ def taylor_coefficients(
     g = cache.grad
     p = cache.grad_psi_sq
     u = cache.hess_grad
-    vu = float(v @ u)
+    vu = float(v.dot(u))
     g2 = cache.grad_sq
     psi_sq = cache.psi_sq
     w_sq = cache.w_sq
@@ -235,13 +237,13 @@ def taylor_coefficients(
     # contraction with grad and the H^2 v term in one central difference.
     u_dot = (hvp_or_fallback(obj, th_hi, g_hi, fd) - hvp_or_fallback(obj, th_lo, g_lo, fd)) / (2.0 * r)
     hv_dot = (hvp_or_fallback(obj, th_hi, v, fd) - hvp_or_fallback(obj, th_lo, v, fd)) / (2.0 * r)
-    tau = float(v @ hv_dot)  # D^3 f [v, v, v]
+    tau = float(v.dot(hv_dot))  # D^3 f [v, v, v]
 
     p_dot = c0 * (-(4.0 / cache.w_sigma_sq) * vu * u + u_dot)
-    a_dot = float(q @ p) + float(v @ p_dot)
-    b_dot = float(q @ g) + c
-    c_dot = 2.0 * float(q @ hess_v) + tau
-    e_dot = float(p_dot @ g) + float(p @ hess_v)
+    a_dot = float(q.dot(p)) + float(v.dot(p_dot))
+    b_dot = float(q.dot(g)) + c
+    c_dot = 2.0 * float(q.dot(hess_v)) + tau
+    e_dot = float(p_dot.dot(g)) + float(p.dot(hess_v))
     w_sq_dot = a * g2 + 2.0 * psi_sq * vu
 
     t_num = a * b + psi_sq * c + 0.5 * psi_sq * e * b * b

@@ -46,7 +46,9 @@ class WolfeResult:
     evals: int
 
 
-@dataclass(frozen=True, eq=False)
+# Not frozen: a frozen dataclass pays for object.__setattr__ on every field
+# at construction, and a line search builds a few trials per iteration.
+@dataclass(eq=False, slots=True)
 class _Trial:
     t: float
     value: float

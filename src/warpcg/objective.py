@@ -56,8 +56,8 @@ class FdConfig:
         """Actual step along v, scaled to the magnitudes of theta and v."""
         # math.sqrt of the dot product is what np.linalg.norm computes for a
         # 1-D float array, without its per-call dispatch.
-        nt = math.sqrt(float(theta @ theta))
-        nv = math.sqrt(float(v @ v))
+        nt = math.sqrt(float(theta.dot(theta)))
+        nv = math.sqrt(float(v.dot(v)))
         return self.step * max(1.0, nt) / max(1.0, nv)
 
 
@@ -97,10 +97,14 @@ class Objective(ABC):
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     """Return arr, or raise NumericalBreakdown naming its first NaN or inf.
 
-    The cheap all-finite screen runs on every call; the mask and argmax
-    only when it fails.
+    Every call screens with the self-dot np.vdot(arr, arr), which flattens
+    any shape and raises no floating-point warning: a NaN or inf entry
+    makes it non-finite, so a finite self-dot proves the array finite. Only
+    when the screen fails does the exact test np.isfinite(arr).all() run,
+    because a finite array whose self-dot overflows also fails the screen;
+    the mask and argmax run only when that test fails too.
     """
-    if not np.isfinite(arr).all():
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NumericalBreakdown(
             f"non-finite {what}", component=int(np.argmax(~np.isfinite(arr)))
         )

@@ -7,6 +7,8 @@ ground truth it has (maximizer, maximum value) for tests and run summaries.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .objective import Objective
@@ -20,6 +22,27 @@ __all__ = [
     "classify_rosenbrock_basin",
     "PROBLEM_NAMES",
 ]
+
+
+def _finite(name: str, value: float) -> float:
+    """value as a float, or ValueError naming the parameter."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _per_dimension(name: str, values, dim: int, positive: bool = False) -> np.ndarray:
+    """values as a float array of shape (dim,) with finite (and, when asked,
+    positive) entries, or ValueError naming the parameter."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (dim,):
+        raise ValueError(f"{name} must have one entry per dimension, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    if positive and not (arr > 0.0).all():
+        raise ValueError(f"{name} must be positive")
+    return arr
 
 
 class SquiggleProblem(Objective):
@@ -38,49 +61,58 @@ class SquiggleProblem(Objective):
 
     def __init__(self, dim: int, freq: float = 1.0, variances: np.ndarray | None = None):
         super().__init__(dim)
-        self.freq = float(freq)
+        self.freq = _finite("freq", freq)
         if variances is None:
             variances = np.full(dim, 0.5)
             variances[0] = 30.0
-        self.variances = np.asarray(variances, dtype=float)
-        if self.variances.shape != (dim,) or np.any(self.variances <= 0):
-            raise ValueError("variances must be positive with one entry per dimension")
+        self.variances = _per_dimension("variances", variances, dim, positive=True)
         self._lam = 1.0 / self.variances
-        self._log_norm = -0.5 * dim * np.log(2.0 * np.pi) - 0.5 * float(
-            np.sum(np.log(self.variances))
+        self._lam_tail = self._lam[1:]
+        self._log_norm = float(
+            -0.5 * dim * np.log(2.0 * np.pi) - 0.5 * float(np.sum(np.log(self.variances)))
         )
 
+    # Fixed costs dominate at small dim, so the scalar work on theta_0 runs
+    # on Python floats with math and sums call np.add.reduce directly:
+    # numpy's ufuncs on numpy scalars and the ndarray.sum wrapper give the
+    # same bits at a higher cost per call.
+
     def _bent(self, theta: np.ndarray) -> np.ndarray:
-        s = np.array(theta, dtype=float)
-        s[1:] += np.sin(self.freq * theta[0])
+        theta = np.asarray(theta, dtype=float)
+        s = theta + math.sin(self.freq * float(theta[0]))
+        s[0] = theta[0]
         return s
 
     def value(self, theta: np.ndarray) -> float:
         s = self._bent(theta)
-        return self._log_norm - 0.5 * float((self._lam * s * s).sum())
+        return self._log_norm - 0.5 * float(np.add.reduce(self._lam * s * s))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         s = self._bent(theta)
         ls = self._lam * s
         out = -ls
-        out[0] -= self.freq * np.cos(self.freq * theta[0]) * float(ls[1:].sum())
+        out[0] -= self.freq * math.cos(self.freq * float(s[0])) * float(np.add.reduce(ls[1:]))
         return out
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        sin1 = np.sin(self.freq * theta[0])
-        cos1 = np.cos(self.freq * theta[0])
-        jv = np.array(v, dtype=float)
-        jv[1:] += self.freq * cos1 * v[0]
+        theta = np.asarray(theta, dtype=float)
+        v = np.asarray(v, dtype=float)
+        ft0 = self.freq * float(theta[0])
+        sin1 = math.sin(ft0)
+        fcos1 = self.freq * math.cos(ft0)
+        v0 = float(v[0])
+        jv = v + fcos1 * v0
+        jv[0] = v0
         ljv = self._lam * jv
         out = -ljv
-        out[0] -= self.freq * cos1 * float(ljv[1:].sum())
+        out[0] -= fcos1 * float(np.add.reduce(ljv[1:]))
         # Curvature of the bend itself: only the (0, 0) entry.
         out[0] += (
             self.freq
             * self.freq
             * sin1
-            * float((self._lam[1:] * (theta[1:] + sin1)).sum())
-            * v[0]
+            * float(np.add.reduce(self._lam_tail * (theta[1:] + sin1)))
+            * v0
         )
         return out
 
@@ -107,8 +139,8 @@ class RosenbrockProblem(Objective):
         if dim < 2:
             raise ValueError(f"rosenbrock needs dim >= 2, got {dim}")
         super().__init__(dim)
-        self.shift = float(shift)
-        self.bend = float(bend)
+        self.shift = _finite("shift", shift)
+        self.bend = _finite("bend", bend)
 
     def value(self, theta: np.ndarray) -> float:
         x, y = theta[:-1], theta[1:]
@@ -155,12 +187,8 @@ class QuadraticProblem(Objective):
             curvatures = np.linspace(1.0, 2.0, dim)
         if center is None:
             center = np.zeros(dim)
-        self.curvatures = np.asarray(curvatures, dtype=float)
-        self.center = np.asarray(center, dtype=float)
-        if self.curvatures.shape != (dim,) or np.any(self.curvatures <= 0):
-            raise ValueError("curvatures must be positive with one entry per dimension")
-        if self.center.shape != (dim,):
-            raise ValueError("center must have one entry per dimension")
+        self.curvatures = _per_dimension("curvatures", curvatures, dim, positive=True)
+        self.center = _per_dimension("center", center, dim)
 
     def value(self, theta: np.ndarray) -> float:
         d = theta - self.center

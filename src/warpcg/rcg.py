@@ -178,8 +178,8 @@ def dy_beta(
     DegenerateBeta when the denominator vanishes to below 1e-300.
     """
     num = dst.grad_sq / dst.w_sq
-    den = transported.scale * float(dst.grad @ transported.coords) - float(
-        src.grad @ direction
+    den = transported.scale * float(dst.grad.dot(transported.coords)) - float(
+        src.grad.dot(direction)
     )
     if not math.isfinite(den) or abs(den) < 1e-300:
         raise DegenerateBeta(f"conjugacy denominator degenerate: {den}")
@@ -263,7 +263,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         pending_restart = False
 
         try:
-            slope0 = float(cache.grad @ v)
+            slope0 = float(cache.grad.dot(v))
             if not math.isfinite(slope0) or slope0 <= 0.0:
                 # Direction lost ascent: fall back to steepest.
                 v = riemannian_gradient(cache)

@@ -62,7 +62,7 @@ def directional_value_and_slope(
     point = retract(jet, t)
     value = float(obj.value(point))
     grad = np.asarray(obj.grad(point), dtype=float)
-    slope = float(grad @ curve_velocity(jet, t))
+    slope = float(grad.dot(curve_velocity(jet, t)))
     return value, slope, point, grad
 
 
@@ -105,8 +105,10 @@ def vector_transport(
     if not delta.any():
         raise DegenerateStep("transport endpoints coincide")
     delta_f = src.value - dst.value
-    corr = (float(delta @ dst.grad) - delta_f) * (dst.psi_sq / dst.w_sq)
-    coords = -(delta - corr * dst.grad) / t
+    corr = (float(delta.dot(dst.grad)) - delta_f) * (dst.psi_sq / dst.w_sq)
+    # Dividing by -t rather than negating the vector saves a pass; division
+    # is sign-symmetric, so the bits are those of -(delta - corr grad) / t.
+    coords = (delta - corr * dst.grad) / (-t)
     _check_finite(coords, "transported vector")
     dst_norm = metric_norm(dst, coords)
     if dst_norm == 0.0:

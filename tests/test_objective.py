@@ -9,14 +9,16 @@ from warpcg import (
     FdConfig,
     NegatedObjective,
     Objective,
+    QuadraticProblem,
     RosenbrockProblem,
     SquiggleProblem,
     WarpConfig,
     run_euclidean_cg,
 )
+from warpcg.baseline import _FlatGeometry
 from warpcg.errors import NumericalBreakdown
 from warpcg.geometry import build_cache
-from warpcg.objective import CountingObjective, DEFAULT_FD_STEP, hvp_or_fallback
+from warpcg.objective import CountingObjective, DEFAULT_FD_STEP, _check_finite, hvp_or_fallback
 from warpcg.oracle import central_diff_grad, normal_vector, third_directional_derivative
 from warpcg.retraction import vector_transport
 
@@ -211,6 +213,53 @@ def test_nonfinite_array_names_first_component(provoke, message, bad):
     assert type(info.value) is NumericalBreakdown
     assert info.value.component == bad
     assert str(info.value) == f"{message} (first bad component: {bad})"
+
+
+class TestCheckFinite:
+    """_check_finite screens with a self-dot; the screen alone would reject
+    finite arrays whose self-dot overflows, so its fallback must rule."""
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([1e200, 1.0, -1e200]),
+            np.full(4, 1e155),
+            np.array([[1.0], [-2.0], [3.0]]),
+            np.array([[1e200], [0.0]]),
+            np.zeros(0),
+        ],
+        ids=["self_dot_overflows", "all_large", "column", "column_overflows", "empty"],
+    )
+    def test_finite_array_returned_unchanged(self, arr):
+        before = arr.copy()
+        assert _check_finite(arr, "thing") is arr
+        np.testing.assert_array_equal(arr, before)
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    def test_nonfinite_entry_names_its_index(self, bad_value, j):
+        arr = np.linspace(-1e200, 1e200, 7)
+        arr[j] = bad_value
+        with pytest.raises(NumericalBreakdown) as info:
+            _check_finite(arr, "thing")
+        assert info.value.component == j
+        assert str(info.value) == f"non-finite thing (first bad component: {j})"
+
+    def test_first_of_several_is_named(self):
+        arr = np.array([1.0, 2.0, np.inf, np.nan, -np.inf])
+        with pytest.raises(NumericalBreakdown) as info:
+            _check_finite(arr, "thing")
+        assert info.value.component == 2
+
+    def test_gradient_whose_self_dot_overflows_passes_the_point_builders(self):
+        # build_cache and the flat point screen with the gradient's self-dot,
+        # which they need anyway; its overflow alone must not raise.
+        grad = np.array([1e200, 1.0, -1e200])
+        obj = QuadraticProblem(3)
+        with np.errstate(over="ignore"):
+            cache = build_cache(obj, WarpConfig(), np.zeros(3), FdConfig(), value_grad=(0.0, grad))
+            point = _FlatGeometry(obj).point(np.zeros(3), value_grad=(0.0, grad))
+        assert cache.grad_sq == point.grad_sq == np.inf
 
 
 class TestThirdDerivative:

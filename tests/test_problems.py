@@ -1,5 +1,6 @@
 """Benchmark objectives: frozen values, derivative hygiene, ground truth,
-and the factory/start-point helpers."""
+parameter checks, bitwise pins against reference formulas, and the
+factory/start-point helpers."""
 
 import numpy as np
 import pytest
@@ -69,10 +70,23 @@ class TestSquiggle:
         assert sq.grad(theta)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_bad_variances(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variances"):
             SquiggleProblem(3, variances=np.array([1.0, -1.0, 1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variances"):
+            SquiggleProblem(3, variances=np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="variances"):
             SquiggleProblem(3, variances=np.ones(2))
+
+    def test_accepts_array_likes(self):
+        # Lists and integer arrays evaluate as their float64 equivalents.
+        sq = SquiggleProblem(3, freq=2, variances=[30, 0.5, 0.5])
+        ref = SquiggleProblem(3, freq=2.0, variances=np.array([30.0, 0.5, 0.5]))
+        theta, v = [1, -2, 3], [0, 1, -1]
+        theta_f, v_f = np.array(theta, dtype=float), np.array(v, dtype=float)
+        assert sq.value(theta) == ref.value(theta_f)
+        np.testing.assert_array_equal(sq.grad(theta), ref.grad(theta_f))
+        np.testing.assert_array_equal(sq.hvp(theta, v), ref.hvp(theta_f, v_f))
+        np.testing.assert_array_equal(sq.hvp(np.array(theta), np.array(v)), ref.hvp(theta_f, v_f))
 
 
 class TestRosenbrock:
@@ -142,10 +156,136 @@ class TestQuadratic:
         check_derivatives(q, rng.standard_normal(6), rng)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="curvatures"):
             QuadraticProblem(3, curvatures=np.array([1.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="curvatures"):
+            QuadraticProblem(3, curvatures=np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError, match="center"):
             QuadraticProblem(3, center=np.zeros(2))
+
+
+NONFINITE = [np.nan, np.inf, -np.inf]
+
+
+def _with(dim, index, bad):
+    out = np.ones(dim)
+    out[index] = bad
+    return out
+
+
+@pytest.mark.parametrize("bad", NONFINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda bad: SquiggleProblem(3, variances=_with(3, 1, bad)), "variances"),
+        (lambda bad: SquiggleProblem(3, freq=bad), "freq"),
+        (lambda bad: QuadraticProblem(3, curvatures=_with(3, 2, bad)), "curvatures"),
+        (lambda bad: QuadraticProblem(3, center=_with(3, 0, bad)), "center"),
+        (lambda bad: RosenbrockProblem(3, shift=bad), "shift"),
+        (lambda bad: RosenbrockProblem(3, bend=bad), "bend"),
+    ],
+    ids=["squiggle_variances", "squiggle_freq", "quadratic_curvatures",
+         "quadratic_center", "rosenbrock_shift", "rosenbrock_bend"],
+)
+def test_nonfinite_parameter_rejected_by_name(build, name, bad):
+    # Accepted, these would surface only as a NumericalBreakdown at the
+    # start of a run.
+    with pytest.raises(ValueError, match=name):
+        build(bad)
+
+
+# Reference formulas: the objectives as first written, with numpy ufuncs on
+# numpy scalars and `@`. Faster forms must reproduce them bit for bit.
+
+
+def squiggle_ref(problem, theta, v):
+    f, lam = problem.freq, problem._lam
+    s = np.array(theta, dtype=float)
+    s[1:] += np.sin(f * theta[0])
+    value = problem._log_norm - 0.5 * float((lam * s * s).sum())
+    ls = lam * s
+    grad = -ls
+    grad[0] -= f * np.cos(f * theta[0]) * float(ls[1:].sum())
+    sin1 = np.sin(f * theta[0])
+    cos1 = np.cos(f * theta[0])
+    jv = np.array(v, dtype=float)
+    jv[1:] += f * cos1 * v[0]
+    ljv = lam * jv
+    hvp = -ljv
+    hvp[0] -= f * cos1 * float(ljv[1:].sum())
+    hvp[0] += f * f * sin1 * float((lam[1:] * (theta[1:] + sin1)).sum()) * v[0]
+    return value, grad, hvp
+
+
+def rosenbrock_ref(problem, theta, v):
+    b, shift = problem.bend, problem.shift
+    x, y = theta[:-1], theta[1:]
+    value = -float((b * (y - x * x) ** 2 + (shift - x) ** 2).sum())
+    grad = np.zeros(np.shape(theta))
+    grad[:-1] += 4.0 * b * x * (y - x * x) + 2.0 * (shift - x)
+    grad[1:] += -2.0 * b * (y - x * x)
+    diag = np.zeros(np.shape(theta))
+    diag[:-1] += 4.0 * b * (y - 3.0 * x * x) - 2.0
+    diag[1:] += -2.0 * b
+    off = 4.0 * b * x
+    hvp = diag * v
+    hvp[:-1] += off * v[1:]
+    hvp[1:] += off * v[:-1]
+    return value, grad, hvp
+
+
+def quadratic_ref(problem, theta, v):
+    d = theta - problem.center
+    value = -0.5 * float((problem.curvatures * d * d).sum())
+    grad = -problem.curvatures * (theta - problem.center)
+    hvp = -problem.curvatures * np.asarray(v, dtype=float)
+    return value, grad, hvp
+
+
+def _pin_cases(dim, rng):
+    """Seeded (theta, v) pairs with theta_0 = +-0.0 and |theta_0| up to 1e3."""
+    firsts = [0.0, -0.0, 1e-300, -1e-8, 0.5, -3.0, 1e3, -1e3]
+    firsts += list(rng.uniform(-1e3, 1e3, 8)) + list(rng.standard_normal(8))
+    for first in firsts:
+        theta = rng.standard_normal(dim) * 10.0 ** rng.uniform(-2, 2)
+        theta[0] = first
+        yield theta, rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+
+
+def _assert_same_bits(problem, reference, theta, v):
+    value, grad, hvp = reference(problem, theta, v)
+    assert np.float64(problem.value(theta)).tobytes() == np.float64(value).tobytes()
+    assert np.asarray(problem.grad(theta)).tobytes() == grad.tobytes()
+    assert np.asarray(problem.hvp(theta, v)).tobytes() == hvp.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 10, 100])
+@pytest.mark.parametrize("freq", [1.0, 2.5])
+def test_squiggle_matches_reference_bitwise(dim, freq):
+    rng = np.random.default_rng(1000 * dim + int(10 * freq))
+    variances = np.full(dim, 0.5)
+    variances[0] = 30.0
+    variances[1:] *= rng.uniform(0.5, 2.0, dim - 1)
+    problem = SquiggleProblem(dim, freq=freq, variances=variances)
+    for theta, v in _pin_cases(dim, rng):
+        _assert_same_bits(problem, squiggle_ref, theta, v)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 10, 100])
+def test_rosenbrock_matches_reference_bitwise(dim):
+    rng = np.random.default_rng(2000 + dim)
+    for problem in (RosenbrockProblem(dim), RosenbrockProblem(dim, shift=-1.5, bend=7.0)):
+        for theta, v in _pin_cases(dim, rng):
+            _assert_same_bits(problem, rosenbrock_ref, theta, v)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 10, 100])
+def test_quadratic_matches_reference_bitwise(dim):
+    rng = np.random.default_rng(3000 + dim)
+    problem = QuadraticProblem(dim, curvatures=rng.uniform(0.1, 10.0, dim),
+                               center=rng.standard_normal(dim))
+    for theta, v in _pin_cases(dim, rng):
+        _assert_same_bits(problem, quadratic_ref, theta, v)
 
 
 class TestFactoryAndStarts:

@@ -206,13 +206,13 @@ def taylor_coefficients(
       * H v at the probes (two hvps), giving the pure third directional
         derivative of f along v.
 
-    A zero direction short-circuits to q = k = 0 with no evaluations.
+    A zero direction short-circuits to the straight ray GeodesicJet(theta,
+    v), with no q or k and no evaluations.
     """
     v = np.asarray(v, dtype=float)
     theta = cache.theta
     if not v.any():
-        z = np.zeros_like(theta)
-        return GeodesicJet(theta=theta, v=v, q=z, k=z.copy())
+        return GeodesicJet(theta=theta, v=v)
 
     hess_v = hvp_or_fallback(obj, theta, v, fd)
     a, b, c, e, u1, u2 = _accel_scalars(cache, v, hess_v)

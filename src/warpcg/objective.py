@@ -1,8 +1,10 @@
 """Objective-function contract and derivative utilities.
 
 An :class:`Objective` bundles a smooth scalar function, its gradient, and
-(optionally) Hessian-vector products. Everything downstream is matrix-free:
-no code in this package ever asks for a dense Hessian except the small dense
+(optionally) Hessian-vector products: an objective without one does not
+define ``hvp``, and the inherited ``hvp`` raising NotImplementedError selects
+the central-difference fallback. Everything downstream is matrix-free: no
+code in this package ever asks for a dense Hessian except the small dense
 reference oracle used in tests.
 
 Finite-difference fallbacks and probes share a single step-size policy,
@@ -22,11 +24,8 @@ import numpy as np
 
 from .errors import NumericalBreakdown
 
-EPS = float(np.finfo(np.float64).eps)
-CBRT_EPS = float(np.cbrt(EPS))
-
 #: Default relative step for central differences of first derivatives.
-DEFAULT_FD_STEP = CBRT_EPS
+DEFAULT_FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,10 @@ class FdConfig:
 class Objective(ABC):
     """A smooth function R^dim -> R to be maximized.
 
-    Subclasses must provide ``value`` and ``grad``; ``hvp`` is optional and
-    is replaced by a central-difference fallback when absent. ``dim`` must
+    Subclasses must provide ``value`` and ``grad``; ``hvp`` is optional. An
+    ``hvp`` that raises NotImplementedError, as the inherited one does,
+    selects the central-difference fallback, so a wrapper forwards ``hvp``
+    and nothing more. ``dim`` must
     be a positive integer (a zero-dimensional domain is rejected here so
     that no downstream code needs to guard against it).
     """
@@ -85,13 +86,10 @@ class Objective(ABC):
         """Gradient at theta, shape (dim,)."""
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Hessian-vector product at theta. Optional; see has_hvp."""
+        """Hessian-vector product at theta. Optional: raising
+        NotImplementedError, as this default does, selects the
+        central-difference fallback of hvp_or_fallback."""
         raise NotImplementedError
-
-    @property
-    def has_hvp(self) -> bool:
-        """True when the subclass supplies an analytic hvp."""
-        return type(self).hvp is not Objective.hvp
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -114,21 +112,21 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 def hvp_or_fallback(
     obj: Objective, theta: np.ndarray, v: np.ndarray, fd: FdConfig
 ) -> np.ndarray:
-    """Hessian-vector product, analytic when available else central diff.
+    """Hessian-vector product: obj.hvp, or central differences of the
+    gradient when obj.hvp raises NotImplementedError.
 
     The fallback is (grad(theta + r v) - grad(theta - r v)) / (2 r) with the
     scaled step from fd. Raises NumericalBreakdown when the result is not
     finite, naming the first offending component.
     """
-    if obj.has_hvp:
-        out = np.asarray(obj.hvp(theta, v), dtype=float)
-    else:
+    try:
+        out = obj.hvp(theta, v)
+    except NotImplementedError:
         if not v.any():
             return np.zeros_like(np.asarray(theta, dtype=float))
         r = fd.scaled(theta, v)
         out = (obj.grad(theta + r * v) - obj.grad(theta - r * v)) / (2.0 * r)
-        out = np.asarray(out, dtype=float)
-    return _check_finite(out, "hessian-vector product")
+    return _check_finite(np.asarray(out, dtype=float), "hessian-vector product")
 
 
 class NegatedObjective(Objective):
@@ -146,13 +144,7 @@ class NegatedObjective(Objective):
         return -self.inner.grad(theta)
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.inner.has_hvp:
-            return -self.inner.hvp(theta, v)
-        raise NotImplementedError
-
-    @property
-    def has_hvp(self) -> bool:
-        return self.inner.has_hvp
+        return -self.inner.hvp(theta, v)
 
 
 @dataclass
@@ -189,9 +181,8 @@ class CountingObjective(Objective):
         return self.inner.grad(theta)
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # Counted only once it returns: an attempt that raises
+        # NotImplementedError is the fallback's, whose gradients count.
+        out = self.inner.hvp(theta, v)
         self.counts.n_hvp += 1
-        return self.inner.hvp(theta, v)
-
-    @property
-    def has_hvp(self) -> bool:
-        return self.inner.has_hvp
+        return out

@@ -10,10 +10,15 @@ from warpcg import (
     NegatedObjective,
     Objective,
     QuadraticProblem,
+    RcgConfig,
     RosenbrockProblem,
     SquiggleProblem,
+    StopReason,
     WarpConfig,
+    initial_point,
+    make_problem,
     run_euclidean_cg,
+    run_rcg,
 )
 from warpcg.baseline import _FlatGeometry
 from warpcg.errors import NumericalBreakdown
@@ -34,6 +39,28 @@ class GradOnly(Objective):
 
     def grad(self, theta):
         return -np.asarray(theta, dtype=float)
+
+
+class GradOnlyView(Objective):
+    """Exposes only value and grad of another objective, so its hvp comes
+    from the central-difference fallback."""
+
+    def __init__(self, inner):
+        super().__init__(inner.dim)
+        self.inner = inner
+
+    def value(self, theta):
+        return self.inner.value(theta)
+
+    def grad(self, theta):
+        return self.inner.grad(theta)
+
+
+class Forwarding(GradOnlyView):
+    """A user wrapper that forwards value, grad and hvp, and nothing else."""
+
+    def hvp(self, theta, v):
+        return self.inner.hvp(theta, v)
 
 
 class PoisonHvp(Objective):
@@ -133,26 +160,14 @@ class TestObjectiveContract:
         with pytest.raises(ValueError):
             GradOnly(dim=0)
 
-    def test_has_hvp_detection(self):
-        assert not GradOnly().has_hvp
-        assert RosenbrockProblem(2).has_hvp
-
     def test_fallback_matches_analytic(self):
         rng = np.random.default_rng(11)
         rb = RosenbrockProblem(5)
-
-        class NoHvp(Objective):
-            def __init__(self):
-                super().__init__(5)
-
-            value = staticmethod(rb.value)
-            grad = staticmethod(rb.grad)
-
         fd = FdConfig()
         for _ in range(10):
             theta = rng.standard_normal(5)
             v = rng.standard_normal(5)
-            got = hvp_or_fallback(NoHvp(), theta, v, fd)
+            got = hvp_or_fallback(GradOnlyView(rb), theta, v, fd)
             want = rb.hvp(theta, v)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
@@ -164,6 +179,42 @@ class TestObjectiveContract:
         with pytest.raises(NumericalBreakdown) as info:
             hvp_or_fallback(PoisonHvp(), np.zeros(3), np.ones(3), FdConfig())
         assert info.value.component == 1
+
+    def test_wrapper_forwarding_hvp_falls_back(self):
+        # The inner hvp's NotImplementedError reaches hvp_or_fallback through
+        # the wrapper, so the wrapper needs to forward nothing else.
+        inner = GradOnlyView(RosenbrockProblem(4))
+        wrapped = Forwarding(inner)
+        rng = np.random.default_rng(3)
+        fd = FdConfig()
+        for _ in range(5):
+            theta = rng.standard_normal(4)
+            v = rng.standard_normal(4)
+            got = hvp_or_fallback(wrapped, theta, v, fd)
+            np.testing.assert_array_equal(got, hvp_or_fallback(inner, theta, v, fd))
+        res = run_rcg(wrapped, initial_point("rosenbrock", 4), cfg=RcgConfig(max_iters=50))
+        assert res.stop_reason is not None
+        assert res.n_hvp == 0
+
+
+@pytest.mark.parametrize("dim", [2, 10])
+@pytest.mark.parametrize("name", ["squiggle", "rosenbrock"])
+def test_fallback_route_counts_exactly(name, dim):
+    # Every hvp goes through the fallback: the cache's H g and the jet's five
+    # hvps are two gradients each, plus the jet's two probe gradients, so an
+    # iteration spends 6 * 2 + 2 = 14 gradients beyond its line search.
+    res = run_rcg(
+        GradOnlyView(make_problem(name, dim)),
+        initial_point(name, dim),
+        cfg=RcgConfig(tol_df=0.0, max_iters=300),
+    )
+    assert res.stop_reason is StopReason.SMALL_GRAD
+    assert res.n_hvp == 0
+    for row in res.trace:
+        assert row.n_hvp == 0
+        assert row.n_value == row.ls_evals
+        assert row.n_grad == row.ls_evals + 14
+        assert row.cache_builds == 1
 
 
 def _nan_cache_gradient(dim, bad):
@@ -298,11 +349,9 @@ class TestAdapters:
         assert neg.value(theta) == -rb.value(theta)
         np.testing.assert_array_equal(neg.grad(theta), -rb.grad(theta))
         np.testing.assert_array_equal(neg.hvp(theta, v), -rb.hvp(theta, v))
-        assert neg.has_hvp
 
     def test_negated_without_hvp(self):
         neg = NegatedObjective(GradOnly())
-        assert not neg.has_hvp
         with pytest.raises(NotImplementedError):
             neg.hvp(np.zeros(3), np.ones(3))
 

@@ -7,6 +7,7 @@ import pytest
 
 from warpcg import (
     FdConfig,
+    NegatedObjective,
     QuadraticProblem,
     RosenbrockProblem,
     SquiggleProblem,
@@ -14,7 +15,7 @@ from warpcg import (
     initial_point,
     make_problem,
 )
-from warpcg.objective import hvp_or_fallback
+from warpcg.objective import CountingObjective, hvp_or_fallback
 from warpcg.oracle import central_diff_grad
 from warpcg.problems import PROBLEM_NAMES
 
@@ -329,11 +330,15 @@ class TestBasinClassifier:
         assert classify_rosenbrock_basin(np.zeros(4)) == "other"
         assert classify_rosenbrock_basin(np.full(4, 3.0)) == "other"
 
-    def test_fallback_objective_without_hvp_flag(self):
+    def test_analytic_hvp_passes_through_untouched(self):
         # hvp_or_fallback on a problem with an analytic hvp returns the
-        # analytic result untouched.
+        # analytic result untouched, also through the two wrappers.
         q = QuadraticProblem(3)
+        theta = np.zeros(3)
         v = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(
-            hvp_or_fallback(q, np.zeros(3), v, FD), q.hvp(np.zeros(3), v)
-        )
+        for obj, want in [
+            (q, q.hvp(theta, v)),
+            (NegatedObjective(q), -q.hvp(theta, v)),
+            (CountingObjective(q), q.hvp(theta, v)),
+        ]:
+            np.testing.assert_array_equal(hvp_or_fallback(obj, theta, v, FD), want)

@@ -33,28 +33,21 @@ __all__ = ["WolfeResult", "strong_wolfe"]
 PhiFn = Callable[[float], tuple[float, float, np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True, eq=False)
-class WolfeResult:
-    """An accepted step: parameter t, the path data there, and the number of
-    phi evaluations spent."""
-
-    t: float
-    value: float
-    slope: float
-    point: np.ndarray
-    grad: np.ndarray
-    evals: int
-
-
 # Not frozen: a frozen dataclass pays for object.__setattr__ on every field
 # at construction, and a line search builds a few trials per iteration.
 @dataclass(eq=False, slots=True)
-class _Trial:
+class WolfeResult:
+    """One trial of the search: parameter t, the path data there, and evals,
+    the phi evaluations spent up to and including this trial. The accepted
+    trial is the search's result, so its evals is the search's total. The
+    t = 0 seed trial has no point or grad and evals 0."""
+
     t: float
     value: float
     slope: float
     point: np.ndarray | None
     grad: np.ndarray | None
+    evals: int
 
 
 def _cubic_min(a, fa, sa, b, fb, sb):
@@ -98,23 +91,18 @@ def strong_wolfe(
 
     evals = 0
 
-    def ev(t: float) -> _Trial:
+    def ev(t: float) -> WolfeResult:
         nonlocal evals
         if evals >= max_evals:
             raise LineSearchFail(f"line search budget of {max_evals} evaluations exhausted")
         evals += 1
         value, slope, point, grad = phi(t)
-        return _Trial(t=t, value=value, slope=slope, point=point, grad=grad)
+        return WolfeResult(t, value, slope, point, grad, evals)
 
-    def sufficient(tr: _Trial) -> bool:
+    def sufficient(tr: WolfeResult) -> bool:
         return math.isfinite(tr.value) and tr.value >= f0 + c1 * tr.t * slope0
 
-    def accepted(tr: _Trial) -> WolfeResult:
-        return WolfeResult(
-            t=tr.t, value=tr.value, slope=tr.slope, point=tr.point, grad=tr.grad, evals=evals
-        )
-
-    def zoom(lo: _Trial, hi: _Trial) -> WolfeResult:
+    def zoom(lo: WolfeResult, hi: WolfeResult) -> WolfeResult:
         # Invariants: lo satisfies the sufficient-increase condition, its
         # value is the best so far, and the interval brackets a Wolfe point.
         while True:
@@ -133,12 +121,12 @@ def strong_wolfe(
                 hi = tr
             else:
                 if math.isfinite(tr.slope) and abs(tr.slope) <= c2 * slope0:
-                    return accepted(tr)
+                    return tr
                 if tr.slope * (hi.t - lo.t) <= 0.0:
                     hi = lo
                 lo = tr
 
-    prev = _Trial(t=0.0, value=f0, slope=slope0, point=None, grad=None)
+    prev = WolfeResult(0.0, f0, slope0, None, None, 0)
     t = t_init
     first = True
     while True:
@@ -146,7 +134,7 @@ def strong_wolfe(
         if not sufficient(tr) or (not first and tr.value <= prev.value):
             return zoom(prev, tr)
         if math.isfinite(tr.slope) and abs(tr.slope) <= c2 * slope0:
-            return accepted(tr)
+            return tr
         if tr.slope <= 0.0:
             # Crest passed: the maximum lies between the previous point and
             # this one, with the current point the higher shoulder.

@@ -97,7 +97,6 @@ class GeodesicAcceleration:
     coef_grad: float
     coef_warp: float
     v_dot: np.ndarray
-    hess_v: np.ndarray
 
 
 def geodesic_acceleration(
@@ -105,21 +104,18 @@ def geodesic_acceleration(
     cache: GeometryCache,
     v: np.ndarray,
     fd: FdConfig,
-    hess_v: np.ndarray | None = None,
 ) -> GeodesicAcceleration:
     """Chart acceleration -Gamma(v, v) of the warped geodesic equation.
 
-    Costs one hvp (H v); pass hess_v to reuse one. The result keeps the two
-    scalar coefficients because the third-order expansion needs them, and
-    keeps H v so callers never recompute it.
+    Costs one hvp (H v). The result keeps the two scalar coefficients
+    because the third-order expansion needs them.
     """
     v = np.asarray(v, dtype=float)
-    if hess_v is None:
-        hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
+    hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
     _, _, _, _, u1, u2 = _accel_scalars(cache, v, hess_v)
     v_dot = -u1 * cache.grad + u2 * cache.grad_psi_sq
     _check_finite(v_dot, "geodesic acceleration")
-    return GeodesicAcceleration(coef_grad=u1, coef_warp=u2, v_dot=v_dot, hess_v=hess_v)
+    return GeodesicAcceleration(coef_grad=u1, coef_warp=u2, v_dot=v_dot)
 
 
 def second_fundamental_form(
@@ -127,7 +123,6 @@ def second_fundamental_form(
     cache: GeometryCache,
     v: np.ndarray,
     fd: FdConfig,
-    hess_v: np.ndarray | None = None,
     normalized: bool = False,
 ) -> float:
     """Scalar curvature of the graph along tangent direction v.
@@ -139,8 +134,7 @@ def second_fundamental_form(
     PsiDegenerate at critical points.
     """
     v = np.asarray(v, dtype=float)
-    if hess_v is None:
-        hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
+    hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
     _, _, _, _, u1, _ = _accel_scalars(cache, v, hess_v)
     if not normalized:
         return u1

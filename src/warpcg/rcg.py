@@ -23,8 +23,10 @@ Riemannian gradient norm over the slope gain along the (transported)
 direction. In ascent form with Wolfe curvature the quotient is negative and
 the update subtracts beta times the transported direction; a positive value
 signals loss of conjugacy and is clamped to zero, which restarts the
-direction to steepest ascent. Line-search failure on a non-steepest
-direction also restarts; failure on steepest ascent stops the run.
+direction to steepest ascent. A search may spend strong_wolfe's default
+budget of 60 evaluations. Line-search failure on a non-steepest direction
+restarts to steepest ascent; failure on steepest ascent stops the run, since
+repeating that deterministic search would fail the same way.
 
 The loop itself only asks its geometry for points, search curves and
 transport; run_euclidean_cg in baseline.py runs the same loop over the
@@ -81,14 +83,14 @@ class RcgConfig:
     """Driver settings. Tolerances: tol_grad applies to the warped norm of
     the Riemannian gradient and is checked every iteration; tol_df applies
     to the objective increase of an accepted step (checked from the first
-    accepted step onward)."""
+    accepted step onward). Each line search has strong_wolfe's default
+    budget of 60 evaluations."""
 
     max_iters: int = 8000
     tol_df: float = 1e-5
     tol_grad: float = 1e-6
     wolfe_c1: float = 1e-4
     wolfe_c2: float = 0.1
-    max_ls_evals: int = 60
     record_jets: bool = False
 
     def __post_init__(self):
@@ -103,8 +105,6 @@ class RcgConfig:
             raise ValueError(
                 f"tolerances must be >= 0, got tol_df={self.tol_df}, tol_grad={self.tol_grad}"
             )
-        if self.max_ls_evals < 1:
-            raise ValueError(f"max_ls_evals must be >= 1, got {self.max_ls_evals}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +135,10 @@ class IterationTrace:
 class RcgResult:
     """Final iterate plus the full per-iteration trace and call totals.
 
-    failed_attempts counts line searches that found no Wolfe point and
-    triggered a steepest-ascent retry; their evaluations appear in the
-    totals but belong to no trace row.
+    failed_attempts counts line searches that found no Wolfe point: one on
+    a non-steepest direction triggers a steepest-ascent retry, one on
+    steepest ascent stops the run. Their evaluations appear in the totals
+    but belong to no trace row.
     """
 
     theta: np.ndarray
@@ -245,7 +246,10 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
     f_prev = cache.value
     prev_t: float | None = None
     prev_slope: float | None = None
-    pending_restart = False
+    # steepest: v is the Riemannian gradient at cache, so a failed search
+    # along it has nothing to fall back on. restarted: this row's trace flag.
+    steepest = True
+    restarted = 0
     k = 0
     failed_attempts = 0
 
@@ -259,14 +263,13 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         wall_start = time.perf_counter_ns()
         counts_before = counting.counts.snapshot()
         builds_before = geometry.builds
-        restarted = 1 if pending_restart else 0
-        pending_restart = False
 
         try:
             slope0 = float(cache.grad.dot(v))
             if not math.isfinite(slope0) or slope0 <= 0.0:
                 # Direction lost ascent: fall back to steepest.
                 v = riemannian_gradient(cache)
+                steepest = True
                 restarted = 1
                 slope0 = cache.grad_sq / cache.w_sq
                 if slope0 <= 0.0:
@@ -290,15 +293,15 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                     c1=cfg.wolfe_c1,
                     c2=cfg.wolfe_c2,
                     t_init=t_init,
-                    max_evals=cfg.max_ls_evals,
                 )
             except LineSearchFail:
                 failed_attempts += 1
-                if restarted:
+                if steepest:
                     stop = StopReason.LINE_SEARCH_FAIL
                     break
                 v = riemannian_gradient(cache)
-                pending_restart = True
+                steepest = True
+                restarted = 1
                 continue
 
             dst = geometry.point(ls.point, value_grad=(ls.value, ls.grad))
@@ -343,6 +346,8 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         )
         if cfg.record_jets:
             jets.append(jet)
+        restarted = 0
+        steepest = beta_used == 0.0
 
         df = ls.value - f_prev
         cache = dst

@@ -3,6 +3,7 @@ conjugacy coefficient policy, budget accounting, memory held, and failure
 handling."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,8 @@ from warpcg import (
     run_euclidean_cg,
     run_rcg,
 )
-from warpcg.errors import DegenerateBeta
+import warpcg.rcg
+from warpcg.errors import DegenerateBeta, DegenerateStep, LineSearchFail
 from warpcg.geometry import GeometryCache
 from warpcg.rcg import dy_beta
 from warpcg.retraction import TransportResult
@@ -30,10 +32,12 @@ FD = FdConfig()
 
 
 def reconcile(result):
-    """Total hvp calls must equal the trace rows' sum plus the initial cache
-    build plus five per failed line-search attempt."""
+    """Total hvp calls must equal the trace rows' sum plus, on the warped
+    driver, the initial cache build plus five per failed line-search attempt.
+    The flat driver builds no cache and calls no hvp."""
     from_rows = sum(row.n_hvp for row in result.trace)
-    return result.n_hvp == from_rows + 1 + 5 * result.failed_attempts
+    outside_rows = 1 + 5 * result.failed_attempts if result.cache_builds else 0
+    return result.n_hvp == from_rows + outside_rows
 
 
 class TestConfigValidation:
@@ -50,10 +54,6 @@ class TestConfigValidation:
             RcgConfig(tol_grad=-1.0)
         with pytest.raises(ValueError):
             RcgConfig(tol_grad=float("nan"))
-        with pytest.raises(ValueError):
-            RcgConfig(max_ls_evals=0)
-        with pytest.raises(ValueError):
-            RcgConfig(max_ls_evals=-3)
 
 
 class TestTermination:
@@ -254,9 +254,11 @@ def test_default_run_memory_does_not_grow_with_iterations(run):
 
 class TestFailureHandling:
     def test_line_search_fail_on_unbounded_objective(self):
-        # A pure linear objective has no crest anywhere; the steepest
-        # retry fails too and the driver stops with LINE_SEARCH_FAIL,
-        # reporting the start point as the final iterate.
+        # A pure linear objective has no crest anywhere. The first search is
+        # along steepest ascent, so its failure stops the run at once: the
+        # start's value plus one spent 60-evaluation budget, with the start
+        # point reported as the final iterate. Repeating that search would
+        # fail the same way.
         class Ramp(Objective):
             def __init__(self):
                 super().__init__(2)
@@ -270,11 +272,74 @@ class TestFailureHandling:
             def hvp(self, theta, v):
                 return np.zeros(2)
 
-        res = run_rcg(Ramp(), np.zeros(2), cfg=RcgConfig(max_ls_evals=10))
+        for driver in (run_rcg, run_euclidean_cg):
+            res = driver(Ramp(), np.zeros(2))
+            assert res.stop_reason == StopReason.LINE_SEARCH_FAIL
+            assert res.iterations == 0
+            assert res.failed_attempts == 1
+            assert res.n_value == 61
+            if driver is run_rcg:
+                assert res.n_hvp == 6  # the start's cache build and one jet
+            np.testing.assert_array_equal(res.theta, np.zeros(2))
+            assert reconcile(res)
+
+    @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+    def test_failure_after_beta_clamp_stops_without_retry(self, run, monkeypatch):
+        # Every beta is clamped, so the direction after row 0 is already
+        # steepest ascent; a failed search along it stops the run instead
+        # of repeating the same search.
+        real_search = warpcg.rcg.strong_wolfe
+        searches = []
+
+        def fail_after_first(*args, **kwargs):
+            searches.append(None)
+            if len(searches) > 1:
+                raise LineSearchFail("forced")
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(warpcg.rcg, "dy_beta", lambda *args: 1.0)
+        monkeypatch.setattr(warpcg.rcg, "strong_wolfe", fail_after_first)
+        res = run(QuadraticProblem(3), initial_point("quadratic", 3))
+        assert len(searches) == 2
+        assert res.failed_attempts == 1
+        assert [row.restart for row in res.trace] == [1]
         assert res.stop_reason == StopReason.LINE_SEARCH_FAIL
-        assert res.iterations == 0
-        assert res.failed_attempts >= 1
-        np.testing.assert_array_equal(res.theta, np.zeros(2))
+        assert reconcile(res)
+
+    @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+    def test_loss_of_ascent_falls_back_to_steepest(self, run, monkeypatch):
+        # An infinite beta leaves a direction whose slope is not finite; the
+        # next row must restart along steepest ascent and the run recover.
+        real_beta = warpcg.rcg.dy_beta
+        calls = []
+
+        def infinite_once(*args):
+            calls.append(None)
+            return -math.inf if len(calls) == 1 else real_beta(*args)
+
+        monkeypatch.setattr(warpcg.rcg, "dy_beta", infinite_once)
+        with np.errstate(invalid="ignore"):
+            res = run(QuadraticProblem(3), initial_point("quadratic", 3),
+                      cfg=RcgConfig(tol_df=0.0))
+        assert res.trace[0].beta == -math.inf
+        assert res.trace[1].restart == 1
+        assert res.stop_reason == StopReason.SMALL_GRAD
+        assert reconcile(res)
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [("vector_transport", DegenerateStep), ("dy_beta", DegenerateBeta)],
+    )
+    def test_degenerate_transport_or_beta_restarts(self, name, error, monkeypatch):
+        def degenerate(*args):
+            raise error("forced")
+
+        monkeypatch.setattr(warpcg.rcg, name, degenerate)
+        res = run_rcg(QuadraticProblem(3), np.ones(3), cfg=RcgConfig(tol_df=0.0))
+        assert all(row.beta == 0.0 and row.s == 1.0 and row.restart == 1
+                   for row in res.trace)
+        assert res.stop_reason == StopReason.SMALL_GRAD
+        assert len(res.trace) == 13
         assert reconcile(res)
 
     def test_mid_run_breakdown_is_reported_not_raised(self):

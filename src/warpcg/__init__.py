@@ -7,8 +7,9 @@ operation is O(dim) per call; the only objective access is values,
 gradients, and Hessian-vector products.
 
 The package root exports what a user calls. The building blocks live in
-their modules (geometry, retraction, linesearch, objective, errors), and
-warpcg.oracle holds the reference geometry the tests check them against.
+their modules (geometry, retraction, linesearch, objective, errors). The
+reference geometry the tests check them against is not part of the package;
+it lives with the tests, in tests/oracle.py.
 """
 
 __version__ = "0.1.0"

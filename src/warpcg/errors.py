@@ -2,6 +2,8 @@
 
 Every failure mode that callers are expected to catch gets its own class so
 that drivers can distinguish "restart and retry" conditions from hard stops.
+Reference code outside the package, such as the tests' geometry oracle,
+derives its own failure types from WarpcgError.
 """
 
 from __future__ import annotations
@@ -26,14 +28,6 @@ class NumericalBreakdown(WarpcgError):
         self.component = component
 
 
-class PsiDegenerate(WarpcgError):
-    """The warp factor is zero where a division by it is required.
-
-    Happens exactly at critical points of the objective, where the graph
-    normal direction and the normalized curvature form are undefined.
-    """
-
-
 class DegenerateStep(WarpcgError):
     """Transport was requested across a zero-length step (t <= 0 or
     identical endpoints)."""
@@ -49,7 +43,3 @@ class NonAscent(WarpcgError):
 
 class LineSearchFail(WarpcgError):
     """The line search exhausted its budget without a Wolfe point."""
-
-
-class StepUnstable(WarpcgError):
-    """A reference integrator step produced a non-finite state."""

@@ -87,10 +87,6 @@ class GeometryCache:
     sigma_sq: float
 
     @property
-    def dim(self) -> int:
-        return self.theta.size
-
-    @property
     def grad_norm_riem(self) -> float:
         """Warped norm of the Riemannian gradient, ||grad|| / W."""
         return math.sqrt(self.grad_sq / self.w_sq)
@@ -162,20 +158,6 @@ def riemannian_gradient(cache: GeometryCache) -> np.ndarray:
     return cache.grad / cache.w_sq
 
 
-def _accel_scalars(
-    cache: GeometryCache, v: np.ndarray, hess_v: np.ndarray
-) -> tuple[float, float, float, float, float, float]:
-    """Shared scalar contractions (a, b, c, e, U1, U2) for the curvature and
-    acceleration formulas; hess_v is H v at the cache point."""
-    a = float(v.dot(cache.grad_psi_sq))
-    b = float(v.dot(cache.grad))
-    c = float(v.dot(hess_v))
-    e = float(cache.grad_psi_sq.dot(cache.grad))
-    u1 = (a * b + cache.psi_sq * c + 0.5 * cache.psi_sq * e * b * b) / cache.w_sq
-    u2 = 0.5 * b * b
-    return a, b, c, e, u1, u2
-
-
 @dataclass(frozen=True, eq=False)
 class GeodesicJet:
     """Taylor data of a search curve leaving theta with velocity v:
@@ -214,17 +196,23 @@ def taylor_coefficients(
     if not v.any():
         return GeodesicJet(theta=theta, v=v)
 
-    hess_v = hvp_or_fallback(obj, theta, v, fd)
-    a, b, c, e, u1, u2 = _accel_scalars(cache, v, hess_v)
-    q = -u1 * cache.grad + u2 * cache.grad_psi_sq
-
     g = cache.grad
     p = cache.grad_psi_sq
+    psi_sq = cache.psi_sq
+    w_sq = cache.w_sq
+    hess_v = hvp_or_fallback(obj, theta, v, fd)
+    a = float(v.dot(p))
+    b = float(v.dot(g))
+    c = float(v.dot(hess_v))
+    e = float(p.dot(g))
+    t_num = a * b + psi_sq * c + 0.5 * psi_sq * e * b * b
+    u1 = t_num / w_sq
+    u2 = 0.5 * b * b
+    q = -u1 * g + u2 * p
+
     u = cache.hess_grad
     vu = float(v.dot(u))
     g2 = cache.grad_sq
-    psi_sq = cache.psi_sq
-    w_sq = cache.w_sq
     c0 = 2.0 * cache.sigma_sq / (cache.w_sigma_sq * cache.w_sigma_sq)
 
     r = fd.scaled(theta, v)
@@ -246,7 +234,6 @@ def taylor_coefficients(
     e_dot = float(p_dot.dot(g)) + float(p.dot(hess_v))
     w_sq_dot = a * g2 + 2.0 * psi_sq * vu
 
-    t_num = a * b + psi_sq * c + 0.5 * psi_sq * e * b * b
     t_num_dot = (
         a_dot * b
         + a * b_dot

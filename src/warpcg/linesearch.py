@@ -32,6 +32,9 @@ __all__ = ["WolfeResult", "strong_wolfe"]
 #: phi(t) -> (value, slope, point, gradient-at-point)
 PhiFn = Callable[[float], tuple[float, float, np.ndarray, np.ndarray]]
 
+#: Evaluation budget of one search.
+MAX_EVALS = 60
+
 
 # Not frozen: a frozen dataclass pays for object.__setattr__ on every field
 # at construction, and a line search builds a few trials per iteration.
@@ -74,12 +77,11 @@ def strong_wolfe(
     c1: float = 1e-4,
     c2: float = 0.1,
     t_init: float = 1.0,
-    max_evals: int = 60,
 ) -> WolfeResult:
     """Find t > 0 satisfying the strong Wolfe conditions along phi.
 
     Raises NonAscent when slope0 <= 0 (there is nothing to search),
-    LineSearchFail when the evaluation budget runs out or the zoom interval
+    LineSearchFail when the MAX_EVALS budget runs out or the zoom interval
     collapses without an acceptable point.
     """
     if not math.isfinite(slope0) or slope0 <= 0.0:
@@ -93,8 +95,8 @@ def strong_wolfe(
 
     def ev(t: float) -> WolfeResult:
         nonlocal evals
-        if evals >= max_evals:
-            raise LineSearchFail(f"line search budget of {max_evals} evaluations exhausted")
+        if evals >= MAX_EVALS:
+            raise LineSearchFail(f"line search budget of {MAX_EVALS} evaluations exhausted")
         evals += 1
         value, slope, point, grad = phi(t)
         return WolfeResult(t, value, slope, point, grad, evals)

@@ -4,8 +4,8 @@ An :class:`Objective` bundles a smooth scalar function, its gradient, and
 (optionally) Hessian-vector products: an objective without one does not
 define ``hvp``, and the inherited ``hvp`` raising NotImplementedError selects
 the central-difference fallback. Everything downstream is matrix-free: no
-code in this package ever asks for a dense Hessian except the small dense
-reference oracle used in tests.
+code in this package ever asks for a dense Hessian; only the small dense
+reference oracle in the tests does.
 
 Finite-difference fallbacks and probes share a single step-size policy,
 ``FdConfig``: a base relative step (default cbrt(machine epsilon)) scaled by

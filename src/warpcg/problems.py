@@ -207,32 +207,35 @@ class QuadraticProblem(Objective):
         return 0.0
 
 
-PROBLEM_NAMES = ("squiggle", "rosenbrock", "quadratic")
+# name -> (problem class, amplitude of its alternating-sign start)
+_PROBLEMS = {
+    "squiggle": (SquiggleProblem, 10.0),
+    "rosenbrock": (RosenbrockProblem, 5.0),
+    "quadratic": (QuadraticProblem, 0.5),
+}
+PROBLEM_NAMES = tuple(_PROBLEMS)
+
+
+def _entry(name: str) -> tuple[type[Objective], float]:
+    """The (class, start amplitude) row of a problem name, or ValueError."""
+    if name not in PROBLEM_NAMES:
+        raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    return _PROBLEMS[name]
 
 
 def make_problem(name: str, dim: int) -> Objective:
     """Construct a benchmark problem by name with its default parameters."""
-    if name == "squiggle":
-        return SquiggleProblem(dim)
-    if name == "rosenbrock":
-        return RosenbrockProblem(dim)
-    if name == "quadratic":
-        return QuadraticProblem(dim)
-    raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    cls, _ = _entry(name)
+    return cls(dim)
 
 
 def initial_point(name: str, dim: int) -> np.ndarray:
     """Canonical start for each benchmark: alternating-sign points far from
     the maximizer (amplitude 10 for squiggle, 5 for rosenbrock, 1/2 for the
     quadratic)."""
+    _, amplitude = _entry(name)
     signs = np.where(np.arange(dim) % 2 == 0, -1.0, 1.0)
-    if name == "squiggle":
-        return 10.0 * signs
-    if name == "rosenbrock":
-        return 5.0 * signs
-    if name == "quadratic":
-        return 0.5 * signs
-    raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    return amplitude * signs
 
 
 def classify_rosenbrock_basin(theta: np.ndarray, shift: float = 1.0, atol: float = 0.1) -> str:

@@ -23,10 +23,10 @@ Riemannian gradient norm over the slope gain along the (transported)
 direction. In ascent form with Wolfe curvature the quotient is negative and
 the update subtracts beta times the transported direction; a positive value
 signals loss of conjugacy and is clamped to zero, which restarts the
-direction to steepest ascent. A search may spend strong_wolfe's default
-budget of 60 evaluations. Line-search failure on a non-steepest direction
-restarts to steepest ascent; failure on steepest ascent stops the run, since
-repeating that deterministic search would fail the same way.
+direction to steepest ascent. A search may spend linesearch.MAX_EVALS
+evaluations. Line-search failure on a non-steepest direction restarts to
+steepest ascent; failure on steepest ascent stops the run, since repeating
+that deterministic search would fail the same way.
 
 The loop itself only asks its geometry for points, search curves and
 transport; run_euclidean_cg in baseline.py runs the same loop over the
@@ -83,8 +83,8 @@ class RcgConfig:
     """Driver settings. Tolerances: tol_grad applies to the warped norm of
     the Riemannian gradient and is checked every iteration; tol_df applies
     to the objective increase of an accepted step (checked from the first
-    accepted step onward). Each line search has strong_wolfe's default
-    budget of 60 evaluations."""
+    accepted step onward). Each line search has a budget of
+    linesearch.MAX_EVALS evaluations."""
 
     max_iters: int = 8000
     tol_df: float = 1e-5
@@ -243,7 +243,6 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
     trace: list[IterationTrace] = []
     jets: list[GeodesicJet] = []
     stop: StopReason | None = None
-    f_prev = cache.value
     prev_t: float | None = None
     prev_slope: float | None = None
     # steepest: v is the Riemannian gradient at cache, so a failed search
@@ -349,10 +348,9 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         restarted = 0
         steepest = beta_used == 0.0
 
-        df = ls.value - f_prev
+        df = ls.value - cache.value
         cache = dst
         v = v_next
-        f_prev = ls.value
         prev_t = ls.t
         prev_slope = slope0
         k += 1

@@ -1,14 +1,14 @@
-"""Reference geometry for verification: dense operators, a geodesic
-integrator, and the matrix-free operations only the tests need.
+"""Reference geometry the tests check warpcg against: dense operators, a
+geodesic integrator, and the matrix-free operations no run needs.
 
 Everything dense here is deliberately slow and explicit: dense metric,
 dense Christoffel symbols (by closed form AND by finite differences of the
 metric, two independent routes), and a fixed-step RK4 integrator for the
 exact geodesic equation. The matrix-free section holds the tangent-space
 projection, the unit normal, the curvature scalar, the geodesic
-acceleration, projection transport and finite-difference helpers, which
-the optimizer never calls. The optimizer never imports this module; tests
-use it as the measuring stick for the matrix-free code.
+acceleration, projection transport and finite-difference helpers. It
+shares no code with what it checks: the acceleration writes its scalar
+contractions out itself instead of calling the jet's.
 
 Dense routines are capped at dim <= 64 since costs are cubic-ish and no
 test needs more.
@@ -20,11 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdown, PsiDegenerate, StepUnstable
-from .geometry import GeometryCache, WarpConfig, _accel_scalars, build_cache
-from .objective import FdConfig, Objective, _check_finite, hvp_or_fallback
+from warpcg.errors import NumericalBreakdown, WarpcgError
+from warpcg.geometry import GeometryCache, WarpConfig, build_cache
+from warpcg.objective import FdConfig, Objective, _check_finite, hvp_or_fallback
 
 __all__ = [
+    "PsiDegenerate",
+    "StepUnstable",
+    "Bowl",
     "inverse_metric_apply",
     "embed_tangent",
     "project_to_tangent",
@@ -48,6 +51,35 @@ __all__ = [
 DENSE_DIM_CAP = 64
 
 
+class PsiDegenerate(WarpcgError):
+    """The warp factor is zero where a division by it is required.
+
+    Happens exactly at critical points of the objective, where the graph
+    normal direction and the normalized curvature form are undefined.
+    """
+
+
+class StepUnstable(WarpcgError):
+    """A reference integrator step produced a non-finite state."""
+
+
+class Bowl(Objective):
+    """f = -1/2 |theta|^2: gradient -theta, Hessian -I. At theta = (1, 0)
+    with sigma^2 = 1 every warp quantity is a small rational number."""
+
+    def __init__(self, dim=2):
+        super().__init__(dim)
+
+    def value(self, theta):
+        return -0.5 * float(theta @ theta)
+
+    def grad(self, theta):
+        return -np.asarray(theta, dtype=float)
+
+    def hvp(self, theta, v):
+        return -np.asarray(v, dtype=float)
+
+
 def inverse_metric_apply(cache: GeometryCache, z: np.ndarray) -> np.ndarray:
     """Apply G^{-1} = I - (psi^2 / W^2) grad grad^T to z. O(dim)."""
     return z - (cache.psi_sq / cache.w_sq) * (cache.grad @ z) * cache.grad
@@ -67,8 +99,8 @@ def project_to_tangent(cache: GeometryCache, z: np.ndarray) -> np.ndarray:
     v = G^{-1} (z_head + psi^2 z_tail grad).
     """
     z = np.asarray(z, dtype=float)
-    if z.size != cache.dim + 1:
-        raise ValueError(f"ambient vector must have length {cache.dim + 1}")
+    if z.size != cache.theta.size + 1:
+        raise ValueError(f"ambient vector must have length {cache.theta.size + 1}")
     rhs = z[:-1] + cache.psi_sq * z[-1] * cache.grad
     return inverse_metric_apply(cache, rhs)
 
@@ -86,7 +118,6 @@ def normal_vector(cache: GeometryCache) -> np.ndarray:
     w = np.sqrt(cache.w_sq)
     n = np.append(-(psi / w) * cache.grad, 1.0 / (psi * w))
     return _check_finite(n, "normal vector")
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +143,12 @@ def geodesic_acceleration(
     """
     v = np.asarray(v, dtype=float)
     hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
-    _, _, _, _, u1, u2 = _accel_scalars(cache, v, hess_v)
+    a = float(v.dot(cache.grad_psi_sq))
+    b = float(v.dot(cache.grad))
+    c = float(v.dot(hess_v))
+    e = float(cache.grad_psi_sq.dot(cache.grad))
+    u1 = (a * b + cache.psi_sq * c + 0.5 * cache.psi_sq * e * b * b) / cache.w_sq
+    u2 = 0.5 * b * b
     v_dot = -u1 * cache.grad + u2 * cache.grad_psi_sq
     _check_finite(v_dot, "geodesic acceleration")
     return GeodesicAcceleration(coef_grad=u1, coef_warp=u2, v_dot=v_dot)
@@ -133,9 +169,7 @@ def second_fundamental_form(
     (W / psi) times that coefficient, which requires psi > 0 and raises
     PsiDegenerate at critical points.
     """
-    v = np.asarray(v, dtype=float)
-    hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
-    _, _, _, _, u1, _ = _accel_scalars(cache, v, hess_v)
+    u1 = geodesic_acceleration(obj, cache, v, fd).coef_grad
     if not normalized:
         return u1
     if cache.psi_sq == 0.0:
@@ -153,8 +187,7 @@ def transport_by_projection(
     the reference for transport linearity and for general vectors the
     secant form does not cover.
     """
-    ambient = np.append(u, src.grad @ u)
-    return project_to_tangent(dst, ambient)
+    return project_to_tangent(dst, embed_tangent(src, u))
 
 
 def third_directional_derivative(
@@ -190,15 +223,10 @@ def central_diff_grad(obj: Objective, theta: np.ndarray, step: float) -> np.ndar
     return out
 
 
-def _warp_scalars(warp: WarpConfig, grad: np.ndarray) -> tuple[float, float]:
-    grad_sq = float(grad @ grad)
-    psi_sq = grad_sq / (warp.sigma_sq + grad_sq)
-    return grad_sq, psi_sq
-
-
 def dense_metric(warp: WarpConfig, grad: np.ndarray) -> np.ndarray:
     """G = I + psi^2 grad grad^T, from the gradient alone."""
-    _, psi_sq = _warp_scalars(warp, grad)
+    grad_sq = float(grad @ grad)
+    psi_sq = grad_sq / (warp.sigma_sq + grad_sq)
     return np.eye(grad.size) + psi_sq * np.outer(grad, grad)
 
 
@@ -224,7 +252,7 @@ class DenseGeometry:
         function-axis one is the warp's logarithmic derivative pattern and
         needs psi > 0.
         """
-        d = self.cache.dim
+        d = self.cache.theta.size
         out = np.zeros((d + 1, d + 1))
         p = self.cache.grad_psi_sq
         if m < d:

@@ -38,7 +38,7 @@ from warpcg.geometry import (
     riemannian_gradient,
     taylor_coefficients,
 )
-from warpcg.oracle import (
+from oracle import (
     build_dense_geometry,
     central_diff_grad,
     fit_loglog_slope,

@@ -4,8 +4,7 @@ curvature scalars, and the geodesic jet."""
 import numpy as np
 import pytest
 
-from warpcg import FdConfig, Objective, QuadraticProblem, SquiggleProblem, WarpConfig
-from warpcg.errors import PsiDegenerate
+from warpcg import FdConfig, QuadraticProblem, SquiggleProblem, WarpConfig
 from warpcg.geometry import (
     build_cache,
     metric_inner,
@@ -14,7 +13,9 @@ from warpcg.geometry import (
     taylor_coefficients,
 )
 from warpcg.objective import CountingObjective
-from warpcg.oracle import (
+from oracle import (
+    Bowl,
+    PsiDegenerate,
     embed_tangent,
     geodesic_acceleration,
     inverse_metric_apply,
@@ -27,29 +28,12 @@ from warpcg.retraction import retract
 FD = FdConfig()
 
 
-class Bowl(Objective):
-    """f = -1/2 |theta|^2: gradient -theta, Hessian -I. At theta = (1, 0)
-    with sigma^2 = 1 every warp quantity is a small rational number."""
-
-    def __init__(self, dim=2):
-        super().__init__(dim)
-
-    def value(self, theta):
-        return -0.5 * float(theta @ theta)
-
-    def grad(self, theta):
-        return -np.asarray(theta, dtype=float)
-
-    def hvp(self, theta, v):
-        return -np.asarray(v, dtype=float)
-
-
 def bowl_cache():
     return build_cache(Bowl(), WarpConfig(1.0), np.array([1.0, 0.0]), FD)
 
 
 def dense_metric_of(cache):
-    d = cache.dim
+    d = cache.theta.size
     return np.eye(d) + cache.psi_sq * np.outer(cache.grad, cache.grad)
 
 

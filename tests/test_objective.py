@@ -24,7 +24,7 @@ from warpcg.baseline import _FlatGeometry
 from warpcg.errors import NumericalBreakdown
 from warpcg.geometry import build_cache
 from warpcg.objective import CountingObjective, DEFAULT_FD_STEP, _check_finite, hvp_or_fallback
-from warpcg.oracle import central_diff_grad, normal_vector, third_directional_derivative
+from oracle import central_diff_grad, normal_vector, third_directional_derivative
 from warpcg.retraction import vector_transport
 
 

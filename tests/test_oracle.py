@@ -2,13 +2,20 @@
 consistency between the two Christoffel routes, conservation laws, and
 agreement between the dense and matrix-free right-hand sides."""
 
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from warpcg import FdConfig, Objective, QuadraticProblem, SquiggleProblem, WarpConfig
-from warpcg.errors import PsiDegenerate, StepUnstable
-from warpcg.oracle import (
+import warpcg.errors
+from warpcg import FdConfig, QuadraticProblem, SquiggleProblem, WarpConfig
+from oracle import (
     DENSE_DIM_CAP,
+    Bowl,
+    PsiDegenerate,
+    StepUnstable,
     build_dense_geometry,
     christoffel_fd,
     dense_metric,
@@ -20,22 +27,6 @@ from warpcg.oracle import (
 
 FD = FdConfig()
 WARP = WarpConfig(1.0)
-
-
-class Bowl(Objective):
-    """f = -1/2 |theta|^2; the geometry is exactly computable."""
-
-    def __init__(self, dim=2):
-        super().__init__(dim)
-
-    def value(self, theta):
-        return -0.5 * float(theta @ theta)
-
-    def grad(self, theta):
-        return -np.asarray(theta, dtype=float)
-
-    def hvp(self, theta, v):
-        return -np.asarray(v, dtype=float)
 
 
 class TestDenseGeometry:
@@ -199,3 +190,16 @@ class TestDenseMetricHelper:
         got = dense_metric(WarpConfig(1.0), g)
         psi_sq = 4.0 / 5.0
         np.testing.assert_allclose(got, np.eye(2) + psi_sq * np.outer(g, g), rtol=1e-15)
+
+
+def test_reference_ships_outside_the_package():
+    # The reference lives with the tests: the package neither ships nor
+    # imports it, and its failure types are not the package's.
+    assert importlib.util.find_spec("warpcg.oracle") is None
+    assert not hasattr(warpcg.errors, "PsiDegenerate")
+    assert not hasattr(warpcg.errors, "StepUnstable")
+    assert issubclass(PsiDegenerate, warpcg.WarpcgError)
+    assert issubclass(StepUnstable, warpcg.WarpcgError)
+    importing = re.compile(r"^\s*(?:from|import)\b.*\boracle\b", re.MULTILINE)
+    for path in Path(warpcg.__file__).parent.rglob("*.py"):
+        assert not importing.search(path.read_text()), path

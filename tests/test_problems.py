@@ -16,7 +16,7 @@ from warpcg import (
     make_problem,
 )
 from warpcg.objective import CountingObjective, hvp_or_fallback
-from warpcg.oracle import central_diff_grad
+from oracle import central_diff_grad
 from warpcg.problems import PROBLEM_NAMES
 
 FD = FdConfig()

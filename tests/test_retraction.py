@@ -13,7 +13,7 @@ from warpcg.geometry import (
     metric_norm,
     taylor_coefficients,
 )
-from warpcg.oracle import project_to_tangent, transport_by_projection
+from oracle import project_to_tangent, transport_by_projection
 from warpcg.retraction import (
     curve_velocity,
     directional_value_and_slope,

@@ -196,6 +196,28 @@ def taylor_coefficients(
     if not v.any():
         return GeodesicJet(theta=theta, v=v)
 
+    # The probes at theta +- r v come first, while only the point and v are
+    # held. The +r probe's H g and H v wait while the -r probe folds each
+    # into its central difference, H v first so that H v+ goes before H g-
+    # is made; every other probe vector dies at its last use.
+    r = fd.scaled(theta, v)
+    rv = r * v
+    th = theta + rv
+    hg_hi = hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float), fd)
+    hv_hi = hvp_or_fallback(obj, th, v, fd)
+    th = theta - rv
+    del rv
+    hv_dot = hv_hi - hvp_or_fallback(obj, th, v, fd)
+    del hv_hi
+    hv_dot /= 2.0 * r
+    tau = float(v.dot(hv_dot))  # D^3 f [v, v, v]
+    del hv_dot
+    # d/dt [H grad] along the curve; the probe pair fuses the third-derivative
+    # contraction with grad and the H^2 v term in one central difference.
+    u_dot = hg_hi - hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float), fd)
+    del hg_hi, th
+    u_dot /= 2.0 * r
+
     g = cache.grad
     p = cache.grad_psi_sq
     psi_sq = cache.psi_sq
@@ -208,26 +230,18 @@ def taylor_coefficients(
     t_num = a * b + psi_sq * c + 0.5 * psi_sq * e * b * b
     u1 = t_num / w_sq
     u2 = 0.5 * b * b
-    q = -u1 * g + u2 * p
+    q = -u1 * g
+    q += u2 * p
 
     u = cache.hess_grad
     vu = float(v.dot(u))
     g2 = cache.grad_sq
     c0 = 2.0 * cache.sigma_sq / (cache.w_sigma_sq * cache.w_sigma_sq)
 
-    r = fd.scaled(theta, v)
-    rv = r * v
-    th_hi = theta + rv
-    th_lo = theta - rv
-    g_hi = np.asarray(obj.grad(th_hi), dtype=float)
-    g_lo = np.asarray(obj.grad(th_lo), dtype=float)
-    # d/dt [H grad] along the curve; the probe pair fuses the third-derivative
-    # contraction with grad and the H^2 v term in one central difference.
-    u_dot = (hvp_or_fallback(obj, th_hi, g_hi, fd) - hvp_or_fallback(obj, th_lo, g_lo, fd)) / (2.0 * r)
-    hv_dot = (hvp_or_fallback(obj, th_hi, v, fd) - hvp_or_fallback(obj, th_lo, v, fd)) / (2.0 * r)
-    tau = float(v.dot(hv_dot))  # D^3 f [v, v, v]
-
-    p_dot = c0 * (-(4.0 / cache.w_sigma_sq) * vu * u + u_dot)
+    p_dot = -(4.0 / cache.w_sigma_sq) * vu * u
+    p_dot += u_dot
+    del u_dot
+    p_dot *= c0
     a_dot = float(q.dot(p)) + float(v.dot(p_dot))
     b_dot = float(q.dot(g)) + c
     c_dot = 2.0 * float(q.dot(hess_v)) + tau
@@ -244,7 +258,11 @@ def taylor_coefficients(
     u1_dot = t_num_dot / w_sq - t_num * w_sq_dot / (w_sq * w_sq)
     u2_dot = b * b_dot
 
-    k = -(u1_dot * g + u1 * hess_v) + u2_dot * p + u2 * p_dot
+    k = u1_dot * g
+    k += u1 * hess_v
+    k *= -1.0  # exact negation, as the unary minus
+    k += u2_dot * p
+    k += u2 * p_dot
     _check_finite(q, "jet coefficient q")
     _check_finite(k, "jet coefficient k")
     return GeodesicJet(theta=theta, v=v, q=q, k=k)

@@ -42,8 +42,10 @@ MAX_EVALS = 60
 class WolfeResult:
     """One trial of the search: parameter t, the path data there, and evals,
     the phi evaluations spent up to and including this trial. The accepted
-    trial is the search's result, so its evals is the search's total. The
-    t = 0 seed trial has no point or grad and evals 0."""
+    trial is the search's result, so its evals is the search's total. Only
+    the returned trial carries point and grad: a trial kept as a bracket
+    endpoint drops them, since an endpoint is never returned, and the t = 0
+    seed trial never has them."""
 
     t: float
     value: float
@@ -101,6 +103,12 @@ def strong_wolfe(
         value, slope, point, grad = phi(t)
         return WolfeResult(t, value, slope, point, grad, evals)
 
+    def endpoint(tr: WolfeResult) -> WolfeResult:
+        # Only values and slopes of an endpoint are read again, so its
+        # dim-vectors are let go at once.
+        tr.point = tr.grad = None
+        return tr
+
     def sufficient(tr: WolfeResult) -> bool:
         return math.isfinite(tr.value) and tr.value >= f0 + c1 * tr.t * slope0
 
@@ -120,13 +128,13 @@ def strong_wolfe(
                 t = 0.5 * (lo.t + hi.t)
             tr = ev(t)
             if not sufficient(tr) or tr.value <= lo.value:
-                hi = tr
+                hi = endpoint(tr)
             else:
                 if math.isfinite(tr.slope) and abs(tr.slope) <= c2 * slope0:
                     return tr
                 if tr.slope * (hi.t - lo.t) <= 0.0:
                     hi = lo
-                lo = tr
+                lo = endpoint(tr)
 
     prev = WolfeResult(0.0, f0, slope0, None, None, 0)
     t = t_init
@@ -134,13 +142,13 @@ def strong_wolfe(
     while True:
         tr = ev(t)
         if not sufficient(tr) or (not first and tr.value <= prev.value):
-            return zoom(prev, tr)
+            return zoom(prev, endpoint(tr))
         if math.isfinite(tr.slope) and abs(tr.slope) <= c2 * slope0:
             return tr
         if tr.slope <= 0.0:
             # Crest passed: the maximum lies between the previous point and
             # this one, with the current point the higher shoulder.
-            return zoom(tr, prev)
-        prev = tr
+            return zoom(endpoint(tr), prev)
+        prev = endpoint(tr)
         t *= 2.0  # still climbing: double the step
         first = False

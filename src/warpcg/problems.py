@@ -149,9 +149,16 @@ class RosenbrockProblem(Objective):
     def grad(self, theta: np.ndarray) -> np.ndarray:
         b = self.bend
         x, y = theta[:-1], theta[1:]
+        resid = y - x * x
         out = np.zeros(np.shape(theta))
-        out[:-1] += 4.0 * b * x * (y - x * x) + 2.0 * (self.shift - x)
-        out[1:] += -2.0 * b * (y - x * x)
+        # out[1:] takes its term first, so resid can become the out[:-1] term
+        # in place; each entry still sums the same two terms onto a zero.
+        out[1:] += -2.0 * b * resid
+        resid *= 4.0 * b * x
+        pull = self.shift - x
+        pull *= 2.0
+        resid += pull
+        out[:-1] += resid
         return out
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -161,7 +168,8 @@ class RosenbrockProblem(Objective):
         diag[:-1] += 4.0 * b * (y - 3.0 * x * x) - 2.0
         diag[1:] += -2.0 * b
         off = 4.0 * b * x  # coupling between j and j+1
-        out = diag * v
+        out = diag
+        out *= v
         out[:-1] += off * v[1:]
         out[1:] += off * v[:-1]
         return out

@@ -294,6 +294,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                     t_init=t_init,
                 )
             except LineSearchFail:
+                del jet
                 failed_attempts += 1
                 if steepest:
                     stop = StopReason.LINE_SEARCH_FAIL
@@ -303,6 +304,10 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 restarted = 1
                 continue
 
+            # The search was the jet's last use; a recorded jet is kept until
+            # its row is written.
+            if not cfg.record_jets:
+                del jet
             dst = geometry.point(ls.point, value_grad=(ls.value, ls.grad))
             try:
                 transported = geometry.transport(cache, dst, v, ls.t)
@@ -315,11 +320,11 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
             if beta_used != beta:
                 restarted = 1
             scale = transported.scale if transported is not None else 1.0
-            grad_next = riemannian_gradient(dst)
-            if beta_used == 0.0:
-                v_next = grad_next
-            else:
-                v_next = grad_next - (beta_used * scale) * transported.coords
+            # riemannian_gradient returns a fresh array, so the next
+            # direction is built inside it.
+            v_next = riemannian_gradient(dst)
+            if beta_used != 0.0:
+                v_next -= (beta_used * scale) * transported.coords
         except NumericalBreakdown:
             stop = StopReason.NUMERICAL_BREAKDOWN
             break
@@ -354,6 +359,9 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         prev_t = ls.t
         prev_slope = slope0
         k += 1
+        # Drop the names still bound to this step's transport and direction,
+        # so neither outlives the next jet or a restart.
+        del transported, v_next
         if df < cfg.tol_df:
             stop = StopReason.SMALL_DELTA_F
             break

@@ -31,7 +31,8 @@ __all__ = [
 def retract(jet: GeodesicJet, t: float) -> np.ndarray:
     """Point on the jet's search curve at parameter t: theta + t v, plus the
     t^2/2 q and t^3/6 k terms the jet carries."""
-    out = jet.theta + t * jet.v
+    out = t * jet.v
+    out += jet.theta
     if jet.q is not None:
         out += (0.5 * t * t) * jet.q
     if jet.k is not None:
@@ -45,7 +46,8 @@ def curve_velocity(jet: GeodesicJet, t: float) -> np.ndarray:
     A straight ray returns jet.v itself, not a copy."""
     if jet.q is None:
         return jet.v
-    out = jet.v + t * jet.q
+    out = t * jet.q
+    out += jet.v
     if jet.k is not None:
         out += (0.5 * t * t) * jet.k
     return out
@@ -108,7 +110,9 @@ def vector_transport(
     corr = (float(delta.dot(dst.grad)) - delta_f) * (dst.psi_sq / dst.w_sq)
     # Dividing by -t rather than negating the vector saves a pass; division
     # is sign-symmetric, so the bits are those of -(delta - corr grad) / t.
-    coords = (delta - corr * dst.grad) / (-t)
+    coords = delta
+    coords -= corr * dst.grad
+    coords /= -t
     _check_finite(coords, "transported vector")
     dst_norm = metric_norm(dst, coords)
     if dst_norm == 0.0:

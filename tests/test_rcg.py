@@ -19,6 +19,7 @@ from warpcg import (
     StopReason,
     WarpConfig,
     initial_point,
+    make_problem,
     run_euclidean_cg,
     run_rcg,
 )
@@ -250,6 +251,87 @@ def test_default_run_memory_does_not_grow_with_iterations(run):
 
     short, long = held_after(5), held_after(20)
     assert long - short < theta0.nbytes, (short, long)
+
+
+@pytest.mark.parametrize(
+    "run, bound", [(run_rcg, 13), (run_euclidean_cg, 8)], ids=["run_rcg", "run_euclidean_cg"]
+)
+def test_peak_working_set(run, bound):
+    # Every dim-vector of the loop dies at its last use, so a run's peak is a
+    # fixed count of vectors: the point's geometry, the direction and the jet
+    # or trial being built. At d = 20 000 (below numpy's temporary-elision
+    # size) rcg peaks at 12 and the flat driver at 7 on both problems; with
+    # each iteration's jet, transport and bracket kept alive they read 24
+    # and 13-14.
+    dim = 20_000
+    for name, problem in (("rosenbrock", RosenbrockProblem(dim)),
+                          ("quadratic", QuadraticProblem(dim))):
+        theta0 = initial_point(name, dim)
+        tracemalloc.start()
+        try:
+            res = run(problem, theta0, cfg=RcgConfig(max_iters=5, tol_df=0.0, tol_grad=0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 5
+        assert peak / theta0.nbytes <= bound, (name, peak / theta0.nbytes)
+
+
+def _frozen(x) -> np.ndarray:
+    out = np.array(x, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+class _GradOnly(Objective):
+    """Value and gradient of inner, with no analytic hvp."""
+
+    def __init__(self, inner):
+        super().__init__(inner.dim)
+        self.inner = inner
+
+    def value(self, theta):
+        return self.inner.value(theta)
+
+    def grad(self, theta):
+        return self.inner.grad(theta)
+
+
+class _ReadOnlyOutputs(_GradOnly):
+    """Returns every value, gradient and hvp as a read-only array, so a
+    driver that writes into one raises ValueError."""
+
+    def value(self, theta):
+        return _frozen(self.inner.value(theta))
+
+    def grad(self, theta):
+        return _frozen(self.inner.grad(theta))
+
+    def hvp(self, theta, v):
+        return _frozen(self.inner.hvp(theta, v))
+
+
+@pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", ["squiggle", "rosenbrock"])
+@pytest.mark.parametrize("view", [lambda p: p, _GradOnly], ids=["hvp", "grad_only"])
+def test_objective_outputs_and_start_stay_untouched(run, name, view):
+    # The drivers update in place only arrays they allocated themselves:
+    # read-only objective outputs and a read-only start give the plain
+    # run's bits. The grad-only view sends every hvp through the
+    # central-difference fallback.
+    problem = view(make_problem(name, 10))
+    theta0 = initial_point(name, 10)
+    cfg = RcgConfig(max_iters=20, tol_df=0.0)
+    plain = run(problem, theta0, cfg=cfg)
+    guarded = run(_ReadOnlyOutputs(problem), _frozen(theta0), cfg=cfg)
+    # repr gives a float's exact bits, signed zeros included.
+    assert guarded.theta.tobytes() == plain.theta.tobytes()
+    assert repr(guarded.value) == repr(plain.value)
+    assert len(guarded.trace) == len(plain.trace) > 0
+    for a, b in zip(guarded.trace, plain.trace):
+        for f in dataclasses.fields(a):
+            if f.name != "wall_ns":
+                assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), (a.k, f.name)
 
 
 class TestFailureHandling:

@@ -10,10 +10,10 @@ Sweep (comma lists; --dims switches modes):
     warpcg --problem squiggle --dims 2,10,50 --method rcg,euclid_cg \\
            --summary-out sweep.json
 
-Each numeric flag sets the field of the same name in RcgConfig, WarpConfig
-or FdConfig (--fd-step sets FdConfig.step), takes its default from there,
-and is range-checked there. The three configs are built once, before any
-run, in both modes.
+Each numeric flag sets the field of the same name in RcgConfig or
+WarpConfig, takes its default from there, and is range-checked there. Both
+configs are built once, before any run, in both modes. The finite-difference
+step is objective.fd_step, not a setting.
 
 Exit codes: 0 on success, 1 for an invalid run specification (also --dim
 with --dims), 2 when a single run stops with numerical breakdown. In a
@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .baseline import run_euclidean_cg
 from .geometry import WarpConfig
-from .objective import FdConfig, NegatedObjective
+from .objective import NegatedObjective
 from .problems import (
     PROBLEM_NAMES,
     classify_rosenbrock_basin,
@@ -78,7 +78,6 @@ class RunSpec:
     minimize: bool = False
     cfg: RcgConfig = field(default_factory=RcgConfig)
     warp: WarpConfig = field(default_factory=WarpConfig)
-    fd: FdConfig = field(default_factory=FdConfig)
 
     def validate(self) -> None:
         """Check the names; the problem constructors check the dimension."""
@@ -95,7 +94,6 @@ class RunSpec:
             "tol_grad": self.cfg.tol_grad,
             "wolfe_c1": self.cfg.wolfe_c1,
             "wolfe_c2": self.cfg.wolfe_c2,
-            "fd_step": self.fd.step,
             "minimize": self.minimize,
         }
 
@@ -115,7 +113,7 @@ def execute(spec: RunSpec) -> tuple[RcgResult, dict]:
     objective = NegatedObjective(problem) if spec.minimize else problem
     theta0 = initial_point(spec.problem, spec.dim)
     if spec.method == "rcg":
-        result = run_rcg(objective, theta0, warp=spec.warp, cfg=spec.cfg, fd=spec.fd)
+        result = run_rcg(objective, theta0, warp=spec.warp, cfg=spec.cfg)
     else:
         result = run_euclidean_cg(objective, theta0, cfg=spec.cfg)
 
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-grad", type=float, default=RcgConfig.tol_grad)
     parser.add_argument("--wolfe-c1", type=float, default=RcgConfig.wolfe_c1)
     parser.add_argument("--wolfe-c2", type=float, default=RcgConfig.wolfe_c2)
-    parser.add_argument("--fd-step", type=float, default=FdConfig.step)
     parser.add_argument(
         "--minimize",
         action="store_true",
@@ -231,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
                 wolfe_c2=args.wolfe_c2,
             ),
             warp=WarpConfig(sigma_sq=args.sigma_sq),
-            fd=FdConfig(step=args.fd_step),
         )
         if args.dims is None:
             if args.dim is None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .objective import FdConfig, Objective, _check_finite, hvp_or_fallback
+from .objective import Objective, _check_finite, fd_step, hvp_or_fallback
 
 __all__ = [
     "WarpConfig",
@@ -96,7 +96,6 @@ def build_cache(
     obj: Objective,
     warp: WarpConfig,
     theta: np.ndarray,
-    fd: FdConfig,
     value_grad: tuple[float, np.ndarray] | None = None,
 ) -> GeometryCache:
     """Evaluate the warp geometry at theta.
@@ -123,7 +122,7 @@ def build_cache(
     w_sigma_sq = warp.sigma_sq + grad_sq
     psi_sq = grad_sq / w_sigma_sq
     w_sq = 1.0 + psi_sq * grad_sq
-    hess_grad = hvp_or_fallback(obj, theta, grad, fd)
+    hess_grad = hvp_or_fallback(obj, theta, grad)
     c0 = 2.0 * warp.sigma_sq / (w_sigma_sq * w_sigma_sq)
     grad_psi_sq = c0 * hess_grad
     return GeometryCache(
@@ -170,9 +169,7 @@ class GeodesicJet:
     k: np.ndarray | None = None
 
 
-def taylor_coefficients(
-    obj: Objective, cache: GeometryCache, v: np.ndarray, fd: FdConfig
-) -> GeodesicJet:
+def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> GeodesicJet:
     """Second and third chart derivatives of the geodesic with initial
     velocity v, for the cubic retraction.
 
@@ -200,21 +197,21 @@ def taylor_coefficients(
     # held. The +r probe's H g and H v wait while the -r probe folds each
     # into its central difference, H v first so that H v+ goes before H g-
     # is made; every other probe vector dies at its last use.
-    r = fd.scaled(theta, v)
+    r = fd_step(theta, v)
     rv = r * v
     th = theta + rv
-    hg_hi = hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float), fd)
-    hv_hi = hvp_or_fallback(obj, th, v, fd)
+    hg_hi = hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float))
+    hv_hi = hvp_or_fallback(obj, th, v)
     th = theta - rv
     del rv
-    hv_dot = hv_hi - hvp_or_fallback(obj, th, v, fd)
+    hv_dot = hv_hi - hvp_or_fallback(obj, th, v)
     del hv_hi
     hv_dot /= 2.0 * r
     tau = float(v.dot(hv_dot))  # D^3 f [v, v, v]
     del hv_dot
     # d/dt [H grad] along the curve; the probe pair fuses the third-derivative
     # contraction with grad and the H^2 v term in one central difference.
-    u_dot = hg_hi - hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float), fd)
+    u_dot = hg_hi - hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float))
     del hg_hi, th
     u_dot /= 2.0 * r
 
@@ -222,7 +219,7 @@ def taylor_coefficients(
     p = cache.grad_psi_sq
     psi_sq = cache.psi_sq
     w_sq = cache.w_sq
-    hess_v = hvp_or_fallback(obj, theta, v, fd)
+    hess_v = hvp_or_fallback(obj, theta, v)
     a = float(v.dot(p))
     b = float(v.dot(g))
     c = float(v.dot(hess_v))

@@ -7,16 +7,16 @@ the central-difference fallback. Everything downstream is matrix-free: no
 code in this package ever asks for a dense Hessian; only the small dense
 reference oracle in the tests does.
 
-Finite-difference fallbacks and probes share a single step-size policy,
-``FdConfig``: a base relative step (default cbrt(machine epsilon)) scaled by
-max(1, ||theta||) / max(1, ||v||) so that the actual displacement along v is
-insensitive to the magnitudes of both the point and the direction.
+Finite-difference fallbacks and probes share one step, ``fd_step``: the
+relative step ``FD_STEP`` = cbrt(machine epsilon), the float64 optimum for a
+central difference of a first derivative, scaled by max(1, ||theta||) /
+max(1, ||v||) so that the actual displacement along v is insensitive to the
+magnitudes of both the point and the direction.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -24,40 +24,18 @@ import numpy as np
 
 from .errors import NumericalBreakdown
 
-#: Default relative step for central differences of first derivatives.
-DEFAULT_FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
+#: Relative step for central differences of first derivatives.
+FD_STEP = float(np.cbrt(np.finfo(np.float64).eps))
 
 
-@dataclass(frozen=True)
-class FdConfig:
-    """Finite-difference step policy.
-
-    Attributes:
-        step: base relative step. Must be finite and positive. Values
-            below 1e-12 are allowed but trigger a warning: in float64
-            central differences they produce pure rounding noise.
-    """
-
-    step: float = DEFAULT_FD_STEP
-
-    def __post_init__(self):
-        # Written as not (0 < x < inf) so that NaN fails too.
-        if not (0.0 < self.step < math.inf):
-            raise ValueError(f"fd step must be finite and > 0, got {self.step}")
-        if self.step < 1e-12:
-            warnings.warn(
-                f"fd step {self.step:g} is below float64 resolution for "
-                "central differences; expect noise-dominated derivatives",
-                stacklevel=2,
-            )
-
-    def scaled(self, theta: np.ndarray, v: np.ndarray) -> float:
-        """Actual step along v, scaled to the magnitudes of theta and v."""
-        # math.sqrt of the dot product is what np.linalg.norm computes for a
-        # 1-D float array, without its per-call dispatch.
-        nt = math.sqrt(float(theta.dot(theta)))
-        nv = math.sqrt(float(v.dot(v)))
-        return self.step * max(1.0, nt) / max(1.0, nv)
+def fd_step(theta: np.ndarray, v: np.ndarray) -> float:
+    """Actual central-difference step along v, scaled to the magnitudes of
+    theta and v."""
+    # math.sqrt of the dot product is what np.linalg.norm computes for a
+    # 1-D float array, without its per-call dispatch.
+    nt = math.sqrt(float(theta.dot(theta)))
+    nv = math.sqrt(float(v.dot(v)))
+    return FD_STEP * max(1.0, nt) / max(1.0, nv)
 
 
 class Objective(ABC):
@@ -109,14 +87,12 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def hvp_or_fallback(
-    obj: Objective, theta: np.ndarray, v: np.ndarray, fd: FdConfig
-) -> np.ndarray:
+def hvp_or_fallback(obj: Objective, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Hessian-vector product: obj.hvp, or central differences of the
     gradient when obj.hvp raises NotImplementedError.
 
-    The fallback is (grad(theta + r v) - grad(theta - r v)) / (2 r) with the
-    scaled step from fd. Raises NumericalBreakdown when the result is not
+    The fallback is (grad(theta + r v) - grad(theta - r v)) / (2 r) with
+    r = fd_step(theta, v). Raises NumericalBreakdown when the result is not
     finite, naming the first offending component.
     """
     try:
@@ -124,8 +100,11 @@ def hvp_or_fallback(
     except NotImplementedError:
         if not v.any():
             return np.zeros_like(np.asarray(theta, dtype=float))
-        r = fd.scaled(theta, v)
-        out = (obj.grad(theta + r * v) - obj.grad(theta - r * v)) / (2.0 * r)
+        r = fd_step(theta, v)
+        out = (
+            np.asarray(obj.grad(theta + r * v), dtype=float)
+            - np.asarray(obj.grad(theta - r * v), dtype=float)
+        ) / (2.0 * r)
     return _check_finite(np.asarray(out, dtype=float), "hessian-vector product")
 
 

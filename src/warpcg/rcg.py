@@ -57,7 +57,7 @@ from .geometry import (
     taylor_coefficients,
 )
 from .linesearch import strong_wolfe
-from .objective import CountingObjective, FdConfig, Objective
+from .objective import CountingObjective, Objective
 from .retraction import TransportResult, directional_value_and_slope, vector_transport
 
 __all__ = [
@@ -94,13 +94,14 @@ class RcgConfig:
     record_jets: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 0:
+        # Each check is written as not (range) so that NaN, which no stop
+        # test can meet, fails too.
+        if not (self.max_iters >= 0):
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
             raise ValueError(
                 f"need 0 < c1 < c2 < 1, got c1={self.wolfe_c1}, c2={self.wolfe_c2}"
             )
-        # Written as not (x >= 0) so that NaN, which no stop test can meet, fails too.
         if not (self.tol_df >= 0 and self.tol_grad >= 0):
             raise ValueError(
                 f"tolerances must be >= 0, got tol_df={self.tol_df}, tol_grad={self.tol_grad}"
@@ -192,18 +193,17 @@ class _WarpedGeometry:
     secant transport. Every call goes through this module's globals so the
     benchmark tracer's spans see it."""
 
-    def __init__(self, obj: Objective, warp: WarpConfig, fd: FdConfig):
+    def __init__(self, obj: Objective, warp: WarpConfig):
         self.obj = obj
         self.warp = warp
-        self.fd = fd
         self.builds = 0
 
     def point(self, theta: np.ndarray, value_grad=None) -> GeometryCache:
         self.builds += 1
-        return build_cache(self.obj, self.warp, theta, self.fd, value_grad=value_grad)
+        return build_cache(self.obj, self.warp, theta, value_grad=value_grad)
 
     def jet(self, point: GeometryCache, v: np.ndarray) -> GeodesicJet:
-        return taylor_coefficients(self.obj, point, v, self.fd)
+        return taylor_coefficients(self.obj, point, v)
 
     def transport(
         self, src: GeometryCache, dst: GeometryCache, v: np.ndarray, t: float
@@ -216,7 +216,6 @@ def run_rcg(
     theta0: np.ndarray,
     warp: WarpConfig | None = None,
     cfg: RcgConfig | None = None,
-    fd: FdConfig | None = None,
 ) -> RcgResult:
     """Maximize obj from theta0 with warped-manifold conjugate gradient.
 
@@ -225,7 +224,7 @@ def run_rcg(
     Argument validation errors (shapes, config ranges) do raise.
     """
     counting = CountingObjective(obj)
-    geometry = _WarpedGeometry(counting, warp or WarpConfig(), fd or FdConfig())
+    geometry = _WarpedGeometry(counting, warp or WarpConfig())
     return _run_cg(counting, geometry, theta0, cfg or RcgConfig())
 
 

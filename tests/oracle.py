@@ -22,7 +22,7 @@ import numpy as np
 
 from warpcg.errors import NumericalBreakdown, WarpcgError
 from warpcg.geometry import GeometryCache, WarpConfig, build_cache
-from warpcg.objective import FdConfig, Objective, _check_finite, hvp_or_fallback
+from warpcg.objective import Objective, _check_finite, fd_step, hvp_or_fallback
 
 __all__ = [
     "PsiDegenerate",
@@ -131,10 +131,7 @@ class GeodesicAcceleration:
 
 
 def geodesic_acceleration(
-    obj: Objective,
-    cache: GeometryCache,
-    v: np.ndarray,
-    fd: FdConfig,
+    obj: Objective, cache: GeometryCache, v: np.ndarray
 ) -> GeodesicAcceleration:
     """Chart acceleration -Gamma(v, v) of the warped geodesic equation.
 
@@ -142,7 +139,7 @@ def geodesic_acceleration(
     because the third-order expansion needs them.
     """
     v = np.asarray(v, dtype=float)
-    hess_v = hvp_or_fallback(obj, cache.theta, v, fd)
+    hess_v = hvp_or_fallback(obj, cache.theta, v)
     a = float(v.dot(cache.grad_psi_sq))
     b = float(v.dot(cache.grad))
     c = float(v.dot(hess_v))
@@ -158,7 +155,6 @@ def second_fundamental_form(
     obj: Objective,
     cache: GeometryCache,
     v: np.ndarray,
-    fd: FdConfig,
     normalized: bool = False,
 ) -> float:
     """Scalar curvature of the graph along tangent direction v.
@@ -169,7 +165,7 @@ def second_fundamental_form(
     (W / psi) times that coefficient, which requires psi > 0 and raises
     PsiDegenerate at critical points.
     """
-    u1 = geodesic_acceleration(obj, cache, v, fd).coef_grad
+    u1 = geodesic_acceleration(obj, cache, v).coef_grad
     if not normalized:
         return u1
     if cache.psi_sq == 0.0:
@@ -191,11 +187,7 @@ def transport_by_projection(
 
 
 def third_directional_derivative(
-    obj: Objective,
-    theta: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-    fd: FdConfig,
+    obj: Objective, theta: np.ndarray, v: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
     """The vector D^3 f(theta)[v, w, .], i.e. the directional derivative of
     the Hessian-vector product H(theta) w along v.
@@ -206,9 +198,9 @@ def third_directional_derivative(
     """
     if not np.any(v):
         return np.zeros_like(np.asarray(theta, dtype=float))
-    r = fd.scaled(theta, v)
-    hi = hvp_or_fallback(obj, theta + r * v, w, fd)
-    lo = hvp_or_fallback(obj, theta - r * v, w, fd)
+    r = fd_step(theta, v)
+    hi = hvp_or_fallback(obj, theta + r * v, w)
+    lo = hvp_or_fallback(obj, theta - r * v, w)
     return _check_finite((hi - lo) / (2.0 * r), "third directional derivative")
 
 
@@ -268,18 +260,16 @@ class DenseGeometry:
         return out
 
 
-def build_dense_geometry(
-    obj: Objective, warp: WarpConfig, theta: np.ndarray, fd: FdConfig
-) -> DenseGeometry:
+def build_dense_geometry(obj: Objective, warp: WarpConfig, theta: np.ndarray) -> DenseGeometry:
     """Assemble the dense geometry via dim hvp columns and closed-form
     Christoffel symbols."""
     theta = np.asarray(theta, dtype=float)
     d = theta.size
     if d > DENSE_DIM_CAP:
         raise ValueError(f"dense oracle capped at dim {DENSE_DIM_CAP}, got {d}")
-    cache = build_cache(obj, warp, theta, fd)
+    cache = build_cache(obj, warp, theta)
     hessian = np.column_stack(
-        [hvp_or_fallback(obj, theta, e, fd) for e in np.eye(d)]
+        [hvp_or_fallback(obj, theta, e) for e in np.eye(d)]
     )
     metric = np.eye(d) + cache.psi_sq * np.outer(cache.grad, cache.grad)
     metric_inv = np.linalg.inv(metric)
@@ -352,7 +342,6 @@ def integrate_geodesic(
     v0: np.ndarray,
     t_end: float,
     n_steps: int,
-    fd: FdConfig | None = None,
     dense: bool = False,
 ) -> GeodesicPath:
     """Integrate the geodesic ODE with classic fixed-step RK4.
@@ -363,7 +352,6 @@ def integrate_geodesic(
     for cross-checks. Raises StepUnstable when the state leaves float range
     or the right-hand side stops being computable.
     """
-    fd = fd or FdConfig()
     theta = np.asarray(theta0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     if theta.size > DENSE_DIM_CAP:
@@ -374,14 +362,14 @@ def integrate_geodesic(
     if dense:
 
         def accel(th, vv):
-            geo = build_dense_geometry(obj, warp, th, fd)
+            geo = build_dense_geometry(obj, warp, th)
             return -np.einsum("mij,i,j->m", geo.christoffels, vv, vv)
 
     else:
 
         def accel(th, vv):
-            cache = build_cache(obj, warp, th, fd)
-            return geodesic_acceleration(obj, cache, vv, fd).v_dot
+            cache = build_cache(obj, warp, th)
+            return geodesic_acceleration(obj, cache, vv).v_dot
 
     def rhs(th, vv):
         try:
@@ -412,12 +400,9 @@ def integrate_geodesic(
     return GeodesicPath(ts=ts, thetas=thetas, vels=vels)
 
 
-def warped_speed(
-    obj: Objective, warp: WarpConfig, theta: np.ndarray, v: np.ndarray, fd: FdConfig | None = None
-) -> float:
+def warped_speed(obj: Objective, warp: WarpConfig, theta: np.ndarray, v: np.ndarray) -> float:
     """Warped-metric norm of velocity v at theta, for conservation checks."""
-    fd = fd or FdConfig()
-    cache = build_cache(obj, warp, theta, fd)
+    cache = build_cache(obj, warp, theta)
     val = float(v @ v) + cache.psi_sq * float(cache.grad @ v) ** 2
     return float(np.sqrt(val))
 

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from warpcg import (
-    FdConfig,
     QuadraticProblem,
     RcgConfig,
     RosenbrockProblem,
@@ -48,9 +47,9 @@ from oracle import (
     normal_vector,
     project_to_tangent,
 )
+from warpcg.objective import FD_STEP, fd_step
 from warpcg.retraction import directional_value_and_slope, retract, vector_transport
 
-FD = FdConfig()
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.1
 
@@ -125,7 +124,7 @@ def test_c01_metric_algebra(capsys):
                 for _ in range(1000):
                     theta = rng.standard_normal(dim)
                     v = rng.standard_normal(dim)
-                    cache = build_cache(problem, warp, theta, FD)
+                    cache = build_cache(problem, warp, theta)
 
                     gx = v + cache.psi_sq * float(cache.grad @ v) * cache.grad
                     back = inverse_metric_apply(cache, gx)
@@ -157,7 +156,7 @@ def test_c02_normal_vector(capsys):
                 problem = make(dim)
                 for _ in range(25):
                     theta = rng.standard_normal(dim)
-                    cache = build_cache(problem, warp, theta, FD)
+                    cache = build_cache(problem, warp, theta)
                     if cache.psi_sq == 0.0:
                         continue
                     n = normal_vector(cache)
@@ -188,15 +187,15 @@ def test_c03_retraction_order(capsys):
         ]
         floors = {3: 3.6, 2: 2.8, 1: 1.9}
         for problem, theta0, v0 in cases:
-            cache = build_cache(problem, warp, theta0, FD)
-            jet = taylor_coefficients(problem, cache, v0, FD)
+            cache = build_cache(problem, warp, theta0)
+            jet = taylor_coefficients(problem, cache, v0)
             truncated = {
                 1: GeodesicJet(jet.theta, jet.v),
                 2: GeodesicJet(jet.theta, jet.v, jet.q),
                 3: jet,
             }
             refs = [
-                integrate_geodesic(problem, warp, theta0, v0, t, 200, FD).endpoint
+                integrate_geodesic(problem, warp, theta0, v0, t, 200).endpoint
                 for t in ts
             ]
             for order, floor in floors.items():
@@ -220,11 +219,11 @@ def test_c04_matrix_free_equals_dense(capsys):
             problem = SquiggleProblem(dim) if trial % 2 == 0 else RosenbrockProblem(dim)
             theta = rng.standard_normal(dim)
             v = rng.standard_normal(dim)
-            geo = build_dense_geometry(problem, warp, theta, FD)
+            geo = build_dense_geometry(problem, warp, theta)
             cache = geo.cache
 
             # Acceleration vs dense Christoffel contraction.
-            acc = geodesic_acceleration(problem, cache, v, FD)
+            acc = geodesic_acceleration(problem, cache, v)
             dense_qdot = -np.einsum("mij,i,j->m", geo.christoffels, v, v)
             scale = max(1.0, np.linalg.norm(dense_qdot))
             assert np.linalg.norm(acc.v_dot - dense_qdot) <= 1e-8 * scale
@@ -271,9 +270,9 @@ def test_c04_matrix_free_equals_dense(capsys):
             # destination gradient stays within the range where the dense
             # oracle itself holds 1e-10 digits.
             unit_v = v / np.linalg.norm(v)
-            jet = taylor_coefficients(problem, cache, unit_v, FD)
+            jet = taylor_coefficients(problem, cache, unit_v)
             t_step = 0.2
-            dst = build_cache(problem, warp, retract(jet, t_step), FD)
+            dst = build_cache(problem, warp, retract(jet, t_step))
             res = vector_transport(cache, dst, unit_v, t_step)
             secant = np.append(
                 dst.theta - cache.theta, dst.value - cache.value
@@ -306,10 +305,10 @@ def test_c05_euclidean_limit(capsys):
             assert diff <= 1e-8 * max(1.0, np.linalg.norm(theta_f))
 
         warp = WarpConfig(1e12)
-        src = build_cache(quad, warp, start, FD)
+        src = build_cache(quad, warp, start)
         v = riemannian_gradient(src)
         t_step = 0.7
-        dst = build_cache(quad, warp, start + t_step * v, FD)
+        dst = build_cache(quad, warp, start + t_step * v)
         moved = vector_transport(src, dst, v, t_step)
         assert np.linalg.norm(moved.coords - v) <= 1e-8 * max(1.0, np.linalg.norm(v))
 
@@ -395,14 +394,14 @@ def test_c10_derivative_hygiene(capsys):
             for _ in range(50):
                 theta = rng.standard_normal(problem.dim)
                 analytic = problem.grad(theta)
-                step = FD.step * max(1.0, float(np.linalg.norm(theta)))
+                step = FD_STEP * max(1.0, float(np.linalg.norm(theta)))
                 fd_grad = central_diff_grad(problem, theta, step)
                 g_scale = max(1.0, float(np.linalg.norm(analytic)))
                 assert np.linalg.norm(analytic - fd_grad) <= 1e-5 * g_scale
 
                 v = rng.standard_normal(problem.dim)
                 hv = problem.hvp(theta, v)
-                r = FD.scaled(theta, v)
+                r = fd_step(theta, v)
                 fd_hv = (problem.grad(theta + r * v) - problem.grad(theta - r * v)) / (
                     2.0 * r
                 )

@@ -4,7 +4,7 @@ curvature scalars, and the geodesic jet."""
 import numpy as np
 import pytest
 
-from warpcg import FdConfig, QuadraticProblem, SquiggleProblem, WarpConfig
+from warpcg import QuadraticProblem, SquiggleProblem, WarpConfig
 from warpcg.geometry import (
     build_cache,
     metric_inner,
@@ -25,11 +25,9 @@ from oracle import (
 )
 from warpcg.retraction import retract
 
-FD = FdConfig()
-
 
 def bowl_cache():
-    return build_cache(Bowl(), WarpConfig(1.0), np.array([1.0, 0.0]), FD)
+    return build_cache(Bowl(), WarpConfig(1.0), np.array([1.0, 0.0]))
 
 
 def dense_metric_of(cache):
@@ -61,14 +59,14 @@ class TestCacheValues:
         assert c.grad_norm_riem == pytest.approx(np.sqrt(1.0 / 1.5), rel=1e-15)
 
     def test_critical_point_limits(self):
-        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2), FD)
+        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
         assert c.psi_sq == 0.0
         assert c.w_sq == 1.0
         np.testing.assert_array_equal(riemannian_gradient(c), np.zeros(2))
         assert c.grad_norm_riem == 0.0
 
     def test_flat_limit_large_sigma(self):
-        c = build_cache(Bowl(), WarpConfig(1e12), np.array([1.0, 0.0]), FD)
+        c = build_cache(Bowl(), WarpConfig(1e12), np.array([1.0, 0.0]))
         assert c.psi_sq == pytest.approx(1e-12, rel=1e-6)
         x, y = np.array([0.3, -0.7]), np.array([1.5, 0.2])
         assert metric_inner(c, x, y) == pytest.approx(float(x @ y), rel=1e-11)
@@ -76,14 +74,14 @@ class TestCacheValues:
     def test_value_grad_reuse(self):
         counted = CountingObjective(Bowl())
         theta = np.array([1.0, 0.0])
-        build_cache(counted, WarpConfig(1.0), theta, FD, value_grad=(-0.5, np.array([-1.0, 0.0])))
+        build_cache(counted, WarpConfig(1.0), theta, value_grad=(-0.5, np.array([-1.0, 0.0])))
         assert counted.counts.n_value == 0
         assert counted.counts.n_grad == 0
         assert counted.counts.n_hvp == 1
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            build_cache(Bowl(), WarpConfig(1.0), np.zeros(3), FD)
+            build_cache(Bowl(), WarpConfig(1.0), np.zeros(3))
 
 
 class TestMetricIdentities:
@@ -95,7 +93,7 @@ class TestMetricIdentities:
 
     def test_inner_matches_dense(self):
         for _ in range(50):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7), FD)
+            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
             G = dense_metric_of(c)
             x, y = self.rng.standard_normal(7), self.rng.standard_normal(7)
             np.testing.assert_allclose(
@@ -104,7 +102,7 @@ class TestMetricIdentities:
 
     def test_inverse_roundtrip_both_ways(self):
         for _ in range(50):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7), FD)
+            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
             G = dense_metric_of(c)
             x = self.rng.standard_normal(7)
             gx = G @ x
@@ -117,7 +115,7 @@ class TestMetricIdentities:
 
     def test_positive_definite(self):
         for _ in range(20):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7), FD)
+            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
             x = self.rng.standard_normal(7)
             assert metric_inner(c, x, x) > 0
             assert metric_norm(c, x) == pytest.approx(np.sqrt(metric_inner(c, x, x)))
@@ -126,7 +124,7 @@ class TestMetricIdentities:
         # Warped pairing of the Riemannian gradient with any tangent vector
         # collapses to the plain Euclidean pairing with the raw gradient.
         for _ in range(50):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7), FD)
+            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
             v = self.rng.standard_normal(7)
             lhs = metric_inner(c, riemannian_gradient(c), v)
             rhs = float(c.grad @ v)
@@ -135,7 +133,7 @@ class TestMetricIdentities:
 
     def test_gradient_norm_identity(self):
         for _ in range(50):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7), FD)
+            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
             g = riemannian_gradient(c)
             np.testing.assert_allclose(
                 metric_inner(c, g, g), c.grad_sq / c.w_sq, rtol=1e-12
@@ -144,7 +142,7 @@ class TestMetricIdentities:
 
 class TestNormalVector:
     def test_one_dimensional_closed_form(self):
-        c = build_cache(Bowl(dim=1), WarpConfig(1.0), np.array([1.0]), FD)
+        c = build_cache(Bowl(dim=1), WarpConfig(1.0), np.array([1.0]))
         n = normal_vector(c)
         np.testing.assert_allclose(n, [1.0 / np.sqrt(3.0), 2.0 / np.sqrt(3.0)], rtol=1e-14)
 
@@ -152,7 +150,7 @@ class TestNormalVector:
         rng = np.random.default_rng(3)
         sq = SquiggleProblem(5)
         for _ in range(25):
-            c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(5), FD)
+            c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(5))
             n = normal_vector(c)
             norm_sq = float(n[:-1] @ n[:-1]) + c.psi_sq * n[-1] ** 2
             assert norm_sq == pytest.approx(1.0, abs=1e-12)
@@ -164,7 +162,7 @@ class TestNormalVector:
                 assert abs(inner) <= 1e-12 * max(1.0, abs(c.grad[i]))
 
     def test_degenerate_at_critical_point(self):
-        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2), FD)
+        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
         with pytest.raises(PsiDegenerate):
             normal_vector(c)
 
@@ -177,21 +175,21 @@ class TestProjection:
     def test_tangent_vectors_are_fixed(self):
         # Embedding a chart vector and projecting back is the identity.
         for _ in range(30):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(4), FD)
+            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(4))
             v = self.rng.standard_normal(4)
             got = project_to_tangent(c, embed_tangent(c, v))
             np.testing.assert_allclose(got, v, rtol=1e-11, atol=1e-11 * np.linalg.norm(c.grad @ v * c.grad + v))
 
     def test_normal_projects_to_zero(self):
         for _ in range(10):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(4), FD)
+            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(4))
             n = normal_vector(c)
             got = project_to_tangent(c, n)
             np.testing.assert_allclose(got, np.zeros(4), atol=1e-12 * max(1.0, np.max(np.abs(n))))
 
     def test_matches_dense_least_squares(self):
         for _ in range(30):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(4), FD)
+            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(4))
             z = self.rng.standard_normal(5)
             embed = np.vstack([np.eye(4), c.grad[None, :]])
             weights = np.diag(np.append(np.ones(4), c.psi_sq))
@@ -208,8 +206,8 @@ class TestCurvatureScalar:
     def test_quadratic_in_direction(self):
         c = bowl_cache()
         v = np.array([0.4, -0.9])
-        one = second_fundamental_form(Bowl(), c, v, FD)
-        two = second_fundamental_form(Bowl(), c, 2.0 * v, FD)
+        one = second_fundamental_form(Bowl(), c, v)
+        two = second_fundamental_form(Bowl(), c, 2.0 * v)
         assert two == pytest.approx(4.0 * one, rel=1e-12)
 
     def test_normalized_matches_dense_form(self):
@@ -219,7 +217,7 @@ class TestCurvatureScalar:
         sq = SquiggleProblem(3)
         for _ in range(20):
             theta = rng.standard_normal(3)
-            c = build_cache(sq, WarpConfig(1.0), theta, FD)
+            c = build_cache(sq, WarpConfig(1.0), theta)
             if c.psi_sq == 0.0:
                 continue
             v = rng.standard_normal(3)
@@ -232,29 +230,29 @@ class TestCurvatureScalar:
                 + (psi / w) * hess
                 + (psi / (2.0 * w)) * float(c.grad_psi_sq @ c.grad) * np.outer(c.grad, c.grad)
             )
-            got = second_fundamental_form(sq, c, v, FD, normalized=True)
+            got = second_fundamental_form(sq, c, v, normalized=True)
             want = float(v @ ((m + m.T) / 2.0) @ v)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_normalized_scale_relation(self):
         c = bowl_cache()
         v = np.array([1.3, 0.2])
-        scaled = second_fundamental_form(Bowl(), c, v, FD)
-        normalized = second_fundamental_form(Bowl(), c, v, FD, normalized=True)
+        scaled = second_fundamental_form(Bowl(), c, v)
+        normalized = second_fundamental_form(Bowl(), c, v, normalized=True)
         assert normalized == pytest.approx(np.sqrt(c.w_sq / c.psi_sq) * scaled, rel=1e-14)
 
     def test_degenerate_normalization(self):
-        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2), FD)
+        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
         with pytest.raises(PsiDegenerate):
-            second_fundamental_form(Bowl(), c, np.array([1.0, 0.0]), FD, normalized=True)
+            second_fundamental_form(Bowl(), c, np.array([1.0, 0.0]), normalized=True)
         # The scaled variant stays finite (zero) there.
-        assert second_fundamental_form(Bowl(), c, np.array([1.0, 0.0]), FD) == 0.0
+        assert second_fundamental_form(Bowl(), c, np.array([1.0, 0.0])) == 0.0
 
 
 class TestGeodesicAcceleration:
     def test_worked_example(self):
         c = bowl_cache()
-        acc = geodesic_acceleration(Bowl(), c, np.array([1.0, 0.0]), FD)
+        acc = geodesic_acceleration(Bowl(), c, np.array([1.0, 0.0]))
         assert acc.coef_grad == pytest.approx(-0.75, rel=1e-14)
         assert acc.coef_warp == pytest.approx(0.5, rel=1e-14)
         np.testing.assert_allclose(acc.v_dot, [-0.5, 0.0], rtol=1e-14)
@@ -263,24 +261,24 @@ class TestGeodesicAcceleration:
         rng = np.random.default_rng(7)
         sq = SquiggleProblem(4)
         for _ in range(10):
-            c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(4), FD)
+            c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(4))
             v = rng.standard_normal(4)
-            acc = geodesic_acceleration(sq, c, v, FD)
+            acc = geodesic_acceleration(sq, c, v)
             want = -acc.coef_grad * c.grad + acc.coef_warp * c.grad_psi_sq
             np.testing.assert_array_equal(acc.v_dot, want)
 
     def test_curvature_scalar_is_acceleration_coefficient(self):
         c = bowl_cache()
         v = np.array([0.7, -0.4])
-        acc = geodesic_acceleration(Bowl(), c, v, FD)
-        s = second_fundamental_form(Bowl(), c, v, FD)
+        acc = geodesic_acceleration(Bowl(), c, v)
+        s = second_fundamental_form(Bowl(), c, v)
         assert s == acc.coef_grad
 
 
 class TestTaylorCoefficients:
     def test_worked_example(self):
         c = bowl_cache()
-        jet = taylor_coefficients(Bowl(), c, np.array([0.0, 1.0]), FD)
+        jet = taylor_coefficients(Bowl(), c, np.array([0.0, 1.0]))
         np.testing.assert_allclose(jet.q, [-1.0 / 3.0, 0.0], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(jet.k, [0.0, -1.0 / 3.0], rtol=1e-6, atol=1e-9)
 
@@ -288,23 +286,23 @@ class TestTaylorCoefficients:
         rng = np.random.default_rng(12)
         sq = SquiggleProblem(5)
         for _ in range(10):
-            c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(5), FD)
+            c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(5))
             v = rng.standard_normal(5)
-            jet = taylor_coefficients(sq, c, v, FD)
-            acc = geodesic_acceleration(sq, c, v, FD)
+            jet = taylor_coefficients(sq, c, v)
+            acc = geodesic_acceleration(sq, c, v)
             np.testing.assert_array_equal(jet.q, acc.v_dot)
 
     def test_critical_point_gives_straight_line(self):
-        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2), FD)
-        jet = taylor_coefficients(Bowl(), c, np.array([0.3, 0.8]), FD)
+        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
+        jet = taylor_coefficients(Bowl(), c, np.array([0.3, 0.8]))
         np.testing.assert_array_equal(jet.q, np.zeros(2))
         np.testing.assert_array_equal(jet.k, np.zeros(2))
 
     def test_zero_direction_short_circuits(self):
         counted = CountingObjective(Bowl())
-        c = build_cache(counted, WarpConfig(1.0), np.array([1.0, 0.0]), FD)
+        c = build_cache(counted, WarpConfig(1.0), np.array([1.0, 0.0]))
         before = counted.counts.snapshot()
-        jet = taylor_coefficients(counted, c, np.zeros(2), FD)
+        jet = taylor_coefficients(counted, c, np.zeros(2))
         assert jet.q is None and jet.k is None
         assert counted.counts.n_hvp == before.n_hvp
         assert counted.counts.n_grad == before.n_grad
@@ -312,9 +310,9 @@ class TestTaylorCoefficients:
 
     def test_budget_is_five_hvps_two_grads(self):
         counted = CountingObjective(SquiggleProblem(4))
-        c = build_cache(counted, WarpConfig(1.0), np.array([1.0, -2.0, 0.5, 0.3]), FD)
+        c = build_cache(counted, WarpConfig(1.0), np.array([1.0, -2.0, 0.5, 0.3]))
         before = counted.counts.snapshot()
-        taylor_coefficients(counted, c, np.array([0.2, 1.0, -0.4, 0.1]), FD)
+        taylor_coefficients(counted, c, np.array([0.2, 1.0, -0.4, 0.1]))
         assert counted.counts.n_hvp - before.n_hvp == 5
         assert counted.counts.n_grad - before.n_grad == 2
         assert counted.counts.n_value - before.n_value == 0
@@ -324,7 +322,7 @@ class TestTaylorCoefficients:
         # symmetric around the center; the jet must stay in the plane
         # spanned by the start point and the direction.
         quad = QuadraticProblem(3, curvatures=np.ones(3))
-        c = build_cache(quad, WarpConfig(1.0), np.array([1.0, 0.0, 0.0]), FD)
-        jet = taylor_coefficients(quad, c, np.array([0.0, 1.0, 0.0]), FD)
+        c = build_cache(quad, WarpConfig(1.0), np.array([1.0, 0.0, 0.0]))
+        jet = taylor_coefficients(quad, c, np.array([0.0, 1.0, 0.0]))
         assert jet.q[2] == pytest.approx(0.0, abs=1e-12)
         assert jet.k[2] == pytest.approx(0.0, abs=1e-9)

@@ -4,13 +4,11 @@ failure modes, exercised through scalar test paths."""
 import numpy as np
 import pytest
 
-from warpcg import FdConfig, SquiggleProblem, WarpConfig
+from warpcg import SquiggleProblem, WarpConfig
 from warpcg.errors import LineSearchFail, NonAscent
 from warpcg.geometry import build_cache, taylor_coefficients
 from warpcg.linesearch import WolfeResult, strong_wolfe
 from warpcg.retraction import directional_value_and_slope
-
-FD = FdConfig()
 
 
 def scalar_phi(f, fprime):
@@ -130,11 +128,11 @@ class TestOnCurvedPath:
         # geometry, exactly as the optimizer does.
         sq = SquiggleProblem(6)
         theta = np.array([-10.0, 10.0, -10.0, 10.0, -10.0, 10.0])
-        cache = build_cache(sq, WarpConfig(1.0), theta, FD)
+        cache = build_cache(sq, WarpConfig(1.0), theta)
         from warpcg.geometry import riemannian_gradient
 
         v = riemannian_gradient(cache)
-        jet = taylor_coefficients(sq, cache, v, FD)
+        jet = taylor_coefficients(sq, cache, v)
         slope0 = float(cache.grad @ v)
         assert slope0 > 0.0
 

@@ -1,4 +1,4 @@
-"""Objective contract, finite-difference policy, and derivative utilities."""
+"""Objective contract, finite-difference step, and derivative utilities."""
 
 import dataclasses
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from warpcg import (
-    FdConfig,
     NegatedObjective,
     Objective,
     QuadraticProblem,
@@ -23,7 +22,7 @@ from warpcg import (
 from warpcg.baseline import _FlatGeometry
 from warpcg.errors import NumericalBreakdown
 from warpcg.geometry import build_cache
-from warpcg.objective import CountingObjective, DEFAULT_FD_STEP, _check_finite, hvp_or_fallback
+from warpcg.objective import FD_STEP, CountingObjective, _check_finite, fd_step, hvp_or_fallback
 from oracle import central_diff_grad, normal_vector, third_directional_derivative
 from warpcg.retraction import vector_transport
 
@@ -54,6 +53,14 @@ class GradOnlyView(Objective):
 
     def grad(self, theta):
         return self.inner.grad(theta)
+
+
+class ListGradView(GradOnlyView):
+    """A grad-only view whose gradient is a plain list, as the contract's
+    array-like return allows."""
+
+    def grad(self, theta):
+        return self.inner.grad(theta).tolist()
 
 
 class Forwarding(GradOnlyView):
@@ -115,44 +122,29 @@ class Cubic1D(Objective):
 
 
 class TestFdConfig:
+    """The one finite-difference setting: the constant FD_STEP, scaled to
+    the point and the direction by fd_step."""
+
     def test_default_step_is_cbrt_eps(self):
-        assert FdConfig().step == DEFAULT_FD_STEP
-        assert np.isclose(DEFAULT_FD_STEP, np.cbrt(np.finfo(np.float64).eps))
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            FdConfig(step=0.0)
-        with pytest.raises(ValueError):
-            FdConfig(step=-1e-6)
-        with pytest.raises(ValueError):
-            FdConfig(step=np.inf)
-        with pytest.raises(ValueError):
-            FdConfig(step=np.nan)
-
-    def test_warns_below_float_resolution(self):
-        with pytest.warns(UserWarning, match="below float64 resolution"):
-            FdConfig(step=1e-20)
+        assert FD_STEP == float(np.cbrt(np.finfo(np.float64).eps))
 
     def test_scaled_step(self):
-        fd = FdConfig(step=1e-4)
         theta = np.array([3.0, 4.0])  # norm 5
         v = np.array([0.0, 10.0])
-        assert fd.scaled(theta, v) == pytest.approx(1e-4 * 5.0 / 10.0)
+        assert fd_step(theta, v) == pytest.approx(FD_STEP * 5.0 / 10.0)
         # Both norms below 1 clamp to 1.
-        assert fd.scaled(np.zeros(2), np.array([0.1, 0.0])) == pytest.approx(1e-4)
+        assert fd_step(np.zeros(2), np.array([0.1, 0.0])) == FD_STEP
 
     @pytest.mark.parametrize("dim", [1, 3, 100, 10_000])
     def test_scaled_step_equals_linalg_norm_formula(self, dim):
         # The reference is the formula with np.linalg.norm; the step must
         # match it bit for bit, so traces do not depend on how it is computed.
         rng = np.random.default_rng(dim)
-        for step in (DEFAULT_FD_STEP, 1e-4, 0.3):
-            fd = FdConfig(step=step)
-            for _ in range(20):
-                theta = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
-                v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
-                want = step * max(1.0, np.linalg.norm(theta)) / max(1.0, np.linalg.norm(v))
-                assert fd.scaled(theta, v) == want
+        for _ in range(60):
+            theta = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+            v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+            want = FD_STEP * max(1.0, np.linalg.norm(theta)) / max(1.0, np.linalg.norm(v))
+            assert fd_step(theta, v) == want
 
 
 class TestObjectiveContract:
@@ -163,21 +155,20 @@ class TestObjectiveContract:
     def test_fallback_matches_analytic(self):
         rng = np.random.default_rng(11)
         rb = RosenbrockProblem(5)
-        fd = FdConfig()
         for _ in range(10):
             theta = rng.standard_normal(5)
             v = rng.standard_normal(5)
-            got = hvp_or_fallback(GradOnlyView(rb), theta, v, fd)
+            got = hvp_or_fallback(GradOnlyView(rb), theta, v)
             want = rb.hvp(theta, v)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
     def test_fallback_zero_direction(self):
-        out = hvp_or_fallback(GradOnly(), np.ones(3), np.zeros(3), FdConfig())
+        out = hvp_or_fallback(GradOnly(), np.ones(3), np.zeros(3))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_nan_hvp_raises_with_component(self):
         with pytest.raises(NumericalBreakdown) as info:
-            hvp_or_fallback(PoisonHvp(), np.zeros(3), np.ones(3), FdConfig())
+            hvp_or_fallback(PoisonHvp(), np.zeros(3), np.ones(3))
         assert info.value.component == 1
 
     def test_wrapper_forwarding_hvp_falls_back(self):
@@ -186,12 +177,11 @@ class TestObjectiveContract:
         inner = GradOnlyView(RosenbrockProblem(4))
         wrapped = Forwarding(inner)
         rng = np.random.default_rng(3)
-        fd = FdConfig()
         for _ in range(5):
             theta = rng.standard_normal(4)
             v = rng.standard_normal(4)
-            got = hvp_or_fallback(wrapped, theta, v, fd)
-            np.testing.assert_array_equal(got, hvp_or_fallback(inner, theta, v, fd))
+            got = hvp_or_fallback(wrapped, theta, v)
+            np.testing.assert_array_equal(got, hvp_or_fallback(inner, theta, v))
         res = run_rcg(wrapped, initial_point("rosenbrock", 4), cfg=RcgConfig(max_iters=50))
         assert res.stop_reason is not None
         assert res.n_hvp == 0
@@ -202,23 +192,30 @@ class TestObjectiveContract:
 def test_fallback_route_counts_exactly(name, dim):
     # Every hvp goes through the fallback: the cache's H g and the jet's five
     # hvps are two gradients each, plus the jet's two probe gradients, so an
-    # iteration spends 6 * 2 + 2 = 14 gradients beyond its line search.
-    res = run_rcg(
-        GradOnlyView(make_problem(name, dim)),
-        initial_point(name, dim),
-        cfg=RcgConfig(tol_df=0.0, max_iters=300),
-    )
-    assert res.stop_reason is StopReason.SMALL_GRAD
-    assert res.n_hvp == 0
-    for row in res.trace:
-        assert row.n_hvp == 0
-        assert row.n_value == row.ls_evals
-        assert row.n_grad == row.ls_evals + 14
-        assert row.cache_builds == 1
+    # iteration spends 6 * 2 + 2 = 14 gradients beyond its line search. A
+    # gradient returned as a list runs the same route to the same bits.
+    runs = [
+        run_rcg(
+            view(make_problem(name, dim)),
+            initial_point(name, dim),
+            cfg=RcgConfig(tol_df=0.0, max_iters=300),
+        )
+        for view in (GradOnlyView, ListGradView)
+    ]
+    for res in runs:
+        assert res.stop_reason is StopReason.SMALL_GRAD
+        assert res.n_hvp == 0
+        for row in res.trace:
+            assert row.n_hvp == 0
+            assert row.n_value == row.ls_evals
+            assert row.n_grad == row.ls_evals + 14
+            assert row.cache_builds == 1
+    assert runs[1].theta.tobytes() == runs[0].theta.tobytes()
+    assert runs[1].n_grad == runs[0].n_grad
 
 
 def _nan_cache_gradient(dim, bad):
-    build_cache(NanGrad(dim, bad), WarpConfig(), np.zeros(dim), FdConfig())
+    build_cache(NanGrad(dim, bad), WarpConfig(), np.zeros(dim))
 
 
 def _nan_flat_gradient(dim, bad):
@@ -229,8 +226,7 @@ def _overflowing_transport(dim, bad):
     # With zero gradients the transport is the plain secant -(src - dst) / t,
     # so a 1e300 displacement over t = 1e-300 overflows exactly entries bad:.
     def flat_cache(theta):
-        return build_cache(GradOnly(dim), WarpConfig(), theta, FdConfig(),
-                           value_grad=(0.0, np.zeros(dim)))
+        return build_cache(GradOnly(dim), WarpConfig(), theta, value_grad=(0.0, np.zeros(dim)))
 
     src = np.zeros(dim)
     src[bad:] = 1e300
@@ -240,8 +236,7 @@ def _overflowing_transport(dim, bad):
 
 def _inf_normal_vector(dim, bad):
     # A finite cache whose gradient then gains inf entries from index bad on.
-    cache = build_cache(GradOnly(dim), WarpConfig(), np.zeros(dim), FdConfig(),
-                        value_grad=(0.0, np.ones(dim)))
+    cache = build_cache(GradOnly(dim), WarpConfig(), np.zeros(dim), value_grad=(0.0, np.ones(dim)))
     grad = cache.grad.copy()
     grad[bad:] = np.inf
     normal_vector(dataclasses.replace(cache, grad=grad))
@@ -308,7 +303,7 @@ class TestCheckFinite:
         grad = np.array([1e200, 1.0, -1e200])
         obj = QuadraticProblem(3)
         with np.errstate(over="ignore"):
-            cache = build_cache(obj, WarpConfig(), np.zeros(3), FdConfig(), value_grad=(0.0, grad))
+            cache = build_cache(obj, WarpConfig(), np.zeros(3), value_grad=(0.0, grad))
             point = _FlatGeometry(obj).point(np.zeros(3), value_grad=(0.0, grad))
         assert cache.grad_sq == point.grad_sq == np.inf
 
@@ -316,7 +311,7 @@ class TestCheckFinite:
 class TestThirdDerivative:
     def test_cubic_value_is_six(self):
         out = third_directional_derivative(
-            Cubic1D(), np.array([0.7]), np.array([1.0]), np.array([1.0]), FdConfig()
+            Cubic1D(), np.array([0.7]), np.array([1.0]), np.array([1.0])
         )
         np.testing.assert_allclose(out, [6.0], rtol=1e-7)
 
@@ -324,18 +319,17 @@ class TestThirdDerivative:
         # D^3 f [v, w, .] == D^3 f [w, v, .] for smooth objectives.
         rng = np.random.default_rng(5)
         sq = SquiggleProblem(4)
-        fd = FdConfig()
         for _ in range(5):
             theta = rng.standard_normal(4)
             v = rng.standard_normal(4)
             w = rng.standard_normal(4)
-            vw = third_directional_derivative(sq, theta, v, w, fd)
-            wv = third_directional_derivative(sq, theta, w, v, fd)
+            vw = third_directional_derivative(sq, theta, v, w)
+            wv = third_directional_derivative(sq, theta, w, v)
             np.testing.assert_allclose(vw, wv, rtol=1e-5, atol=1e-6)
 
     def test_zero_direction(self):
         out = third_directional_derivative(
-            Cubic1D(), np.array([1.0]), np.array([0.0]), np.array([1.0]), FdConfig()
+            Cubic1D(), np.array([1.0]), np.array([0.0]), np.array([1.0])
         )
         np.testing.assert_array_equal(out, [0.0])
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import warpcg.errors
-from warpcg import FdConfig, QuadraticProblem, SquiggleProblem, WarpConfig
+from warpcg import QuadraticProblem, SquiggleProblem, WarpConfig
 from oracle import (
     DENSE_DIM_CAP,
     Bowl,
@@ -25,13 +25,12 @@ from oracle import (
     warped_speed,
 )
 
-FD = FdConfig()
 WARP = WarpConfig(1.0)
 
 
 class TestDenseGeometry:
     def test_metric_and_inverse(self):
-        geo = build_dense_geometry(Bowl(), WARP, np.array([1.0, 0.0]), FD)
+        geo = build_dense_geometry(Bowl(), WARP, np.array([1.0, 0.0]))
         np.testing.assert_allclose(geo.metric, [[1.5, 0.0], [0.0, 1.0]], rtol=1e-15)
         np.testing.assert_allclose(geo.metric @ geo.metric_inv, np.eye(2), atol=1e-15)
 
@@ -42,25 +41,25 @@ class TestDenseGeometry:
         sq = SquiggleProblem(4)
         for _ in range(15):
             theta = rng.standard_normal(4)
-            geo = build_dense_geometry(sq, WARP, theta, FD)
+            geo = build_dense_geometry(sq, WARP, theta)
             v = rng.standard_normal(4)
             dense = -np.einsum("mij,i,j->m", geo.christoffels, v, v)
-            free = geodesic_acceleration(sq, geo.cache, v, FD).v_dot
+            free = geodesic_acceleration(sq, geo.cache, v).v_dot
             np.testing.assert_allclose(dense, free, rtol=1e-10, atol=1e-12)
 
     def test_christoffel_symmetry_in_lower_indices(self):
-        geo = build_dense_geometry(SquiggleProblem(3), WARP, np.array([0.4, -0.2, 0.9]), FD)
+        geo = build_dense_geometry(SquiggleProblem(3), WARP, np.array([0.4, -0.2, 0.9]))
         np.testing.assert_allclose(
             geo.christoffels, np.swapaxes(geo.christoffels, 1, 2), atol=1e-14
         )
 
     def test_vanishes_at_critical_point(self):
-        geo = build_dense_geometry(Bowl(), WARP, np.zeros(2), FD)
+        geo = build_dense_geometry(Bowl(), WARP, np.zeros(2))
         np.testing.assert_allclose(geo.christoffels, np.zeros((2, 2, 2)), atol=1e-15)
 
     def test_dim_cap_enforced(self):
         with pytest.raises(ValueError):
-            build_dense_geometry(Bowl(dim=DENSE_DIM_CAP + 1), WARP, np.zeros(DENSE_DIM_CAP + 1), FD)
+            build_dense_geometry(Bowl(dim=DENSE_DIM_CAP + 1), WARP, np.zeros(DENSE_DIM_CAP + 1))
         with pytest.raises(ValueError):
             christoffel_fd(Bowl(dim=DENSE_DIM_CAP + 1), WARP, np.zeros(DENSE_DIM_CAP + 1))
 
@@ -71,7 +70,7 @@ class TestChristoffelCrossCheck:
 
     def test_bowl(self):
         theta = np.array([1.0, 0.0])
-        closed = build_dense_geometry(Bowl(), WARP, theta, FD).christoffels
+        closed = build_dense_geometry(Bowl(), WARP, theta).christoffels
         fd = christoffel_fd(Bowl(), WARP, theta, h=1e-6)
         np.testing.assert_allclose(fd, closed, rtol=1e-7, atol=1e-9)
 
@@ -80,7 +79,7 @@ class TestChristoffelCrossCheck:
         sq = SquiggleProblem(3)
         for _ in range(8):
             theta = rng.standard_normal(3)
-            closed = build_dense_geometry(sq, WARP, theta, FD).christoffels
+            closed = build_dense_geometry(sq, WARP, theta).christoffels
             fd = christoffel_fd(sq, WARP, theta, h=1e-6)
             scale = max(1.0, np.max(np.abs(closed)))
             assert np.max(np.abs(fd - closed)) <= 1e-6 * scale
@@ -88,7 +87,7 @@ class TestChristoffelCrossCheck:
 
 class TestAmbientChristoffels:
     def test_chart_index_structure(self):
-        geo = build_dense_geometry(Bowl(), WARP, np.array([1.0, 0.0]), FD)
+        geo = build_dense_geometry(Bowl(), WARP, np.array([1.0, 0.0]))
         m0 = geo.ambient_christoffel(0)
         # Only the (function, function) corner is populated: -p_m / 2.
         want = np.zeros((3, 3))
@@ -97,18 +96,18 @@ class TestAmbientChristoffels:
         assert np.count_nonzero(geo.ambient_christoffel(1)) == 0
 
     def test_function_axis_symmetry(self):
-        geo = build_dense_geometry(SquiggleProblem(3), WARP, np.array([0.5, -0.3, 0.8]), FD)
+        geo = build_dense_geometry(SquiggleProblem(3), WARP, np.array([0.5, -0.3, 0.8]))
         top = geo.ambient_christoffel(3)
         np.testing.assert_allclose(top, top.T, atol=0)
         assert np.count_nonzero(np.diag(top)) == 0
 
     def test_function_axis_needs_warp(self):
-        geo = build_dense_geometry(Bowl(), WARP, np.zeros(2), FD)
+        geo = build_dense_geometry(Bowl(), WARP, np.zeros(2))
         with pytest.raises(PsiDegenerate):
             geo.ambient_christoffel(2)
 
     def test_bad_index_rejected(self):
-        geo = build_dense_geometry(Bowl(), WARP, np.array([1.0, 0.0]), FD)
+        geo = build_dense_geometry(Bowl(), WARP, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             geo.ambient_christoffel(7)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from warpcg import (
-    FdConfig,
     NegatedObjective,
     QuadraticProblem,
     RosenbrockProblem,
@@ -15,20 +14,18 @@ from warpcg import (
     initial_point,
     make_problem,
 )
-from warpcg.objective import CountingObjective, hvp_or_fallback
+from warpcg.objective import FD_STEP, CountingObjective, fd_step, hvp_or_fallback
 from oracle import central_diff_grad
 from warpcg.problems import PROBLEM_NAMES
-
-FD = FdConfig()
 
 
 def check_derivatives(problem, theta, rng, rtol=1e-6, atol=1e-8):
     """Analytic gradient and hvp against finite differences."""
-    fd_grad = central_diff_grad(problem, theta, FD.step)
+    fd_grad = central_diff_grad(problem, theta, FD_STEP)
     np.testing.assert_allclose(problem.grad(theta), fd_grad, rtol=rtol, atol=atol)
     v = rng.standard_normal(problem.dim)
     analytic = problem.hvp(theta, v)
-    h = FD.scaled(theta, v)
+    h = fd_step(theta, v)
     fd_hvp = (problem.grad(theta + h * v) - problem.grad(theta - h * v)) / (2.0 * h)
     np.testing.assert_allclose(analytic, fd_hvp, rtol=rtol, atol=atol)
 
@@ -341,4 +338,4 @@ class TestBasinClassifier:
             (NegatedObjective(q), -q.hvp(theta, v)),
             (CountingObjective(q), q.hvp(theta, v)),
         ]:
-            np.testing.assert_array_equal(hvp_or_fallback(obj, theta, v, FD), want)
+            np.testing.assert_array_equal(hvp_or_fallback(obj, theta, v), want)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from warpcg import (
-    FdConfig,
     Objective,
     QuadraticProblem,
     RcgConfig,
@@ -29,8 +28,6 @@ from warpcg.geometry import GeometryCache
 from warpcg.rcg import dy_beta
 from warpcg.retraction import TransportResult
 
-FD = FdConfig()
-
 
 def reconcile(result):
     """Total hvp calls must equal the trace rows' sum plus, on the warped
@@ -45,6 +42,8 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             RcgConfig(max_iters=-1)
+        with pytest.raises(ValueError):
+            RcgConfig(max_iters=float("nan"))
         with pytest.raises(ValueError):
             RcgConfig(wolfe_c1=0.5, wolfe_c2=0.1)
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ backward-secant vector transport."""
 import numpy as np
 import pytest
 
-from warpcg import FdConfig, SquiggleProblem, WarpConfig
+from warpcg import SquiggleProblem, WarpConfig
 from warpcg.errors import DegenerateStep
 from warpcg.geometry import (
     GeodesicJet,
@@ -20,8 +20,6 @@ from warpcg.retraction import (
     retract,
     vector_transport,
 )
-
-FD = FdConfig()
 
 
 def make_jet():
@@ -78,8 +76,8 @@ class TestDirectionalValueAndSlope:
     def test_slope_matches_fd_along_curve(self):
         sq = SquiggleProblem(4)
         theta = np.array([0.5, -1.0, 0.2, 0.8])
-        cache = build_cache(sq, WarpConfig(1.0), theta, FD)
-        jet = taylor_coefficients(sq, cache, np.array([1.0, 0.3, -0.2, 0.5]), FD)
+        cache = build_cache(sq, WarpConfig(1.0), theta)
+        jet = taylor_coefficients(sq, cache, np.array([1.0, 0.3, -0.2, 0.5]))
         h = 1e-6
         for t in (0.1, 0.5):
             val, slope, point, grad = directional_value_and_slope(sq, jet, t)
@@ -91,9 +89,9 @@ class TestDirectionalValueAndSlope:
     def test_initial_slope_is_plain_inner_product(self):
         sq = SquiggleProblem(3)
         theta = np.array([0.4, -0.3, 1.1])
-        cache = build_cache(sq, WarpConfig(1.0), theta, FD)
+        cache = build_cache(sq, WarpConfig(1.0), theta)
         v = np.array([0.5, 1.0, -0.2])
-        jet = taylor_coefficients(sq, cache, v, FD)
+        jet = taylor_coefficients(sq, cache, v)
         _, slope, _, _ = directional_value_and_slope(sq, jet, 0.0)
         assert slope == pytest.approx(float(cache.grad @ v), rel=1e-14)
 
@@ -106,10 +104,10 @@ class TestVectorTransport:
 
     def endpoints(self, t=0.6):
         theta = self.rng.standard_normal(5)
-        src = build_cache(self.sq, self.warp, theta, FD)
+        src = build_cache(self.sq, self.warp, theta)
         v = self.rng.standard_normal(5)
-        jet = taylor_coefficients(self.sq, src, v, FD)
-        dst = build_cache(self.sq, self.warp, retract(jet, t), FD)
+        jet = taylor_coefficients(self.sq, src, v)
+        dst = build_cache(self.sq, self.warp, retract(jet, t))
         return src, dst, v, t
 
     def test_flat_limit_recovers_parallel_translation(self):
@@ -117,10 +115,10 @@ class TestVectorTransport:
         # the step direction itself must return (almost) that direction.
         warp = WarpConfig(1e16)
         theta = np.array([0.3, -0.5, 0.2, 0.1, 0.9])
-        src = build_cache(self.sq, warp, theta, FD)
+        src = build_cache(self.sq, warp, theta)
         v = np.array([1.0, 0.2, -0.4, 0.6, 0.3])
         t = 0.5
-        dst = build_cache(self.sq, warp, theta + t * v, FD)
+        dst = build_cache(self.sq, warp, theta + t * v)
         res = vector_transport(src, dst, v, t)
         np.testing.assert_allclose(res.coords, v, rtol=1e-7, atol=1e-8)
         assert res.scale == pytest.approx(1.0, abs=1e-7)
@@ -129,11 +127,11 @@ class TestVectorTransport:
         # As t -> 0 along a geodesic jet the transported direction tends to
         # the original one.
         theta = np.array([0.5, 0.1, -0.4, 0.8, -0.2])
-        src = build_cache(self.sq, self.warp, theta, FD)
+        src = build_cache(self.sq, self.warp, theta)
         v = np.array([0.7, -0.3, 0.5, 0.1, 0.4])
-        jet = taylor_coefficients(self.sq, src, v, FD)
+        jet = taylor_coefficients(self.sq, src, v)
         t = 1e-6
-        dst = build_cache(self.sq, self.warp, retract(jet, t), FD)
+        dst = build_cache(self.sq, self.warp, retract(jet, t))
         res = vector_transport(src, dst, v, t)
         np.testing.assert_allclose(res.coords, v, rtol=1e-4, atol=1e-5)
 

@@ -1,4 +1,5 @@
-"""tools/working_set.py: the per-driver and per-span peaks it prints."""
+"""tools/working_set.py: the per-driver and per-span peaks and the minor
+faults per iteration it prints."""
 
 import subprocess
 import sys
@@ -14,16 +15,23 @@ def test_every_line_parses_and_no_span_peaks_above_its_run():
         capture_output=True, text=True, timeout=120, check=True,
     ).stdout
     peaks: dict[str, dict[str, float | None]] = {}
+    faults: dict[str, float] = {}
     for line in out.splitlines():
         if line.startswith("#"):
             continue
         driver, span, peak, calls = line.split()
+        if span == "faults":
+            assert int(calls) == 3, line
+            faults[driver] = float(peak)
+            continue
         assert span in SPANS
         assert int(calls) >= 0
         # A span the driver never calls prints "-".
         assert (peak == "-") == (int(calls) == 0), line
         peaks.setdefault(driver, {})[span] = None if peak == "-" else float(peak)
     assert set(peaks) == {"run_rcg", "run_euclidean_cg"}
+    assert set(faults) == set(peaks)
+    assert all(f >= 0 for f in faults.values()), faults
     for driver, by_span in peaks.items():
         assert set(by_span) == SPANS
         run = by_span.pop("run")

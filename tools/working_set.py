@@ -18,12 +18,21 @@ Span ``run`` is the whole run. The others are the peaks inside
 ``vector_transport``, counting what the caller holds as well. They are
 measured by wrapping each function at its ``warpcg.rcg`` binding, as the
 benchmark's spans do, and the bindings are restored afterwards. A span the
-driver never calls prints ``-`` and 0 calls. Lines starting with ``#`` are
-comments.
+driver never calls prints ``-`` and 0 calls. After its traced run each
+driver runs once more, untraced, on the same problem and start, and prints
+
+    <driver> faults <minor page faults per iteration> <iterations>
+
+from the process's ``ru_minflt`` delta over that run. The traced run warms
+the heap first. Unlike the traced peaks, this figure counts the pages glibc
+hands back to the system and faults in again. It falls as the heap warms
+up, so compare it only at equal iteration counts. Lines starting with ``#``
+are comments.
 """
 
 from __future__ import annotations
 
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -75,6 +84,13 @@ def measure(rcg_module, driver, problem, theta0, cfg) -> tuple[int, PeakMeter]:
     return peak, meter
 
 
+def minor_faults(driver, problem, theta0, cfg) -> tuple[int, int]:
+    """(minor page faults, iterations) of one untraced run of driver."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    iterations = driver(problem, theta0, cfg=cfg).iterations
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, iterations
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 4:
         print(__doc__, file=sys.stderr)
@@ -97,6 +113,8 @@ def main(argv: list[str]) -> int:
             calls = meter.calls[span]
             shown = f"{meter.peaks[span] / theta0.nbytes:.2f}" if calls else "-"
             print(f"{driver.__name__} {span} {shown} {calls}")
+        faults, iterations = minor_faults(driver, problem, theta0, cfg)
+        print(f"{driver.__name__} faults {faults / max(1, iterations):.1f} {iterations}")
     return 0
 
 

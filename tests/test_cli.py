@@ -165,11 +165,12 @@ class TestArgumentErrors:
         ["--problem", "quadratic", "--dim", "3", "--sigma-sq", "0"],
         ["--problem", "quadratic", "--dim", "3", "--sigma-sq", "-1"],
         ["--problem", "quadratic", "--dim", "3", "--wolfe-c1", "0.5"],
-        ["--problem", "quadratic", "--dim", "50", "--dims", "2"],
+        ["--problem", "quadratic", "--dim", "3", "--max-iters", "-1"],
         ["--problem", "quadratic", "--dim", "3", "--method", "rcg,euclid_cg"],
         ["--problem", "quadratic", "--dims", ""],
         ["--problem", "quadratic", "--dims", "2,3", "--sigma-sq", "inf"],
         ["--problem", "quadratic", "--dim", "3", "--tol-grad", "nan"],
+        ["--problem", "quadratic", "--dim", "50", "--dims", "2"],
     ])
     def test_exit_one_with_stderr(self, capsys, argv):
         code, out, err = run_main(capsys, argv)

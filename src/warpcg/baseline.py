@@ -46,8 +46,6 @@ class _FlatPoint:
 class _FlatGeometry:
     """Identity metric: straight rays, identity transport, no cache builds."""
 
-    builds = 0
-
     def __init__(self, obj: Objective):
         self.obj = obj
 

@@ -37,9 +37,5 @@ class DegenerateBeta(WarpcgError):
     """The conjugacy-coefficient denominator vanished."""
 
 
-class NonAscent(WarpcgError):
-    """A search direction has non-positive initial slope."""
-
-
 class LineSearchFail(WarpcgError):
     """The line search exhausted its budget without a Wolfe point."""

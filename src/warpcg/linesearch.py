@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LineSearchFail, NonAscent
+from .errors import LineSearchFail
 
 __all__ = ["WolfeResult", "strong_wolfe"]
 
@@ -76,18 +76,20 @@ def strong_wolfe(
     phi: PhiFn,
     f0: float,
     slope0: float,
-    c1: float = 1e-4,
-    c2: float = 0.1,
+    *,
+    c1: float,
+    c2: float,
     t_init: float = 1.0,
 ) -> WolfeResult:
-    """Find t > 0 satisfying the strong Wolfe conditions along phi.
+    """Find t > 0 satisfying the strong Wolfe conditions along phi. The
+    constants c1 and c2 have no defaults here: RcgConfig holds them.
 
-    Raises NonAscent when slope0 <= 0 (there is nothing to search),
-    LineSearchFail when the MAX_EVALS budget runs out or the zoom interval
-    collapses without an acceptable point.
+    Raises ValueError on a bad argument, slope0 <= 0 included (there is
+    nothing to search), and LineSearchFail when the MAX_EVALS budget runs
+    out or the zoom interval collapses without an acceptable point.
     """
     if not math.isfinite(slope0) or slope0 <= 0.0:
-        raise NonAscent(f"initial slope must be positive, got {slope0}")
+        raise ValueError(f"initial slope must be positive, got {slope0}")
     if not (t_init > 0.0):
         raise ValueError(f"t_init must be positive, got {t_init}")
     if not (0.0 < c1 < c2 < 1.0):

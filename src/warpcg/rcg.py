@@ -15,8 +15,8 @@ One iteration of the driver:
 
 The per-iteration budget is therefore six Hessian-vector products and one
 cache build, independent of dimension and of the line-search history; the
-trace records the actual counts so tests can assert this rather than trust
-the comment.
+trace records the actual evaluation counts so tests can assert this rather
+than trust the comment.
 
 The conjugacy coefficient follows the Dai-Yuan quotient: new squared
 Riemannian gradient norm over the slope gain along the (transported)
@@ -91,7 +91,6 @@ class RcgConfig:
     tol_grad: float = 1e-6
     wolfe_c1: float = 1e-4
     wolfe_c2: float = 0.1
-    record_jets: bool = False
 
     def __post_init__(self):
         # Each check is written as not (range) so that NaN, which no stop
@@ -112,9 +111,8 @@ class RcgConfig:
 class IterationTrace:
     """One accepted iteration, held as scalars so a trace costs O(1) memory
     per row. The n_* fields count objective calls made by this iteration,
-    including its line search. The accepted point is not kept: the result's
-    theta is the last one, and with record_jets=True the next jet's theta is
-    this row's."""
+    including its line search. Neither the accepted point nor the search
+    curve is kept: the result's theta is the last point."""
 
     k: int
     f: float
@@ -129,12 +127,13 @@ class IterationTrace:
     n_value: int
     n_grad: int
     n_hvp: int
-    cache_builds: int
 
 
 @dataclass(eq=False)
 class RcgResult:
-    """Final iterate plus the full per-iteration trace and call totals.
+    """Final iterate plus the full per-iteration trace and call totals. It
+    keeps no search curve and counts no cache builds: each row builds one
+    point, and each jet dies with its search.
 
     failed_attempts counts line searches that found no Wolfe point: one on
     a non-steepest direction triggers a steepest-ascent retry, one on
@@ -149,11 +148,9 @@ class RcgResult:
     grad_norm_riem: float
     grad_norm_eucl: float
     trace: list[IterationTrace] = field(default_factory=list)
-    jets: list[GeodesicJet] = field(default_factory=list)
     n_value: int = 0
     n_grad: int = 0
     n_hvp: int = 0
-    cache_builds: int = 0
     failed_attempts: int = 0
 
     @property
@@ -196,10 +193,8 @@ class _WarpedGeometry:
     def __init__(self, obj: Objective, warp: WarpConfig):
         self.obj = obj
         self.warp = warp
-        self.builds = 0
 
     def point(self, theta: np.ndarray, value_grad=None) -> GeometryCache:
-        self.builds += 1
         return build_cache(self.obj, self.warp, theta, value_grad=value_grad)
 
     def jet(self, point: GeometryCache, v: np.ndarray) -> GeodesicJet:
@@ -230,9 +225,9 @@ def run_rcg(
 
 def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgConfig) -> RcgResult:
     """The CG ascent loop of both drivers, over a geometry that provides
-    point(theta, value_grad=None), jet(point, v), transport(src, dst, v, t)
-    and a builds counter. A point has theta, value, grad, grad_sq, w_sq and
-    grad_norm_riem."""
+    point(theta, value_grad=None), jet(point, v) and transport(src, dst, v, t).
+    A point has theta, value, grad, grad_sq, w_sq and grad_norm_riem. Each
+    jet dies when its search returns, so a run holds O(dim) memory."""
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (counting.dim,):
         raise ValueError(f"theta must have shape ({counting.dim},), got {theta0.shape}")
@@ -240,7 +235,6 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
     cache = geometry.point(theta0)
     v = riemannian_gradient(cache)
     trace: list[IterationTrace] = []
-    jets: list[GeodesicJet] = []
     stop: StopReason | None = None
     prev_t: float | None = None
     prev_slope: float | None = None
@@ -260,7 +254,6 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
             break
         wall_start = time.perf_counter_ns()
         counts_before = counting.counts.snapshot()
-        builds_before = geometry.builds
 
         try:
             slope0 = float(cache.grad.dot(v))
@@ -303,10 +296,8 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 restarted = 1
                 continue
 
-            # The search was the jet's last use; a recorded jet is kept until
-            # its row is written.
-            if not cfg.record_jets:
-                del jet
+            # The search was the jet's last use.
+            del jet
             dst = geometry.point(ls.point, value_grad=(ls.value, ls.grad))
             try:
                 transported = geometry.transport(cache, dst, v, ls.t)
@@ -344,11 +335,8 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 n_value=counts_after.n_value - counts_before.n_value,
                 n_grad=counts_after.n_grad - counts_before.n_grad,
                 n_hvp=counts_after.n_hvp - counts_before.n_hvp,
-                cache_builds=geometry.builds - builds_before,
             )
         )
-        if cfg.record_jets:
-            jets.append(jet)
         restarted = 0
         steepest = beta_used == 0.0
 
@@ -374,10 +362,8 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         grad_norm_riem=cache.grad_norm_riem,
         grad_norm_eucl=math.sqrt(cache.grad_sq),
         trace=trace,
-        jets=jets,
         n_value=counts.n_value,
         n_grad=counts.n_grad,
         n_hvp=counts.n_hvp,
-        cache_builds=geometry.builds,
         failed_attempts=failed_attempts,
     )

@@ -48,6 +48,7 @@ from oracle import (
     project_to_tangent,
 )
 from warpcg.objective import FD_STEP, fd_step
+from recording import recorded
 from warpcg.retraction import directional_value_and_slope, retract, vector_transport
 
 WOLFE_C1 = 1e-4
@@ -69,44 +70,41 @@ def criterion(capsys, n, label):
 
 @pytest.fixture(scope="module")
 def squiggle_runs():
-    """Full optimizer runs on the bent-Gaussian benchmark, shared by the
-    convergence, certification, and budget checks."""
+    """Full optimizer runs on the bent-Gaussian benchmark, each with the
+    recording of its geometry calls, shared by the convergence,
+    certification, and budget checks."""
     runs = {}
     t0 = time.perf_counter()
     for dim in (2, 10, 50):
         problem = SquiggleProblem(dim)
-        res = run_rcg(
+        res, recording = recorded(
+            run_rcg,
             problem,
             initial_point("squiggle", dim),
             warp=WarpConfig(1.0),
-            cfg=RcgConfig(
-                max_iters=8000, tol_df=0.0, tol_grad=1e-6,
-                record_jets=True,
-            ),
+            cfg=RcgConfig(max_iters=8000, tol_df=0.0, tol_grad=1e-6),
         )
-        runs[dim] = (problem, res)
+        runs[dim] = (problem, res, recording)
     return runs, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def rosenbrock_runs():
     """Full optimizer runs on the bent-valley benchmark (strong warp
-    sigma = 300), shared by the convergence, certification, and budget
-    checks."""
+    sigma = 300), each with the recording of its geometry calls, shared by
+    the convergence, certification, and budget checks."""
     runs = {}
     t0 = time.perf_counter()
     for dim in (2, 10):
         problem = RosenbrockProblem(dim)
-        res = run_rcg(
+        res, recording = recorded(
+            run_rcg,
             problem,
             initial_point("rosenbrock", dim),
             warp=WarpConfig(sigma_sq=300.0 ** 2),
-            cfg=RcgConfig(
-                max_iters=8000, tol_df=0.0, tol_grad=1e-4,
-                record_jets=True,
-            ),
+            cfg=RcgConfig(max_iters=8000, tol_df=0.0, tol_grad=1e-4),
         )
-        runs[dim] = (problem, res)
+        runs[dim] = (problem, res, recording)
     return runs, time.perf_counter() - t0
 
 
@@ -290,17 +288,17 @@ def test_c05_euclidean_limit(capsys):
     with criterion(capsys, 5, "flat-space limit"):
         quad = QuadraticProblem(10)
         start = initial_point("quadratic", 10)
-        cfg = RcgConfig(max_iters=10, tol_df=0.0, tol_grad=1e-10, record_jets=True)
-        curved = run_rcg(quad, start, warp=WarpConfig(1e12), cfg=cfg)
-        flat = run_euclidean_cg(quad, start, cfg=cfg)
-        assert curved.iterations >= 3
-        assert flat.iterations >= 3
+        cfg = RcgConfig(max_iters=10, tol_df=0.0, tol_grad=1e-10)
+        curved = recorded(run_rcg, quad, start, warp=WarpConfig(1e12), cfg=cfg)
+        flat = recorded(run_euclidean_cg, quad, start, cfg=cfg)
+        assert curved[0].iterations >= 3
+        assert flat[0].iterations >= 3
 
-        def iterates(res):
+        def iterates(res, recording):
             # Each jet after the first starts at the previous accepted point.
-            return [jet.theta for jet in res.jets[1:]] + [res.theta]
+            return [jet.theta for jet in recording.accepted_jets()[1:]] + [res.theta]
 
-        for theta_c, theta_f in zip(iterates(curved), iterates(flat)):
+        for theta_c, theta_f in zip(iterates(*curved), iterates(*flat)):
             diff = np.linalg.norm(theta_c - theta_f)
             assert diff <= 1e-8 * max(1.0, np.linalg.norm(theta_f))
 
@@ -319,7 +317,7 @@ def test_c06_convergence_squiggle(capsys, squiggle_runs):
     maximum."""
     runs, elapsed = squiggle_runs
     with criterion(capsys, 6, "convergence on the bent Gaussian"):
-        for dim, (problem, res) in runs.items():
+        for dim, (problem, res, _) in runs.items():
             assert res.stop_reason in (StopReason.SMALL_DELTA_F, StopReason.SMALL_GRAD)
             assert res.iterations <= 8000
             variances = np.full(dim, 0.5)
@@ -336,12 +334,12 @@ def test_c07_convergence_rosenbrock(capsys, rosenbrock_runs):
     with warped gradient norm below 1e-4; the reached basin is reported,
     and the 2-d run attains the global maximum to 1e-3."""
     runs, elapsed = rosenbrock_runs
-    basins = {dim: classify_rosenbrock_basin(res.theta) for dim, (_, res) in runs.items()}
+    basins = {dim: classify_rosenbrock_basin(res.theta) for dim, (_, res, _) in runs.items()}
     label = "convergence on the bent valley (basins: " + ", ".join(
         f"D{dim}={basins[dim]}" for dim in sorted(basins)
     ) + ")"
     with criterion(capsys, 7, label):
-        for dim, (problem, res) in runs.items():
+        for dim, (problem, res, _) in runs.items():
             assert res.iterations <= 8000
             assert res.stop_reason in (StopReason.SMALL_DELTA_F, StopReason.SMALL_GRAD)
             assert res.grad_norm_riem < 1e-4
@@ -356,9 +354,10 @@ def test_c08_wolfe_certification(capsys, squiggle_runs, rosenbrock_runs):
     curves."""
     with criterion(capsys, 8, "line-search certification"):
         for runs, _ in (squiggle_runs, rosenbrock_runs):
-            for _, (problem, res) in runs.items():
-                assert len(res.jets) == res.iterations
-                for jet, row in zip(res.jets, res.trace):
+            for _, (problem, res, recording) in runs.items():
+                jets = recording.accepted_jets()
+                assert len(jets) == res.iterations
+                for jet, row in zip(jets, res.trace):
                     f0 = problem.value(jet.theta)
                     slope0 = float(
                         np.asarray(problem.grad(jet.theta), dtype=float) @ jet.v
@@ -374,11 +373,13 @@ def test_c09_budget(capsys, squiggle_runs, rosenbrock_runs):
     totals reconcile exactly with the per-row counts."""
     with criterion(capsys, 9, "per-iteration evaluation budget"):
         for runs, _ in (squiggle_runs, rosenbrock_runs):
-            for _, (_, res) in runs.items():
+            for _, (_, res, recording) in runs.items():
                 assert len(res.trace) > 0
-                for row in res.trace:
+                builds = recording.builds_per_step()
+                assert len(builds) == len(res.trace)
+                for row, n_builds in zip(res.trace, builds):
                     assert row.n_hvp <= 6, (row.k, row.n_hvp)
-                    assert row.cache_builds == 1, (row.k, row.cache_builds)
+                    assert n_builds == 1, (row.k, n_builds)
                 from_rows = sum(row.n_hvp for row in res.trace)
                 assert res.n_hvp == from_rows + 1 + 5 * res.failed_attempts
 

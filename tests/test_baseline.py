@@ -15,6 +15,7 @@ from warpcg import (
     run_euclidean_cg,
 )
 from warpcg.retraction import directional_value_and_slope, retract
+from recording import recorded
 
 
 class TestQuadraticTermination:
@@ -80,11 +81,10 @@ class TestSchemaParity:
         assert [row.k for row in res.trace] == list(range(res.iterations))
         for row in res.trace:
             # Flat geometry: the two norm columns coincide, transport is
-            # the identity, and no geometry caches or hvps are consumed.
+            # the identity, and no hvps are consumed.
             assert row.grad_norm_riem == row.grad_norm_eucl
             assert row.s == 1.0
             assert row.n_hvp == 0
-            assert row.cache_builds == 0
             assert row.beta <= 0.0
             assert row.t > 0.0
 
@@ -92,9 +92,7 @@ class TestSchemaParity:
         q = QuadraticProblem(3)
         res = run_euclidean_cg(q, np.full(3, 0.5))
         assert res.n_hvp == 0
-        assert res.cache_builds == 0
         assert res.grad_norm_riem == res.grad_norm_eucl
-        assert res.jets == []
 
     def test_value_calls_reconcile(self):
         # One evaluation at the start plus the line-search evaluations.
@@ -118,11 +116,12 @@ class TestWolfeCertification:
         # Re-evaluate each accepted step from its recorded straight ray, as
         # acceptance property C08 does for the warped driver.
         problem = make_problem(name, 10)
-        cfg = RcgConfig(max_iters=2000, tol_df=0.0, tol_grad=1e-6, record_jets=True)
-        res = run_euclidean_cg(problem, initial_point(name, 10), cfg=cfg)
+        cfg = RcgConfig(max_iters=2000, tol_df=0.0, tol_grad=1e-6)
+        res, recording = recorded(run_euclidean_cg, problem, initial_point(name, 10), cfg=cfg)
         assert res.iterations > 0
-        assert len(res.jets) == res.iterations
-        for jet, row in zip(res.jets, res.trace):
+        jets = recording.accepted_jets()
+        assert len(jets) == res.iterations
+        for jet, row in zip(jets, res.trace):
             assert jet.q is None and jet.k is None
             assert retract(jet, row.t).tobytes() == (jet.theta + row.t * jet.v).tobytes(), row.k
             f0 = problem.value(jet.theta)

@@ -138,12 +138,11 @@ class TestTraceCsv:
             IterationTrace(k=0, f=float("nan"), grad_norm_riem=-0.0,
                            grad_norm_eucl=float("inf"), t=5e-324, beta=-float("inf"),
                            s=0.1, ls_evals=10**20, wall_ns=2**63, restart=1,
-                           n_value=1, n_grad=2, n_hvp=3, cache_builds=1),
+                           n_value=1, n_grad=2, n_hvp=3),
             IterationTrace(k=12345678901234567890, f=-1.7976931348623157e308,
                            grad_norm_riem=2.2250738585072014e-308, grad_norm_eucl=1e16,
                            t=1.0, beta=-0.0, s=0.30000000000000004, ls_evals=0,
-                           wall_ns=-1, restart=0, n_value=0, n_grad=0, n_hvp=0,
-                           cache_builds=0),
+                           wall_ns=-1, restart=0, n_value=0, n_grad=0, n_hvp=0),
         ]
         path = tmp_path / "trace.csv"
         _write_trace(path, rows)

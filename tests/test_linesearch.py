@@ -4,11 +4,16 @@ failure modes, exercised through scalar test paths."""
 import numpy as np
 import pytest
 
-from warpcg import SquiggleProblem, WarpConfig
-from warpcg.errors import LineSearchFail, NonAscent
+from warpcg import RcgConfig, SquiggleProblem, WarpConfig
+from warpcg.errors import LineSearchFail
 from warpcg.geometry import build_cache, taylor_coefficients
 from warpcg.linesearch import WolfeResult, strong_wolfe
 from warpcg.retraction import directional_value_and_slope
+
+
+# The search takes its constants from its caller, as the driver passes
+# RcgConfig's.
+C1, C2 = RcgConfig.wolfe_c1, RcgConfig.wolfe_c2
 
 
 def scalar_phi(f, fprime):
@@ -20,7 +25,7 @@ def scalar_phi(f, fprime):
     return phi
 
 
-def wolfe_ok(res, f0, slope0, c1=1e-4, c2=0.1):
+def wolfe_ok(res, f0, slope0, c1=C1, c2=C2):
     inc = res.value >= f0 + c1 * res.t * slope0
     curv = abs(res.slope) <= c2 * slope0
     return inc and curv
@@ -33,7 +38,7 @@ class TestParabola:
         self.phi = scalar_phi(lambda t: t - 0.5 * t * t, lambda t: 1.0 - t)
 
     def test_finds_crest(self):
-        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0)
+        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, c1=C1, c2=C2)
         assert isinstance(res, WolfeResult)
         assert wolfe_ok(res, 0.0, 1.0)
         assert res.t == pytest.approx(1.0, abs=0.11)
@@ -42,39 +47,39 @@ class TestParabola:
     def test_unit_first_trial_can_be_accepted_directly(self):
         # t = 1 is the exact crest: slope 0 there satisfies the curvature
         # condition immediately, so a single evaluation suffices.
-        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1.0)
+        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=C2)
         assert res.evals == 1
         assert res.t == 1.0
 
     def test_tiny_initial_step_grows(self):
-        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1e-4)
+        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1e-4, c1=C1, c2=C2)
         assert wolfe_ok(res, 0.0, 1.0)
 
     def test_overshoot_zooms_back(self):
-        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=64.0)
+        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=64.0, c1=C1, c2=C2)
         assert wolfe_ok(res, 0.0, 1.0)
 
 
 class TestValidation:
     def test_nonascent_rejected(self):
         phi = scalar_phi(lambda t: -t, lambda t: -1.0)
-        with pytest.raises(NonAscent):
-            strong_wolfe(phi, f0=0.0, slope0=-1.0)
-        with pytest.raises(NonAscent):
-            strong_wolfe(phi, f0=0.0, slope0=0.0)
-        with pytest.raises(NonAscent):
-            strong_wolfe(phi, f0=0.0, slope0=float("nan"))
+        with pytest.raises(ValueError):
+            strong_wolfe(phi, f0=0.0, slope0=-1.0, c1=C1, c2=C2)
+        with pytest.raises(ValueError):
+            strong_wolfe(phi, f0=0.0, slope0=0.0, c1=C1, c2=C2)
+        with pytest.raises(ValueError):
+            strong_wolfe(phi, f0=0.0, slope0=float("nan"), c1=C1, c2=C2)
 
     def test_bad_constants_rejected(self):
         phi = scalar_phi(lambda t: t, lambda t: 1.0)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, c1=0.5, c2=0.1)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, c1=0.5, c2=C2)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, c2=1.5)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, c1=C1, c2=1.5)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=0.0)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=0.0, c1=C1, c2=C2)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=-2.0)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=-2.0, c1=C1, c2=C2)
 
 
 class TestFailureModes:
@@ -83,7 +88,7 @@ class TestFailureModes:
         # phase grows until the evaluation budget runs out.
         phi = scalar_phi(lambda t: t, lambda t: 1.0)
         with pytest.raises(LineSearchFail):
-            strong_wolfe(phi, f0=0.0, slope0=1.0)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, c1=C1, c2=C2)
 
     def test_budget_counts_every_call(self):
         calls = []
@@ -94,7 +99,7 @@ class TestFailureModes:
             return inner(t)
 
         with pytest.raises(LineSearchFail):
-            strong_wolfe(phi, f0=0.0, slope0=1.0)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, c1=C1, c2=C2)
         assert len(calls) == 60
 
 
@@ -107,7 +112,7 @@ class TestNonFiniteRecovery:
         def fp(t):
             return 1.0 - t if t <= 2.0 else float("nan")
 
-        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=8.0)
+        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=8.0, c1=C1, c2=C2)
         assert wolfe_ok(res, 0.0, 1.0)
         assert res.t <= 2.0
 
@@ -118,7 +123,7 @@ class TestNonFiniteRecovery:
         def fp(t):
             return 1.0 - t if t <= 1.5 else float("inf")
 
-        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=4.0)
+        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=4.0, c1=C1, c2=C2)
         assert wolfe_ok(res, 0.0, 1.0)
 
 
@@ -139,7 +144,7 @@ class TestOnCurvedPath:
         def phi(t):
             return directional_value_and_slope(sq, jet, t)
 
-        res = strong_wolfe(phi, f0=cache.value, slope0=slope0)
+        res = strong_wolfe(phi, f0=cache.value, slope0=slope0, c1=C1, c2=C2)
         assert wolfe_ok(res, cache.value, slope0)
         assert res.value > cache.value
         np.testing.assert_array_equal(res.point, jet.theta + res.t * v
@@ -152,6 +157,6 @@ class TestOnCurvedPath:
         # the true crest rather than accepting a far shoulder.
         f = lambda t: t * np.exp(-3.0 * t)
         fp = lambda t: (1.0 - 3.0 * t) * np.exp(-3.0 * t)
-        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, c2=0.01)
+        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, c1=C1, c2=0.01)
         assert wolfe_ok(res, 0.0, 1.0, c2=0.01)
         assert res.t == pytest.approx(1.0 / 3.0, abs=0.01)

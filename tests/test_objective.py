@@ -24,6 +24,7 @@ from warpcg.errors import NumericalBreakdown
 from warpcg.geometry import build_cache
 from warpcg.objective import FD_STEP, CountingObjective, _check_finite, fd_step, hvp_or_fallback
 from oracle import central_diff_grad, normal_vector, third_directional_derivative
+from recording import recorded
 from warpcg.retraction import vector_transport
 
 
@@ -194,22 +195,24 @@ def test_fallback_route_counts_exactly(name, dim):
     # hvps are two gradients each, plus the jet's two probe gradients, so an
     # iteration spends 6 * 2 + 2 = 14 gradients beyond its line search. A
     # gradient returned as a list runs the same route to the same bits.
-    runs = [
-        run_rcg(
+    recorded_runs = [
+        recorded(
+            run_rcg,
             view(make_problem(name, dim)),
             initial_point(name, dim),
             cfg=RcgConfig(tol_df=0.0, max_iters=300),
         )
         for view in (GradOnlyView, ListGradView)
     ]
-    for res in runs:
+    for res, recording in recorded_runs:
         assert res.stop_reason is StopReason.SMALL_GRAD
         assert res.n_hvp == 0
+        assert recording.builds_per_step() == [1] * res.iterations
         for row in res.trace:
             assert row.n_hvp == 0
             assert row.n_value == row.ls_evals
             assert row.n_grad == row.ls_evals + 14
-            assert row.cache_builds == 1
+    runs = [res for res, _ in recorded_runs]
     assert runs[1].theta.tobytes() == runs[0].theta.tobytes()
     assert runs[1].n_grad == runs[0].n_grad
 

@@ -27,15 +27,18 @@ from warpcg.errors import DegenerateBeta, DegenerateStep, LineSearchFail
 from warpcg.geometry import GeometryCache
 from warpcg.rcg import dy_beta
 from warpcg.retraction import TransportResult
+from recording import recorded
 
 
-def reconcile(result):
+def reconcile(result, recording):
     """Total hvp calls must equal the trace rows' sum plus, on the warped
-    driver, the initial cache build plus five per failed line-search attempt.
-    The flat driver builds no cache and calls no hvp."""
+    geometry, the initial cache build plus five per failed line-search
+    attempt, each of which is a jet no step accepted. The flat geometry
+    calls no hvp."""
     from_rows = sum(row.n_hvp for row in result.trace)
-    outside_rows = 1 + 5 * result.failed_attempts if result.cache_builds else 0
-    return result.n_hvp == from_rows + outside_rows
+    outside_rows = 1 + 5 * result.failed_attempts if recording.warped else 0
+    return (recording.failed_jets() == result.failed_attempts
+            and result.n_hvp == from_rows + outside_rows)
 
 
 class TestConfigValidation:
@@ -129,12 +132,12 @@ class TestConvergence:
 
     def test_rosenbrock_restarts_happen_and_budget_holds(self):
         rb = RosenbrockProblem(10)
-        res = run_rcg(rb, initial_point("rosenbrock", 10),
-                      cfg=RcgConfig(tol_df=0.0, tol_grad=1e-4, max_iters=4000))
+        res, recording = recorded(run_rcg, rb, initial_point("rosenbrock", 10),
+                                  cfg=RcgConfig(tol_df=0.0, tol_grad=1e-4, max_iters=4000))
         assert res.stop_reason == StopReason.SMALL_GRAD
         assert any(row.restart for row in res.trace)
         assert all(row.n_hvp <= 6 for row in res.trace)
-        assert reconcile(res)
+        assert reconcile(res, recording)
 
 
 class TestBetaPolicy:
@@ -195,37 +198,64 @@ class TestBetaPolicy:
 class TestTraceAccounting:
     def test_trace_schema_and_budget(self):
         sq = SquiggleProblem(10)
-        res = run_rcg(sq, initial_point("squiggle", 10),
-                      cfg=RcgConfig(tol_df=0.0, tol_grad=1e-6))
+        res, recording = recorded(run_rcg, sq, initial_point("squiggle", 10),
+                                  cfg=RcgConfig(tol_df=0.0, tol_grad=1e-6))
         assert [row.k for row in res.trace] == list(range(res.iterations))
+        assert recording.builds_per_step() == [1] * res.iterations
         for row in res.trace:
             for f in dataclasses.fields(row):
                 assert type(getattr(row, f.name)) in (int, float), f.name
             assert row.n_hvp <= 6
-            assert row.cache_builds == 1
             assert row.ls_evals >= 1
             assert row.n_value >= row.ls_evals
             assert row.wall_ns > 0
             assert 0.0 < row.s <= 1.0
             assert row.t > 0.0
-        assert reconcile(res)
+        assert reconcile(res, recording)
 
     def test_jet_recording(self):
         sq = SquiggleProblem(3)
         start = initial_point("squiggle", 3)
-        res = run_rcg(sq, start, cfg=RcgConfig(max_iters=7, record_jets=True))
+        res, recording = recorded(run_rcg, sq, start, cfg=RcgConfig(max_iters=7))
         assert res.iterations == 7
-        assert len(res.jets) == res.iterations
+        jets = recording.accepted_jets()
+        assert len(jets) == res.iterations
         # Jet k's base point is where a run capped at k iterations stops.
-        for k, jet in enumerate(res.jets):
+        for k, jet in enumerate(jets):
             np.testing.assert_array_equal(
                 jet.theta, run_rcg(sq, start, cfg=RcgConfig(max_iters=k)).theta
             )
 
-    def test_jets_not_kept_by_default(self):
-        sq = SquiggleProblem(3)
-        res = run_rcg(sq, initial_point("squiggle", 3), cfg=RcgConfig(max_iters=3))
-        assert res.jets == []
+    def test_recording_skips_a_failed_search(self, monkeypatch):
+        # The third search, along a conjugate direction, is forced to fail,
+        # so the run retries along steepest ascent. The failed jet is no
+        # step's: jet k is still where a run capped at k iterations stops,
+        # and each step builds one point.
+        real_search = warpcg.rcg.strong_wolfe
+
+        def run(max_iters):
+            searches = []
+
+            def fail_third(*args, **kwargs):
+                searches.append(None)
+                if len(searches) == 3:
+                    raise LineSearchFail("forced")
+                return real_search(*args, **kwargs)
+
+            monkeypatch.setattr(warpcg.rcg, "strong_wolfe", fail_third)
+            return recorded(run_rcg, SquiggleProblem(3), initial_point("squiggle", 3),
+                            cfg=RcgConfig(max_iters=max_iters))
+
+        res, recording = run(7)
+        assert res.iterations == 7
+        assert res.failed_attempts == recording.failed_jets() == 1
+        assert res.trace[1].beta != 0.0 and res.trace[2].restart == 1
+        jets = recording.accepted_jets()
+        assert len(jets) == res.iterations
+        for k, jet in enumerate(jets):
+            np.testing.assert_array_equal(jet.theta, run(k)[0].theta)
+        assert recording.builds_per_step() == [1] * res.iterations
+        assert reconcile(res, recording)
 
 
 @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
@@ -354,7 +384,7 @@ class TestFailureHandling:
                 return np.zeros(2)
 
         for driver in (run_rcg, run_euclidean_cg):
-            res = driver(Ramp(), np.zeros(2))
+            res, recording = recorded(driver, Ramp(), np.zeros(2))
             assert res.stop_reason == StopReason.LINE_SEARCH_FAIL
             assert res.iterations == 0
             assert res.failed_attempts == 1
@@ -362,7 +392,7 @@ class TestFailureHandling:
             if driver is run_rcg:
                 assert res.n_hvp == 6  # the start's cache build and one jet
             np.testing.assert_array_equal(res.theta, np.zeros(2))
-            assert reconcile(res)
+            assert reconcile(res, recording)
 
     @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
     def test_failure_after_beta_clamp_stops_without_retry(self, run, monkeypatch):
@@ -380,12 +410,12 @@ class TestFailureHandling:
 
         monkeypatch.setattr(warpcg.rcg, "dy_beta", lambda *args: 1.0)
         monkeypatch.setattr(warpcg.rcg, "strong_wolfe", fail_after_first)
-        res = run(QuadraticProblem(3), initial_point("quadratic", 3))
+        res, recording = recorded(run, QuadraticProblem(3), initial_point("quadratic", 3))
         assert len(searches) == 2
         assert res.failed_attempts == 1
         assert [row.restart for row in res.trace] == [1]
         assert res.stop_reason == StopReason.LINE_SEARCH_FAIL
-        assert reconcile(res)
+        assert reconcile(res, recording)
 
     @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
     def test_loss_of_ascent_falls_back_to_steepest(self, run, monkeypatch):
@@ -400,12 +430,12 @@ class TestFailureHandling:
 
         monkeypatch.setattr(warpcg.rcg, "dy_beta", infinite_once)
         with np.errstate(invalid="ignore"):
-            res = run(QuadraticProblem(3), initial_point("quadratic", 3),
-                      cfg=RcgConfig(tol_df=0.0))
+            res, recording = recorded(run, QuadraticProblem(3), initial_point("quadratic", 3),
+                                      cfg=RcgConfig(tol_df=0.0))
         assert res.trace[0].beta == -math.inf
         assert res.trace[1].restart == 1
         assert res.stop_reason == StopReason.SMALL_GRAD
-        assert reconcile(res)
+        assert reconcile(res, recording)
 
     @pytest.mark.parametrize(
         "name, error",
@@ -416,12 +446,13 @@ class TestFailureHandling:
             raise error("forced")
 
         monkeypatch.setattr(warpcg.rcg, name, degenerate)
-        res = run_rcg(QuadraticProblem(3), np.ones(3), cfg=RcgConfig(tol_df=0.0))
+        res, recording = recorded(run_rcg, QuadraticProblem(3), np.ones(3),
+                                  cfg=RcgConfig(tol_df=0.0))
         assert all(row.beta == 0.0 and row.s == 1.0 and row.restart == 1
                    for row in res.trace)
         assert res.stop_reason == StopReason.SMALL_GRAD
         assert len(res.trace) == 13
-        assert reconcile(res)
+        assert reconcile(res, recording)
 
     def test_mid_run_breakdown_is_reported_not_raised(self):
         # Objective whose hvp turns to NaN after a while: the driver must

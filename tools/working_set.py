@@ -5,11 +5,11 @@ Usage:
     python3 tools/working_set.py <src-tree> <problem> <dim> <iters>
 
 <src-tree> is the root of a warpcg checkout (it holds ``src/``); <problem>
-is one of ``warpcg.PROBLEM_NAMES``. Each driver runs <iters> iterations
-(``tol_df = tol_grad = 0``) from ``initial_point(problem, dim)`` under
-tracemalloc, which starts after the problem and the start are built, so
-neither counts. Every figure is a traced peak divided by the start's size,
-``8 * dim`` bytes. One line per driver and span:
+is one of ``warpcg.problems.PROBLEM_NAMES``. Each driver runs <iters>
+iterations (``tol_df = tol_grad = 0``) from ``initial_point(problem, dim)``
+under tracemalloc, which starts after the problem and the start are built,
+so neither counts. Every figure is a traced peak divided by the start's
+size, ``8 * dim`` bytes. One line per driver and span:
 
     <driver> <span> <peak in dim-vectors> <calls>
 

@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 from .baseline import run_euclidean_cg
 from .errors import WarpcgError
 from .geometry import WarpConfig
-from .objective import NegatedObjective, Objective
+from .objective import Objective
 from .problems import (
     QuadraticProblem,
     RosenbrockProblem,
@@ -32,7 +32,6 @@ __all__ = [
     "__version__",
     "WarpcgError",
     "Objective",
-    "NegatedObjective",
     "WarpConfig",
     "StopReason",
     "RcgConfig",

@@ -10,10 +10,13 @@ Sweep (comma lists; --dims switches modes):
     warpcg --problem squiggle --dims 2,10,50 --method rcg,euclid_cg \\
            --summary-out sweep.json
 
-Each numeric flag sets the field of the same name in RcgConfig or
-WarpConfig, takes its default from there, and is range-checked there. Both
-configs are built once, before any run, in both modes. The finite-difference
-step is objective.fd_step, not a setting.
+The numeric flags are the fields of WarpConfig and RcgConfig, in that
+order: the parser makes one flag per field, named after it (--sigma-sq for
+sigma_sq), with the field's default and type, and the config checks the
+range. A new config field is a new flag with no edit here. Both configs are
+built once, before any run, in both modes, and the summary echoes them
+under "config". The finite-difference step is objective.fd_step, not a
+setting.
 
 Exit codes: 0 on success, 1 for an invalid run specification (also --dim
 with --dims), 2 when a single run stops with numerical breakdown. In a
@@ -28,7 +31,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -37,7 +40,6 @@ import numpy as np
 from . import __version__
 from .baseline import run_euclidean_cg
 from .geometry import WarpConfig
-from .objective import NegatedObjective
 from .problems import (
     PROBLEM_NAMES,
     classify_rosenbrock_basin,
@@ -49,6 +51,9 @@ from .rcg import IterationTrace, RcgConfig, RcgResult, StopReason, run_rcg
 __all__ = ["RunSpec", "run_single", "run_sweep", "main", "TRACE_COLUMNS"]
 
 METHOD_NAMES = ("rcg", "euclid_cg")
+
+#: The configs whose fields are the numeric flags, in flag order.
+_CONFIGS = (WarpConfig, RcgConfig)
 
 #: Pinned trace CSV schema: each column and the IterationTrace field it
 #: holds. Column order is part of the file format.
@@ -75,7 +80,6 @@ class RunSpec:
     problem: str
     dim: int
     method: str = "rcg"
-    minimize: bool = False
     cfg: RcgConfig = field(default_factory=RcgConfig)
     warp: WarpConfig = field(default_factory=WarpConfig)
 
@@ -87,15 +91,7 @@ class RunSpec:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHOD_NAMES}")
 
     def config_echo(self) -> dict:
-        return {
-            "sigma_sq": self.warp.sigma_sq,
-            "max_iters": self.cfg.max_iters,
-            "tol_df": self.cfg.tol_df,
-            "tol_grad": self.cfg.tol_grad,
-            "wolfe_c1": self.cfg.wolfe_c1,
-            "wolfe_c2": self.cfg.wolfe_c2,
-            "minimize": self.minimize,
-        }
+        return {**asdict(self.warp), **asdict(self.cfg)}
 
 
 def _write_trace(path: Path, trace: list[IterationTrace]) -> None:
@@ -110,29 +106,22 @@ def execute(spec: RunSpec) -> tuple[RcgResult, dict]:
     """Run one spec and build its summary dict."""
     spec.validate()
     problem = make_problem(spec.problem, spec.dim)
-    objective = NegatedObjective(problem) if spec.minimize else problem
     theta0 = initial_point(spec.problem, spec.dim)
     if spec.method == "rcg":
-        result = run_rcg(objective, theta0, warp=spec.warp, cfg=spec.cfg)
+        result = run_rcg(problem, theta0, warp=spec.warp, cfg=spec.cfg)
     else:
-        result = run_euclidean_cg(objective, theta0, cfg=spec.cfg)
+        result = run_euclidean_cg(problem, theta0, cfg=spec.cfg)
 
-    # Report the user's sign convention: under --minimize the driver
-    # maximized -f, so flip the reported objective value back.
-    final_f = -result.value if spec.minimize else result.value
-    maximizer = problem.maximizer()
     summary = {
         "problem": spec.problem,
         "dim": spec.dim,
         "method": spec.method,
         "stop_reason": result.stop_reason.value,
         "iterations": result.iterations,
-        "final_f": final_f,
+        "final_f": result.value,
         "final_grad_norm_riem": result.grad_norm_riem,
         "final_grad_norm_eucl": result.grad_norm_eucl,
-        "distance_to_maximizer": (
-            None if spec.minimize else float(np.linalg.norm(result.theta - maximizer))
-        ),
+        "distance_to_maximizer": float(np.linalg.norm(result.theta - problem.maximizer())),
         "basin": (
             classify_rosenbrock_basin(result.theta) if spec.problem == "rosenbrock" else None
         ),
@@ -191,17 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="rcg",
         help="rcg or euclid_cg; comma list allowed with --dims",
     )
-    parser.add_argument("--sigma-sq", type=float, default=WarpConfig.sigma_sq, help="warp parameter sigma^2")
-    parser.add_argument("--max-iters", type=int, default=RcgConfig.max_iters)
-    parser.add_argument("--tol-df", type=float, default=RcgConfig.tol_df)
-    parser.add_argument("--tol-grad", type=float, default=RcgConfig.tol_grad)
-    parser.add_argument("--wolfe-c1", type=float, default=RcgConfig.wolfe_c1)
-    parser.add_argument("--wolfe-c2", type=float, default=RcgConfig.wolfe_c2)
-    parser.add_argument(
-        "--minimize",
-        action="store_true",
-        help="treat the objective as a minimization target (runs on its negation)",
-    )
+    for config in _CONFIGS:
+        for f in fields(config):
+            parser.add_argument(
+                "--" + f.name.replace("_", "-"),
+                type=type(f.default),
+                default=f.default,
+                help=f"{config.__name__}.{f.name} (default %(default)s)",
+            )
     parser.add_argument("--trace-out", type=Path, help="write per-iteration CSV here")
     parser.add_argument("--summary-out", type=Path, help="write summary JSON here")
     parser.add_argument(
@@ -209,6 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated dimensions; presence switches to sweep mode",
     )
     return parser
+
+
+def _from_flags(config, args: argparse.Namespace):
+    """config built from the flags named after its fields."""
+    return config(**{f.name: getattr(args, f.name) for f in fields(config)})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -219,15 +210,8 @@ def main(argv: list[str] | None = None) -> int:
             problem=args.problem,
             dim=args.dim,
             method=args.method,
-            minimize=args.minimize,
-            cfg=RcgConfig(
-                max_iters=args.max_iters,
-                tol_df=args.tol_df,
-                tol_grad=args.tol_grad,
-                wolfe_c1=args.wolfe_c1,
-                wolfe_c2=args.wolfe_c2,
-            ),
-            warp=WarpConfig(sigma_sq=args.sigma_sq),
+            cfg=_from_flags(RcgConfig, args),
+            warp=_from_flags(WarpConfig, args),
         )
         if args.dims is None:
             if args.dim is None:

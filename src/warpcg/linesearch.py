@@ -79,10 +79,11 @@ def strong_wolfe(
     *,
     c1: float,
     c2: float,
-    t_init: float = 1.0,
+    t_init: float,
 ) -> WolfeResult:
-    """Find t > 0 satisfying the strong Wolfe conditions along phi. The
-    constants c1 and c2 have no defaults here: RcgConfig holds them.
+    """Find t > 0 satisfying the strong Wolfe conditions along phi, trying
+    t_init first. No argument has a default here: RcgConfig holds c1 and
+    c2, and the CG loop chooses the first trial step.
 
     Raises ValueError on a bad argument, slope0 <= 0 included (there is
     nothing to search), and LineSearchFail when the MAX_EVALS budget runs

@@ -39,7 +39,8 @@ def fd_step(theta: np.ndarray, v: np.ndarray) -> float:
 
 
 class Objective(ABC):
-    """A smooth function R^dim -> R to be maximized.
+    """A smooth function R^dim -> R to be maximized. To minimize a loss,
+    implement its negation: value, grad and hvp all negated.
 
     Subclasses must provide ``value`` and ``grad``; ``hvp`` is optional. An
     ``hvp`` that raises NotImplementedError, as the inherited one does,
@@ -106,24 +107,6 @@ def hvp_or_fallback(obj: Objective, theta: np.ndarray, v: np.ndarray) -> np.ndar
             - np.asarray(obj.grad(theta - r * v), dtype=float)
         ) / (2.0 * r)
     return _check_finite(np.asarray(out, dtype=float), "hessian-vector product")
-
-
-class NegatedObjective(Objective):
-    """Flips the sign of another objective, turning minimization of f into
-    maximization of -f. Used by the CLI's --minimize flag."""
-
-    def __init__(self, inner: Objective):
-        super().__init__(inner.dim)
-        self.inner = inner
-
-    def value(self, theta: np.ndarray) -> float:
-        return -self.inner.value(theta)
-
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return -self.inner.grad(theta)
-
-    def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return -self.inner.hvp(theta, v)
 
 
 @dataclass

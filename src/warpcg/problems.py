@@ -1,8 +1,10 @@
 """Benchmark objectives (all in maximization form) and their starts.
 
 Each problem implements the full Objective contract with analytic gradient
-and Hessian-vector product, both O(dim) per call, plus whatever closed-form
-ground truth it has (maximizer, maximum value) for tests and run summaries.
+and Hessian-vector product, both O(dim) per call, plus its closed-form
+ground truth (maximizer, maximum value) for tests and run summaries. The
+shapes are fixed: a problem is set by its dimension alone, and the
+quadratic also by its curvatures and center.
 """
 
 from __future__ import annotations
@@ -24,14 +26,6 @@ __all__ = [
 ]
 
 
-def _finite(name: str, value: float) -> float:
-    """value as a float, or ValueError naming the parameter."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
 def _per_dimension(name: str, values, dim: int, positive: bool = False) -> np.ndarray:
     """values as a float array of shape (dim,) with finite (and, when asked,
     positive) entries, or ValueError naming the parameter."""
@@ -48,28 +42,25 @@ def _per_dimension(name: str, values, dim: int, positive: bool = False) -> np.nd
 class SquiggleProblem(Objective):
     """Log-density of a Gaussian bent along a sine ridge.
 
-    With s_1 = theta_1 and s_i = theta_i + sin(freq * theta_1) for i >= 2,
+    With s_1 = theta_1 and s_i = theta_i + sin(theta_1) for i >= 2,
 
         f(theta) = -dim/2 log(2 pi) - 1/2 sum_i log var_i
                    - 1/2 sum_i s_i^2 / var_i.
 
-    The default variances (first 30.0, rest 0.5) make the ridge direction
-    soft and the transverse directions stiff. Unique maximizer at the
-    origin. Gradient and hvp exploit the arrow structure of the Jacobian
-    (dense first column, identity elsewhere) for O(dim) cost.
+    The variances (first 30.0, rest 0.5) make the ridge direction soft and
+    the transverse directions stiff. Unique maximizer at the origin.
+    Gradient and hvp exploit the arrow structure of the Jacobian (dense
+    first column, identity elsewhere) for O(dim) cost.
     """
 
-    def __init__(self, dim: int, freq: float = 1.0, variances: np.ndarray | None = None):
+    def __init__(self, dim: int):
         super().__init__(dim)
-        self.freq = _finite("freq", freq)
-        if variances is None:
-            variances = np.full(dim, 0.5)
-            variances[0] = 30.0
-        self.variances = _per_dimension("variances", variances, dim, positive=True)
-        self._lam = 1.0 / self.variances
+        variances = np.full(dim, 0.5)
+        variances[0] = 30.0
+        self._lam = 1.0 / variances
         self._lam_tail = self._lam[1:]
         self._log_norm = float(
-            -0.5 * dim * np.log(2.0 * np.pi) - 0.5 * float(np.sum(np.log(self.variances)))
+            -0.5 * dim * np.log(2.0 * np.pi) - 0.5 * float(np.sum(np.log(variances)))
         )
 
     # Fixed costs dominate at small dim, so the scalar work on theta_0 runs
@@ -79,7 +70,7 @@ class SquiggleProblem(Objective):
 
     def _bent(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        s = theta + math.sin(self.freq * float(theta[0]))
+        s = theta + math.sin(float(theta[0]))
         s[0] = theta[0]
         return s
 
@@ -91,29 +82,23 @@ class SquiggleProblem(Objective):
         s = self._bent(theta)
         ls = self._lam * s
         out = -ls
-        out[0] -= self.freq * math.cos(self.freq * float(s[0])) * float(np.add.reduce(ls[1:]))
+        out[0] -= math.cos(float(s[0])) * float(np.add.reduce(ls[1:]))
         return out
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         v = np.asarray(v, dtype=float)
-        ft0 = self.freq * float(theta[0])
-        sin1 = math.sin(ft0)
-        fcos1 = self.freq * math.cos(ft0)
+        t0 = float(theta[0])
+        sin1 = math.sin(t0)
+        cos1 = math.cos(t0)
         v0 = float(v[0])
-        jv = v + fcos1 * v0
+        jv = v + cos1 * v0
         jv[0] = v0
         ljv = self._lam * jv
         out = -ljv
-        out[0] -= fcos1 * float(np.add.reduce(ljv[1:]))
+        out[0] -= cos1 * float(np.add.reduce(ljv[1:]))
         # Curvature of the bend itself: only the (0, 0) entry.
-        out[0] += (
-            self.freq
-            * self.freq
-            * sin1
-            * float(np.add.reduce(self._lam_tail * (theta[1:] + sin1)))
-            * v0
-        )
+        out[0] += sin1 * float(np.add.reduce(self._lam_tail * (theta[1:] + sin1))) * v0
         return out
 
     def maximizer(self) -> np.ndarray:
@@ -126,48 +111,43 @@ class SquiggleProblem(Objective):
 class RosenbrockProblem(Objective):
     """Negated chained Rosenbrock valley,
 
-        f(theta) = -sum_{j<dim} [ bend (theta_{j+1} - theta_j^2)^2
-                                  + (shift - theta_j)^2 ].
+        f(theta) = -sum_{j<dim} [ 100 (theta_{j+1} - theta_j^2)^2
+                                  + (1 - theta_j)^2 ].
 
-    With the default shift = 1 the global maximum is 0 at the all-ones
-    point (maximizer()/max_value() assume that default). For dim >= 4 a
+    The global maximum is 0 at the all-ones point. For dim >= 4 a
     well-known secondary stationary point sits near theta_1 = -1. The
     Hessian is tridiagonal, so the hvp is a three-band stencil, O(dim).
     """
 
-    def __init__(self, dim: int, shift: float = 1.0, bend: float = 100.0):
+    def __init__(self, dim: int):
         if dim < 2:
             raise ValueError(f"rosenbrock needs dim >= 2, got {dim}")
         super().__init__(dim)
-        self.shift = _finite("shift", shift)
-        self.bend = _finite("bend", bend)
 
     def value(self, theta: np.ndarray) -> float:
         x, y = theta[:-1], theta[1:]
-        return -float((self.bend * (y - x * x) ** 2 + (self.shift - x) ** 2).sum())
+        return -float((100.0 * (y - x * x) ** 2 + (1.0 - x) ** 2).sum())
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        b = self.bend
         x, y = theta[:-1], theta[1:]
         resid = y - x * x
         out = np.zeros(np.shape(theta))
         # out[1:] takes its term first, so resid can become the out[:-1] term
         # in place; each entry still sums the same two terms onto a zero.
-        out[1:] += -2.0 * b * resid
-        resid *= 4.0 * b * x
-        pull = self.shift - x
+        out[1:] += -200.0 * resid
+        resid *= 400.0 * x
+        pull = 1.0 - x
         pull *= 2.0
         resid += pull
         out[:-1] += resid
         return out
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        b = self.bend
         x, y = theta[:-1], theta[1:]
         diag = np.zeros(np.shape(theta))
-        diag[:-1] += 4.0 * b * (y - 3.0 * x * x) - 2.0
-        diag[1:] += -2.0 * b
-        off = 4.0 * b * x  # coupling between j and j+1
+        diag[:-1] += 400.0 * (y - 3.0 * x * x) - 2.0
+        diag[1:] += -200.0
+        off = 400.0 * x  # coupling between j and j+1
         out = diag
         out *= v
         out[:-1] += off * v[1:]
@@ -175,7 +155,7 @@ class RosenbrockProblem(Objective):
         return out
 
     def maximizer(self) -> np.ndarray:
-        return np.full(self.dim, self.shift)
+        return np.ones(self.dim)
 
     def max_value(self) -> float:
         return 0.0
@@ -246,16 +226,15 @@ def initial_point(name: str, dim: int) -> np.ndarray:
     return amplitude * signs
 
 
-def classify_rosenbrock_basin(theta: np.ndarray, shift: float = 1.0, atol: float = 0.1) -> str:
-    """Label a Rosenbrock endpoint: 'global' near the all-shift maximizer,
-    'local' near the secondary stationary point with first coordinate
-    flipped to -shift, 'other' elsewhere."""
+def classify_rosenbrock_basin(theta: np.ndarray) -> str:
+    """Label a Rosenbrock endpoint: 'global' within 0.1 of the all-ones
+    maximizer, 'local' within 0.1 of the secondary stationary point with
+    first coordinate flipped to -1, 'other' elsewhere."""
     theta = np.asarray(theta, dtype=float)
-    target = np.full(theta.size, shift)
-    if np.linalg.norm(theta - target) < atol:
+    target = np.ones(theta.size)
+    if np.linalg.norm(theta - target) < 0.1:
         return "global"
-    flipped = target.copy()
-    flipped[0] = -shift
-    if np.linalg.norm(theta - flipped) < atol:
+    target[0] = -1.0
+    if np.linalg.norm(theta - target) < 0.1:
         return "local"
     return "other"

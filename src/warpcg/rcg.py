@@ -153,10 +153,6 @@ class RcgResult:
     n_hvp: int = 0
     failed_attempts: int = 0
 
-    @property
-    def f_history(self) -> np.ndarray:
-        return np.array([row.f for row in self.trace])
-
 
 def dy_beta(
     src: GeometryCache,

@@ -51,14 +51,14 @@ class TestConvergence:
         sq = SquiggleProblem(4)
         res = run_euclidean_cg(sq, initial_point("squiggle", 4),
                                cfg=RcgConfig(tol_df=0.0, tol_grad=1e-6))
-        assert np.all(np.diff(res.f_history) > 0.0)
+        assert np.all(np.diff([r.f for r in res.trace]) > 0.0)
 
     def test_determinism(self):
         sq = SquiggleProblem(6)
         a = run_euclidean_cg(sq, initial_point("squiggle", 6))
         b = run_euclidean_cg(sq, initial_point("squiggle", 6))
         np.testing.assert_array_equal(a.theta, b.theta)
-        np.testing.assert_array_equal(a.f_history, b.f_history)
+        assert [r.f for r in a.trace] == [r.f for r in b.trace]
 
     @pytest.mark.xfail(
         strict=True,

@@ -3,12 +3,13 @@ sweep mode. Runs go through main(argv) in-process."""
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from warpcg import QuadraticProblem, RcgConfig, run_rcg
-from warpcg.cli import TRACE_COLUMNS, RunSpec, _write_trace, execute, main
+from warpcg import QuadraticProblem, RcgConfig, WarpConfig, run_rcg
+from warpcg.cli import TRACE_COLUMNS, RunSpec, _write_trace, build_parser, execute, main
 from warpcg.rcg import IterationTrace
 
 FAST = [
@@ -71,27 +72,6 @@ class TestSingleRun:
         assert summary["method"] == "euclid_cg"
         assert summary["final_grad_norm_riem"] == summary["final_grad_norm_eucl"]
 
-    def test_minimize_flips_reported_sign(self, capsys):
-        # Under --minimize the harness maximizes the negation and reports
-        # the objective back in the user's sign convention. The concave
-        # quadratic has no minimum, so the run stops immediately with a
-        # failed line search at the start point, where the quadratic's own
-        # value is -1/2 sum a_i / 4 = -0.5625 for dim 3.
-        code, out, _ = run_main(capsys, [
-            "--problem", "quadratic", "--dim", "3", "--minimize", *FAST,
-        ])
-        assert code == 0
-        summary = json.loads(out)
-        assert summary["stop_reason"] == "line_search_fail"
-        assert summary["final_f"] == -0.5625
-        assert summary["distance_to_maximizer"] is None
-        assert summary["config"]["minimize"] is True
-
-        spec = RunSpec(problem="quadratic", dim=3, minimize=True,
-                       cfg=RcgConfig(max_iters=40, tol_df=0.0))
-        result, exec_summary = execute(spec)
-        assert exec_summary["final_f"] == -result.value
-
     def test_exit_two_on_breakdown(self, capsys, monkeypatch):
         # Force a breakdown summary through the real printing/exit path.
         class Fragile(QuadraticProblem):
@@ -152,6 +132,33 @@ class TestTraceCsv:
             b"12345678901234567890,-1.7976931348623157e+308,2.2250738585072014e-308,"
             b"1e+16,1.0,-0.0,0.30000000000000004,0,-1,0\r\n"
         )
+
+
+class TestFlagsFollowConfigs:
+    FIELDS = [*fields(WarpConfig), *fields(RcgConfig)]
+    OTHER_DESTS = {"help", "problem", "dim", "method", "trace_out", "summary_out", "dims"}
+
+    def test_flags_defaults_and_echo_are_the_config_fields(self):
+        settings = [a for a in build_parser()._actions if a.dest not in self.OTHER_DESTS]
+        assert [a.option_strings for a in settings] == [
+            ["--" + f.name.replace("_", "-")] for f in self.FIELDS
+        ]
+        assert [a.default for a in settings] == [f.default for f in self.FIELDS]
+        assert [a.type for a in settings] == [type(f.default) for f in self.FIELDS]
+        echo = RunSpec(problem="quadratic", dim=2).config_echo()
+        assert list(echo) == [f.name for f in self.FIELDS]
+        assert list(echo.values()) == [f.default for f in self.FIELDS]
+
+    def test_each_flag_reaches_its_config(self, capsys):
+        values = {"sigma_sq": 2.5, "max_iters": 0, "tol_df": 0.25,
+                  "tol_grad": 0.125, "wolfe_c1": 0.01, "wolfe_c2": 0.5}
+        assert set(values) == {f.name for f in self.FIELDS}
+        argv = ["--problem", "quadratic", "--dim", "2"]
+        for name, value in values.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["config"] == values
 
 
 class TestArgumentErrors:

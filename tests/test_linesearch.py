@@ -38,7 +38,7 @@ class TestParabola:
         self.phi = scalar_phi(lambda t: t - 0.5 * t * t, lambda t: 1.0 - t)
 
     def test_finds_crest(self):
-        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, c1=C1, c2=C2)
+        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=C2)
         assert isinstance(res, WolfeResult)
         assert wolfe_ok(res, 0.0, 1.0)
         assert res.t == pytest.approx(1.0, abs=0.11)
@@ -64,18 +64,18 @@ class TestValidation:
     def test_nonascent_rejected(self):
         phi = scalar_phi(lambda t: -t, lambda t: -1.0)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=-1.0, c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=-1.0, t_init=1.0, c1=C1, c2=C2)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=0.0, c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=0.0, t_init=1.0, c1=C1, c2=C2)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=float("nan"), c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=float("nan"), t_init=1.0, c1=C1, c2=C2)
 
     def test_bad_constants_rejected(self):
         phi = scalar_phi(lambda t: t, lambda t: 1.0)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, c1=0.5, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0, c1=0.5, c2=C2)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, c1=C1, c2=1.5)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=1.5)
         with pytest.raises(ValueError):
             strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=0.0, c1=C1, c2=C2)
         with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ class TestFailureModes:
         # phase grows until the evaluation budget runs out.
         phi = scalar_phi(lambda t: t, lambda t: 1.0)
         with pytest.raises(LineSearchFail):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=C2)
 
     def test_budget_counts_every_call(self):
         calls = []
@@ -99,7 +99,7 @@ class TestFailureModes:
             return inner(t)
 
         with pytest.raises(LineSearchFail):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=C2)
         assert len(calls) == 60
 
 
@@ -144,7 +144,7 @@ class TestOnCurvedPath:
         def phi(t):
             return directional_value_and_slope(sq, jet, t)
 
-        res = strong_wolfe(phi, f0=cache.value, slope0=slope0, c1=C1, c2=C2)
+        res = strong_wolfe(phi, f0=cache.value, slope0=slope0, t_init=1.0, c1=C1, c2=C2)
         assert wolfe_ok(res, cache.value, slope0)
         assert res.value > cache.value
         np.testing.assert_array_equal(res.point, jet.theta + res.t * v
@@ -157,6 +157,6 @@ class TestOnCurvedPath:
         # the true crest rather than accepting a far shoulder.
         f = lambda t: t * np.exp(-3.0 * t)
         fp = lambda t: (1.0 - 3.0 * t) * np.exp(-3.0 * t)
-        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, c1=C1, c2=0.01)
+        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=0.01)
         assert wolfe_ok(res, 0.0, 1.0, c2=0.01)
         assert res.t == pytest.approx(1.0 / 3.0, abs=0.01)

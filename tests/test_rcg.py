@@ -80,7 +80,7 @@ class TestTermination:
         assert res.stop_reason == StopReason.SMALL_DELTA_F
         assert res.iterations >= 1
         # Last accepted increase is below the threshold.
-        f = res.f_history
+        f = np.array([r.f for r in res.trace])
         start = sq.value(initial_point("squiggle", 4))
         gains = np.diff(np.concatenate([[start], f]))
         assert gains[-1] < 1e-2
@@ -109,7 +109,7 @@ class TestConvergence:
         sq = SquiggleProblem(6)
         res = run_rcg(sq, initial_point("squiggle", 6),
                       cfg=RcgConfig(tol_df=0.0, tol_grad=1e-6))
-        f = res.f_history
+        f = np.array([r.f for r in res.trace])
         assert np.all(np.diff(f) > 0.0)
 
     def test_squiggle_reaches_closed_form_maximum(self):
@@ -127,7 +127,7 @@ class TestConvergence:
         np.testing.assert_array_equal(a.theta, b.theta)
         assert a.value == b.value
         assert a.iterations == b.iterations
-        np.testing.assert_array_equal(a.f_history, b.f_history)
+        assert [r.f for r in a.trace] == [r.f for r in b.trace]
         assert [r.t for r in a.trace] == [r.t for r in b.trace]
 
     def test_rosenbrock_restarts_happen_and_budget_holds(self):

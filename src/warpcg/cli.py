@@ -18,8 +18,9 @@ built once, before any run, in both modes, and the summary echoes them
 under "config". The finite-difference step is objective.fd_step, not a
 setting.
 
-Exit codes: 0 on success, 1 for an invalid run specification (also --dim
-with --dims), 2 when a single run stops with numerical breakdown. In a
+Exit codes: 0 on success (and for --help), 1 for an invalid run
+specification (also --dim with --dims, an unknown flag or a value of the
+wrong type), 2 when a single run stops with numerical breakdown. In a
 sweep an invalid shared setting (a config value, the problem or a method
 name) exits 1 before any run, while an invalid dimension becomes an error
 row. Sweep failures are recorded per row and do not change the exit code.
@@ -168,8 +169,16 @@ def run_sweep(base: RunSpec, dims: list[int], methods: list[str],
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ValueError, which main turns into exit 1,
+    instead of argparse's exit 2, the code of a numerical breakdown."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="warpcg",
         description="Warped-manifold conjugate-gradient benchmark harness",
     )
@@ -203,8 +212,8 @@ def _from_flags(config, args: argparse.Namespace):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # Building the configs checks every shared setting before any run.
         spec = RunSpec(
             problem=args.problem,

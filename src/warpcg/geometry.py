@@ -12,10 +12,10 @@ O(dim) via the Sherman-Morrison form of G^{-1}. Nothing in this module
 builds a dense matrix.
 
 All per-point quantities that the optimizer reuses are bundled into an
-immutable :class:`GeometryCache`, built once per visited point with exactly
-one gradient, one value and one Hessian-vector product (the value/gradient
-can be injected when the caller already has them, e.g. from a line-search
-trial).
+immutable :class:`GeometryCache`, built once per visited point from one
+value and one gradient (injected when the caller already has them, e.g.
+from a line-search trial) and no Hessian-vector product. The Hessian terms
+live only in the geodesic jet, which takes them from its own probe pair.
 """
 
 from __future__ import annotations
@@ -58,31 +58,28 @@ class WarpConfig:
 
 @dataclass(frozen=True, eq=False)
 class GeometryCache:
-    """Everything the geometry needs at one point, computed once.
+    """The first-order geometry at one point, computed once: all that the
+    metric, the transport, the conjugacy coefficient and the stop tests
+    read. It holds no Hessian term; the jet takes those from its probes.
 
     Attributes:
         theta: the point, shape (dim,).
         value: objective value f(theta).
         grad: objective gradient, shape (dim,).
         grad_sq: ||grad||^2.
-        hess_grad: Hessian-gradient product H grad (the one hvp per build).
         w_sigma_sq: sigma_sq + ||grad||^2.
         psi_sq: warp factor ||grad||^2 / w_sigma_sq, in [0, 1).
-        grad_psi_sq: gradient of the warp factor,
-            (2 sigma_sq / w_sigma_sq^2) * H grad.
         w_sq: 1 + psi_sq ||grad||^2, the squared warped length of the graph
             tangent along grad.
-        sigma_sq: warp parameter echoed for derivative formulas.
+        sigma_sq: warp parameter echoed for the jet's derivative formulas.
     """
 
     theta: np.ndarray
     value: float
     grad: np.ndarray
     grad_sq: float
-    hess_grad: np.ndarray
     w_sigma_sq: float
     psi_sq: float
-    grad_psi_sq: np.ndarray
     w_sq: float
     sigma_sq: float
 
@@ -100,8 +97,8 @@ def build_cache(
 ) -> GeometryCache:
     """Evaluate the warp geometry at theta.
 
-    Costs one value, one gradient and one hvp; pass value_grad to reuse an
-    evaluation the caller already paid for (the hvp is always fresh).
+    Costs one value and one gradient, and nothing when value_grad passes an
+    evaluation the caller already paid for. It calls no hvp.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size != obj.dim:
@@ -122,18 +119,13 @@ def build_cache(
     w_sigma_sq = warp.sigma_sq + grad_sq
     psi_sq = grad_sq / w_sigma_sq
     w_sq = 1.0 + psi_sq * grad_sq
-    hess_grad = hvp_or_fallback(obj, theta, grad)
-    c0 = 2.0 * warp.sigma_sq / (w_sigma_sq * w_sigma_sq)
-    grad_psi_sq = c0 * hess_grad
     return GeometryCache(
         theta=theta,
         value=value,
         grad=grad,
         grad_sq=grad_sq,
-        hess_grad=hess_grad,
         w_sigma_sq=w_sigma_sq,
         psi_sq=psi_sq,
-        grad_psi_sq=grad_psi_sq,
         w_sq=w_sq,
         sigma_sq=warp.sigma_sq,
     )
@@ -174,16 +166,16 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     velocity v, for the cubic retraction.
 
     q is the geodesic acceleration at t=0 and k its time derivative along
-    the curve. Assembled from scalar contractions plus two forward/backward
-    probe points at theta +- r v, costing exactly five hvps and two
-    gradients:
+    the curve. Assembled from scalar contractions of the products at two
+    probe points theta +- r v, costing exactly four hvps and two gradients:
+    H v and H g at each probe, with g the probe-point gradient. Each pair
+    gives two figures:
 
-      * H v at theta (one hvp);
-      * H g at the probes with g the probe-point gradient (two grads, two
-        hvps), whose central difference gives d/dt[H grad] along the curve
-        to the accuracy the cubic term needs;
-      * H v at the probes (two hvps), giving the pure third directional
-        derivative of f along v.
+      * its central difference: d/dt[H v] along the curve, whose contraction
+        with v is the pure third directional derivative of f along v, and
+        d/dt[H grad], to the accuracy the cubic term needs;
+      * its mean: H v and H grad at theta itself, to O(r^2), and up to
+        rounding on a quadratic.
 
     A zero direction short-circuits to the straight ray GeodesicJet(theta,
     v), with no q or k and no evaluations.
@@ -193,10 +185,11 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     if not v.any():
         return GeodesicJet(theta=theta, v=v)
 
-    # The probes at theta +- r v come first, while only the point and v are
-    # held. The +r probe's H g and H v wait while the -r probe folds each
-    # into its central difference, H v first so that H v+ goes before H g-
-    # is made; every other probe vector dies at its last use.
+    # The +r probe's H g and H v wait while the -r probe folds each into its
+    # central difference and its mean, H v first. An objective's outputs
+    # may be read-only, so the H v mean is summed into its difference's
+    # buffer once tau is read from it; every other probe vector dies at its
+    # last use.
     r = fd_step(theta, v)
     rv = r * v
     th = theta + rv
@@ -204,22 +197,28 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     hv_hi = hvp_or_fallback(obj, th, v)
     th = theta - rv
     del rv
-    hv_dot = hv_hi - hvp_or_fallback(obj, th, v)
-    del hv_hi
+    hv_lo = hvp_or_fallback(obj, th, v)
+    hv_dot = hv_hi - hv_lo
     hv_dot /= 2.0 * r
     tau = float(v.dot(hv_dot))  # D^3 f [v, v, v]
-    del hv_dot
+    hess_v = np.add(hv_hi, hv_lo, out=hv_dot)
+    del hv_dot, hv_hi, hv_lo
+    hess_v *= 0.5
     # d/dt [H grad] along the curve; the probe pair fuses the third-derivative
     # contraction with grad and the H^2 v term in one central difference.
-    u_dot = hg_hi - hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float))
-    del hg_hi, th
+    hg_lo = hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float))
+    del th
+    u_dot = hg_hi - hg_lo
+    u = hg_hi + hg_lo
+    del hg_hi, hg_lo
+    u *= 0.5  # H grad
     u_dot /= 2.0 * r
 
     g = cache.grad
-    p = cache.grad_psi_sq
+    c0 = 2.0 * cache.sigma_sq / (cache.w_sigma_sq * cache.w_sigma_sq)
+    p = c0 * u  # gradient of the warp factor psi^2
     psi_sq = cache.psi_sq
     w_sq = cache.w_sq
-    hess_v = hvp_or_fallback(obj, theta, v)
     a = float(v.dot(p))
     b = float(v.dot(g))
     c = float(v.dot(hess_v))
@@ -230,12 +229,11 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     q = -u1 * g
     q += u2 * p
 
-    u = cache.hess_grad
     vu = float(v.dot(u))
     g2 = cache.grad_sq
-    c0 = 2.0 * cache.sigma_sq / (cache.w_sigma_sq * cache.w_sigma_sq)
 
     p_dot = -(4.0 / cache.w_sigma_sq) * vu * u
+    del u
     p_dot += u_dot
     del u_dot
     p_dot *= c0

@@ -4,19 +4,19 @@ One iteration of the driver:
 
   1. start from the cached geometry at the current point and a search
      direction in chart coordinates;
-  2. build the cubic geodesic jet along the direction (five hvps, two
+  2. build the cubic geodesic jet along the direction (four hvps, two
      gradients);
   3. strong-Wolfe search along the curved path;
-  4. build the geometry cache at the accepted point, reusing the accepted
-     trial's value and gradient (one more hvp: the Hessian-gradient
-     product);
+  4. build the geometry cache at the accepted point from the accepted
+     trial's value and gradient (no evaluation);
   5. transport the old direction across the step, compute the conjugacy
      coefficient, and combine with the new Riemannian gradient.
 
-The per-iteration budget is therefore six Hessian-vector products and one
-cache build, independent of dimension and of the line-search history; the
-trace records the actual evaluation counts so tests can assert this rather
-than trust the comment.
+The per-iteration budget is therefore four Hessian-vector products and one
+cache build, independent of dimension and of the line-search history; a
+failed search costs its jet's four hvps more, and the start's cache one
+value and one gradient. The trace records the actual evaluation counts so
+tests can assert this rather than trust the comment.
 
 The conjugacy coefficient follows the Dai-Yuan quotient: new squared
 Riemannian gradient norm over the slope gain along the (transported)
@@ -133,7 +133,7 @@ class IterationTrace:
 class RcgResult:
     """Final iterate plus the full per-iteration trace and call totals. It
     keeps no search curve and counts no cache builds: each row builds one
-    point, and each jet dies with its search.
+    point, and each jet dies by the end of its iteration.
 
     failed_attempts counts line searches that found no Wolfe point: one on
     a non-steepest direction triggers a steepest-ascent retry, one on
@@ -223,7 +223,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
     """The CG ascent loop of both drivers, over a geometry that provides
     point(theta, value_grad=None), jet(point, v) and transport(src, dst, v, t).
     A point has theta, value, grad, grad_sq, w_sq and grad_norm_riem. Each
-    jet dies when its search returns, so a run holds O(dim) memory."""
+    jet dies by the end of its iteration, so a run holds O(dim) memory."""
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (counting.dim,):
         raise ValueError(f"theta must have shape ({counting.dim},), got {theta0.shape}")
@@ -292,8 +292,6 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 restarted = 1
                 continue
 
-            # The search was the jet's last use.
-            del jet
             dst = geometry.point(ls.point, value_grad=(ls.value, ls.grad))
             try:
                 transported = geometry.transport(cache, dst, v, ls.t)
@@ -311,6 +309,11 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
             v_next = riemannian_gradient(dst)
             if beta_used != 0.0:
                 v_next -= (beta_used * scale) * transported.coords
+            # The search was the jet's last use, but its q and k go only now:
+            # freed before the new point's vectors exist, they topped glibc's
+            # heap at d = 1e5, which returned those pages and faulted them
+            # back in during the next jet.
+            del jet
         except NumericalBreakdown:
             stop = StopReason.NUMERICAL_BREAKDOWN
             break

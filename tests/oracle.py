@@ -7,8 +7,9 @@ metric, two independent routes), and a fixed-step RK4 integrator for the
 exact geodesic equation. The matrix-free section holds the tangent-space
 projection, the unit normal, the curvature scalar, the geodesic
 acceleration, projection transport and finite-difference helpers. It
-shares no code with what it checks: the acceleration writes its scalar
-contractions out itself instead of calling the jet's.
+shares no code with what it checks: the warp factor's gradient comes from
+the oracle's own H g, and the acceleration writes its scalar contractions
+out itself instead of calling the jet's.
 
 Dense routines are capped at dim <= 64 since costs are cubic-ish and no
 test needs more.
@@ -32,8 +33,10 @@ __all__ = [
     "embed_tangent",
     "project_to_tangent",
     "normal_vector",
+    "warp_gradient",
     "GeodesicAcceleration",
     "geodesic_acceleration",
+    "exact_hessian_jet",
     "second_fundamental_form",
     "transport_by_projection",
     "third_directional_derivative",
@@ -120,10 +123,23 @@ def normal_vector(cache: GeometryCache) -> np.ndarray:
     return _check_finite(n, "normal vector")
 
 
+def warp_gradient(
+    obj: Objective, cache: GeometryCache, hess_grad: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient of the warp factor psi^2 at the cache point,
+    (2 sigma^2 / (sigma^2 + ||grad||^2)^2) H grad. H grad is one fresh hvp
+    at the point unless the caller passes it."""
+    if hess_grad is None:
+        hess_grad = hvp_or_fallback(obj, cache.theta, cache.grad)
+    c0 = 2.0 * cache.sigma_sq / (cache.w_sigma_sq * cache.w_sigma_sq)
+    return c0 * hess_grad
+
+
 @dataclass(frozen=True, eq=False)
 class GeodesicAcceleration:
     """Initial acceleration of the geodesic through the cache point with
-    velocity v: v_dot = -coef_grad * grad + coef_warp * grad_psi_sq."""
+    velocity v: v_dot = -coef_grad * grad + coef_warp * grad_psi_sq, with
+    grad_psi_sq the warp factor's gradient (warp_gradient)."""
 
     coef_grad: float
     coef_warp: float
@@ -131,24 +147,82 @@ class GeodesicAcceleration:
 
 
 def geodesic_acceleration(
-    obj: Objective, cache: GeometryCache, v: np.ndarray
+    obj: Objective,
+    cache: GeometryCache,
+    v: np.ndarray,
+    hess_v: np.ndarray | None = None,
+    hess_grad: np.ndarray | None = None,
 ) -> GeodesicAcceleration:
     """Chart acceleration -Gamma(v, v) of the warped geodesic equation.
 
-    Costs one hvp (H v). The result keeps the two scalar coefficients
-    because the third-order expansion needs them.
+    Costs two hvps (H v and H g) at the cache point, less each product the
+    caller passes in. The result keeps the two scalar coefficients because
+    the third-order expansion needs them.
     """
     v = np.asarray(v, dtype=float)
-    hess_v = hvp_or_fallback(obj, cache.theta, v)
-    a = float(v.dot(cache.grad_psi_sq))
+    if hess_v is None:
+        hess_v = hvp_or_fallback(obj, cache.theta, v)
+    p = warp_gradient(obj, cache, hess_grad)
+    a = float(v.dot(p))
     b = float(v.dot(cache.grad))
     c = float(v.dot(hess_v))
-    e = float(cache.grad_psi_sq.dot(cache.grad))
+    e = float(p.dot(cache.grad))
     u1 = (a * b + cache.psi_sq * c + 0.5 * cache.psi_sq * e * b * b) / cache.w_sq
     u2 = 0.5 * b * b
-    v_dot = -u1 * cache.grad + u2 * cache.grad_psi_sq
+    v_dot = -u1 * cache.grad + u2 * p
     _check_finite(v_dot, "geodesic acceleration")
     return GeodesicAcceleration(coef_grad=u1, coef_warp=u2, v_dot=v_dot)
+
+
+def exact_hessian_jet(
+    obj: Objective, cache: GeometryCache, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(q, k) of the cubic geodesic jet, with H v and H g taken at the cache
+    point itself rather than from probes around it.
+
+    q is the acceleration -u1 g + u2 p, with p = c0 H g the warp factor's
+    gradient and c0 = 2 sigma^2 / (sigma^2 + |g|^2)^2. k is its derivative
+    along the curve, written out from the chain rule:
+
+        k = -u1' g - u1 H v + u2' p + u2 p',
+        p' = c0 (u' - (4 / (sigma^2 + |g|^2)) <v, H g> H g),
+
+    where u' = D^3 f[v, g, .] + H H v is the derivative of H g, and the
+    third derivatives are central differences of hvps at theta +- r v.
+    """
+    v = np.asarray(v, dtype=float)
+    theta, g = cache.theta, cache.grad
+    hess_v = hvp_or_fallback(obj, theta, v)
+    hess_grad = hvp_or_fallback(obj, theta, g)
+    acc = geodesic_acceleration(obj, cache, v, hess_v=hess_v, hess_grad=hess_grad)
+    q, u1, u2 = acc.v_dot, acc.coef_grad, acc.coef_warp
+    p = warp_gradient(obj, cache, hess_grad)
+    psi_sq, w_sq = cache.psi_sq, cache.w_sq
+    tau = float(v @ third_directional_derivative(obj, theta, v, v))
+    hess_grad_dot = third_directional_derivative(obj, theta, v, g) + hvp_or_fallback(
+        obj, theta, hess_v
+    )
+    c0 = 2.0 * cache.sigma_sq / cache.w_sigma_sq**2
+    vu = float(v @ hess_grad)
+    p_dot = c0 * (hess_grad_dot - (4.0 / cache.w_sigma_sq) * vu * hess_grad)
+
+    a, b, c, e = float(v @ p), float(v @ g), float(v @ hess_v), float(p @ g)
+    a_dot = float(q @ p) + float(v @ p_dot)
+    b_dot = float(q @ g) + c
+    c_dot = 2.0 * float(q @ hess_v) + tau
+    e_dot = float(p_dot @ g) + float(p @ hess_v)
+    t_num = a * b + psi_sq * c + 0.5 * psi_sq * e * b * b
+    t_num_dot = (
+        a_dot * b + a * b_dot + a * c + psi_sq * c_dot
+        + 0.5 * a * e * b * b
+        + 0.5 * psi_sq * (e_dot * b * b + 2.0 * e * b * b_dot)
+    )
+    # W^2 = 1 + psi^2 |g|^2; psi^2 changes at rate a and |g|^2 at 2 <v, H g>.
+    w_sq_dot = a * cache.grad_sq + 2.0 * psi_sq * vu
+    u1_dot = (t_num_dot * w_sq - t_num * w_sq_dot) / w_sq**2
+    u2_dot = b * b_dot
+    k = -u1_dot * g - u1 * hess_v + u2_dot * p + u2 * p_dot
+    return q, _check_finite(k, "reference jet coefficient k")
 
 
 def second_fundamental_form(
@@ -228,9 +302,11 @@ class DenseGeometry:
 
     christoffels has shape (dim, dim, dim), indexed [m, i, j] so that the
     geodesic chart acceleration is -einsum('mij,i,j->m', christoffels, v, v).
+    grad_psi_sq is the warp factor's gradient from the oracle's own H g.
     """
 
     cache: GeometryCache
+    grad_psi_sq: np.ndarray
     hessian: np.ndarray
     metric: np.ndarray
     metric_inv: np.ndarray
@@ -246,7 +322,7 @@ class DenseGeometry:
         """
         d = self.cache.theta.size
         out = np.zeros((d + 1, d + 1))
-        p = self.cache.grad_psi_sq
+        p = self.grad_psi_sq
         if m < d:
             out[d, d] = -0.5 * p[m]
             return out
@@ -275,7 +351,7 @@ def build_dense_geometry(obj: Objective, warp: WarpConfig, theta: np.ndarray) ->
     metric_inv = np.linalg.inv(metric)
 
     g = cache.grad
-    p = cache.grad_psi_sq
+    p = warp_gradient(obj, cache)
     sym = np.outer(p, g) + np.outer(g, p) + 2.0 * cache.psi_sq * hessian
     ginv_g = g / cache.w_sq
     ginv_p = metric_inv @ p
@@ -284,6 +360,7 @@ def build_dense_geometry(obj: Objective, warp: WarpConfig, theta: np.ndarray) ->
         gamma[m] = 0.5 * ginv_g[m] * sym - 0.5 * ginv_p[m] * np.outer(g, g)
     return DenseGeometry(
         cache=cache,
+        grad_psi_sq=p,
         hessian=hessian,
         metric=metric,
         metric_inv=metric_inv,

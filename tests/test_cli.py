@@ -177,12 +177,20 @@ class TestArgumentErrors:
         ["--problem", "quadratic", "--dims", "2,3", "--sigma-sq", "inf"],
         ["--problem", "quadratic", "--dim", "3", "--tol-grad", "nan"],
         ["--problem", "quadratic", "--dim", "50", "--dims", "2"],
+        ["--problem", "quadratic", "--dim", "3", "--max-iters", "1e3"],
+        ["--problem", "quadratic", "--dim", "3", "--no-such-flag"],
     ])
     def test_exit_one_with_stderr(self, capsys, argv):
         code, out, err = run_main(capsys, argv)
         assert code == 1
         assert err.startswith("error:")
         assert out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
 
 
 class TestSweep:

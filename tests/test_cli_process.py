@@ -30,3 +30,9 @@ def test_process_exit_codes():
     assert bad.returncode == 1
     assert bad.stderr.startswith("error:")
     assert bad.stdout == ""
+
+    unknown = run_cli("--problem", "quadratic", "--dim", "2", "--no-such-flag")
+    assert unknown.returncode == 1
+    assert unknown.stderr.startswith("error:")
+
+    assert run_cli("--help").returncode == 0

@@ -4,7 +4,7 @@ curvature scalars, and the geodesic jet."""
 import numpy as np
 import pytest
 
-from warpcg import QuadraticProblem, SquiggleProblem, WarpConfig
+from warpcg import QuadraticProblem, SquiggleProblem, WarpConfig, make_problem
 from warpcg.geometry import (
     build_cache,
     metric_inner,
@@ -12,16 +12,18 @@ from warpcg.geometry import (
     riemannian_gradient,
     taylor_coefficients,
 )
-from warpcg.objective import CountingObjective
+from warpcg.objective import CountingObjective, fd_step
 from oracle import (
     Bowl,
     PsiDegenerate,
     embed_tangent,
+    exact_hessian_jet,
     geodesic_acceleration,
     inverse_metric_apply,
     normal_vector,
     project_to_tangent,
     second_fundamental_form,
+    warp_gradient,
 )
 from warpcg.retraction import retract
 
@@ -54,7 +56,7 @@ class TestCacheValues:
         assert c.w_sigma_sq == 2.0
         assert c.psi_sq == 0.5
         assert c.w_sq == 1.5
-        np.testing.assert_allclose(c.grad_psi_sq, [0.5, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(warp_gradient(Bowl(), c), [0.5, 0.0], rtol=1e-15)
         np.testing.assert_allclose(riemannian_gradient(c), [-2.0 / 3.0, 0.0], rtol=1e-15)
         assert c.grad_norm_riem == pytest.approx(np.sqrt(1.0 / 1.5), rel=1e-15)
 
@@ -77,7 +79,7 @@ class TestCacheValues:
         build_cache(counted, WarpConfig(1.0), theta, value_grad=(-0.5, np.array([-1.0, 0.0])))
         assert counted.counts.n_value == 0
         assert counted.counts.n_grad == 0
-        assert counted.counts.n_hvp == 1
+        assert counted.counts.n_hvp == 0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -224,11 +226,12 @@ class TestCurvatureScalar:
             psi = np.sqrt(c.psi_sq)
             w = np.sqrt(c.w_sq)
             hess = np.column_stack([sq.hvp(theta, e) for e in np.eye(3)])
-            grad_psi = c.grad_psi_sq / (2.0 * psi)
+            grad_psi_sq = warp_gradient(sq, c)
+            grad_psi = grad_psi_sq / (2.0 * psi)
             m = (
                 (2.0 / w) * np.outer(grad_psi, c.grad)
                 + (psi / w) * hess
-                + (psi / (2.0 * w)) * float(c.grad_psi_sq @ c.grad) * np.outer(c.grad, c.grad)
+                + (psi / (2.0 * w)) * float(grad_psi_sq @ c.grad) * np.outer(c.grad, c.grad)
             )
             got = second_fundamental_form(sq, c, v, normalized=True)
             want = float(v @ ((m + m.T) / 2.0) @ v)
@@ -264,7 +267,7 @@ class TestGeodesicAcceleration:
             c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(4))
             v = rng.standard_normal(4)
             acc = geodesic_acceleration(sq, c, v)
-            want = -acc.coef_grad * c.grad + acc.coef_warp * c.grad_psi_sq
+            want = -acc.coef_grad * c.grad + acc.coef_warp * warp_gradient(sq, c)
             np.testing.assert_array_equal(acc.v_dot, want)
 
     def test_curvature_scalar_is_acceleration_coefficient(self):
@@ -283,14 +286,40 @@ class TestTaylorCoefficients:
         np.testing.assert_allclose(jet.k, [0.0, -1.0 / 3.0], rtol=1e-6, atol=1e-9)
 
     def test_q_equals_geodesic_acceleration(self):
+        # The jet takes H v and H g at theta as the means of its probe pair
+        # theta +- r v; given the same means, the oracle's acceleration must
+        # agree to the bit.
         rng = np.random.default_rng(12)
         sq = SquiggleProblem(5)
         for _ in range(10):
             c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(5))
             v = rng.standard_normal(5)
             jet = taylor_coefficients(sq, c, v)
-            acc = geodesic_acceleration(sq, c, v)
+            r = fd_step(c.theta, v)
+            probes = (c.theta + r * v, c.theta - r * v)
+            hv_hi, hv_lo = (sq.hvp(th, v) for th in probes)
+            hg_hi, hg_lo = (sq.hvp(th, sq.grad(th)) for th in probes)
+            hess_v = (hv_hi + hv_lo) / 2.0
+            hess_grad = (hg_hi + hg_lo) / 2.0
+            acc = geodesic_acceleration(sq, c, v, hess_v=hess_v, hess_grad=hess_grad)
             np.testing.assert_array_equal(jet.q, acc.v_dot)
+
+    @pytest.mark.parametrize("sigma_sq", [1.0, 1e4])
+    @pytest.mark.parametrize("dim", [2, 10, 100])
+    @pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
+    def test_probe_means_match_exact_hessian(self, name, dim, sigma_sq):
+        # H v and H g at theta come from the probe means, accurate to O(r^2);
+        # q and k must stay within 1e-6 relative of a jet that takes both
+        # products at theta itself. The largest deviation here is 2e-8.
+        rng = np.random.default_rng([dim, int(sigma_sq)])
+        problem = make_problem(name, dim)
+        for _ in range(20):
+            c = build_cache(problem, WarpConfig(sigma_sq), rng.standard_normal(dim))
+            v = rng.standard_normal(dim)
+            jet = taylor_coefficients(problem, c, v)
+            q, k = exact_hessian_jet(problem, c, v)
+            assert np.linalg.norm(jet.q - q) <= 1e-6 * np.linalg.norm(q)
+            assert np.linalg.norm(jet.k - k) <= 1e-6 * np.linalg.norm(k)
 
     def test_critical_point_gives_straight_line(self):
         c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
@@ -308,12 +337,13 @@ class TestTaylorCoefficients:
         assert counted.counts.n_grad == before.n_grad
         np.testing.assert_array_equal(retract(jet, 0.7), c.theta)
 
-    def test_budget_is_five_hvps_two_grads(self):
+    def test_budget_is_four_hvps_two_grads(self):
         counted = CountingObjective(SquiggleProblem(4))
         c = build_cache(counted, WarpConfig(1.0), np.array([1.0, -2.0, 0.5, 0.3]))
+        assert counted.counts.n_hvp == 0
         before = counted.counts.snapshot()
         taylor_coefficients(counted, c, np.array([0.2, 1.0, -0.4, 0.1]))
-        assert counted.counts.n_hvp - before.n_hvp == 5
+        assert counted.counts.n_hvp - before.n_hvp == 4
         assert counted.counts.n_grad - before.n_grad == 2
         assert counted.counts.n_value - before.n_value == 0
 

@@ -32,11 +32,11 @@ from recording import recorded
 
 def reconcile(result, recording):
     """Total hvp calls must equal the trace rows' sum plus, on the warped
-    geometry, the initial cache build plus five per failed line-search
-    attempt, each of which is a jet no step accepted. The flat geometry
-    calls no hvp."""
+    geometry, four per failed line-search attempt, each of which is a jet
+    no step accepted; a cache build calls none. The flat geometry calls no
+    hvp."""
     from_rows = sum(row.n_hvp for row in result.trace)
-    outside_rows = 1 + 5 * result.failed_attempts if recording.warped else 0
+    outside_rows = 4 * result.failed_attempts if recording.warped else 0
     return (recording.failed_jets() == result.failed_attempts
             and result.n_hvp == from_rows + outside_rows)
 
@@ -66,7 +66,7 @@ class TestTermination:
         assert res.stop_reason == StopReason.SMALL_GRAD
         assert res.iterations == 0
         assert res.trace == []
-        assert res.n_hvp == 1  # the single initial cache build
+        assert res.n_hvp == 0  # a cache build calls no hvp
 
     def test_zero_iteration_budget(self):
         q = QuadraticProblem(3)
@@ -136,7 +136,7 @@ class TestConvergence:
                                   cfg=RcgConfig(tol_df=0.0, tol_grad=1e-4, max_iters=4000))
         assert res.stop_reason == StopReason.SMALL_GRAD
         assert any(row.restart for row in res.trace)
-        assert all(row.n_hvp <= 6 for row in res.trace)
+        assert all(row.n_hvp == 4 for row in res.trace)
         assert reconcile(res, recording)
 
 
@@ -148,13 +148,12 @@ class TestBetaPolicy:
         # source slope <(1,0), (1,0)> = 1 gives denominator 5 - 1 = 4.
         src = GeometryCache(
             theta=np.zeros(2), value=0.0, grad=np.array([1.0, 0.0]), grad_sq=1.0,
-            hess_grad=np.zeros(2), w_sigma_sq=2.0, psi_sq=0.5,
-            grad_psi_sq=np.zeros(2), w_sq=1.5, sigma_sq=1.0,
+            w_sigma_sq=2.0, psi_sq=0.5, w_sq=1.5, sigma_sq=1.0,
         )
         dst = GeometryCache(
             theta=np.array([1.0, 0.0]), value=1.0, grad=np.array([5.0, 0.0]),
-            grad_sq=25.0, hess_grad=np.zeros(2), w_sigma_sq=26.0,
-            psi_sq=25.0 / 26.0, grad_psi_sq=np.zeros(2), w_sq=10.0, sigma_sq=1.0,
+            grad_sq=25.0, w_sigma_sq=26.0, psi_sq=25.0 / 26.0, w_sq=10.0,
+            sigma_sq=1.0,
         )
         return src, dst
 
@@ -205,7 +204,7 @@ class TestTraceAccounting:
         for row in res.trace:
             for f in dataclasses.fields(row):
                 assert type(getattr(row, f.name)) in (int, float), f.name
-            assert row.n_hvp <= 6
+            assert row.n_hvp == 4
             assert row.ls_evals >= 1
             assert row.n_value >= row.ls_evals
             assert row.wall_ns > 0
@@ -283,15 +282,16 @@ def test_default_run_memory_does_not_grow_with_iterations(run):
 
 
 @pytest.mark.parametrize(
-    "run, bound", [(run_rcg, 13), (run_euclidean_cg, 8)], ids=["run_rcg", "run_euclidean_cg"]
+    "run, bound", [(run_rcg, 11), (run_euclidean_cg, 8)], ids=["run_rcg", "run_euclidean_cg"]
 )
 def test_peak_working_set(run, bound):
-    # Every dim-vector of the loop dies at its last use, so a run's peak is a
-    # fixed count of vectors: the point's geometry, the direction and the jet
-    # or trial being built. At d = 20 000 (below numpy's temporary-elision
-    # size) rcg peaks at 12 and the flat driver at 7 on both problems; with
-    # each iteration's jet, transport and bracket kept alive they read 24
-    # and 13-14.
+    # Every dim-vector of the loop dies by the end of its use, so a run's
+    # peak is a fixed count of vectors: the point's geometry, the direction
+    # and the jet or trial being built. At d = 20 000 (below numpy's
+    # temporary-elision size) rcg peaks at 10 and the flat driver at 7 on
+    # both problems; with each iteration's jet, transport and bracket kept
+    # alive they read 24 and 13-14, and with H g and the warp factor's
+    # gradient held in each point rcg read 12.
     dim = 20_000
     for name, problem in (("rosenbrock", RosenbrockProblem(dim)),
                           ("quadratic", QuadraticProblem(dim))):
@@ -390,7 +390,7 @@ class TestFailureHandling:
             assert res.failed_attempts == 1
             assert res.n_value == 61
             if driver is run_rcg:
-                assert res.n_hvp == 6  # the start's cache build and one jet
+                assert res.n_hvp == 4  # one jet; the start's cache calls none
             np.testing.assert_array_equal(res.theta, np.zeros(2))
             assert reconcile(res, recording)
 

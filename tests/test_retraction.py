@@ -185,10 +185,8 @@ class TestVectorTransport:
                 value=value,
                 grad=np.array([1.0]),
                 grad_sq=1.0,
-                hess_grad=np.zeros(1),
                 w_sigma_sq=2.0,
                 psi_sq=0.5,
-                grad_psi_sq=np.zeros(1),
                 w_sq=1.5,
                 sigma_sq=1.0,
             )

@@ -124,34 +124,65 @@ class RosenbrockProblem(Objective):
             raise ValueError(f"rosenbrock needs dim >= 2, got {dim}")
         super().__init__(dim)
 
+    # Each method computes the textbook expression's operations in its
+    # order, but into its output and one (dim-1)-long scratch, recomputing
+    # a band rather than holding a third array. Augmented assignment swaps
+    # the operands of some products, which gives the same bits. Where an
+    # output entry sums two terms, their order may differ from the
+    # expression's: neither term can be -0.0, so the sum has the same bits
+    # either way.
+
     def value(self, theta: np.ndarray) -> float:
+        # -sum(100 (y - x x)^2 + (1 - x)^2)
         x, y = theta[:-1], theta[1:]
-        return -float((100.0 * (y - x * x) ** 2 + (1.0 - x) ** 2).sum())
+        terms = x * x
+        np.subtract(y, terms, out=terms)
+        terms *= terms
+        terms *= 100.0
+        pull = 1.0 - x
+        pull *= pull
+        terms += pull
+        return -float(terms.sum())
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
+        # out[:-1] = (y - x x) (400 x) + 2 (1 - x), then out[1:] += -200 (y - x x)
         x, y = theta[:-1], theta[1:]
-        resid = y - x * x
-        out = np.zeros(np.shape(theta))
-        # out[1:] takes its term first, so resid can become the out[:-1] term
-        # in place; each entry still sums the same two terms onto a zero.
-        out[1:] += -200.0 * resid
-        resid *= 400.0 * x
-        pull = 1.0 - x
-        pull *= 2.0
-        resid += pull
-        out[:-1] += resid
+        out = np.empty(np.shape(theta))
+        head = out[:-1]
+        band = x * x
+        np.subtract(y, band, out=band)
+        np.multiply(400.0, x, out=head)
+        head *= band
+        np.subtract(1.0, x, out=band)
+        band *= 2.0
+        head += band
+        np.multiply(x, x, out=band)
+        np.subtract(y, band, out=band)
+        band *= -200.0
+        out[-1] = 0.0
+        out[1:] += band
         return out
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # diag = [400 (y - 3 x x) - 2, 0] + [0, -200]; out = diag v plus the
+        # coupling 400 x between j and j+1 in both directions.
         x, y = theta[:-1], theta[1:]
-        diag = np.zeros(np.shape(theta))
-        diag[:-1] += 400.0 * (y - 3.0 * x * x) - 2.0
-        diag[1:] += -200.0
-        off = 400.0 * x  # coupling between j and j+1
-        out = diag
+        out = np.empty(np.shape(theta))
+        head, tail = out[:-1], out[1:]
+        np.multiply(3.0, x, out=head)
+        head *= x
+        np.subtract(y, head, out=head)
+        head *= 400.0
+        head -= 2.0
+        out[-1] = 0.0
+        tail += -200.0
         out *= v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
+        off = 400.0 * x
+        off *= v[1:]
+        head += off
+        np.multiply(400.0, x, out=off)
+        off *= v[:-1]
+        tail += off
         return out
 
     def maximizer(self) -> np.ndarray:

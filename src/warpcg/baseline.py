@@ -68,8 +68,10 @@ class _FlatGeometry:
     def jet(self, point: _FlatPoint, v: np.ndarray) -> GeodesicJet:
         return GeodesicJet(theta=point.theta, v=v)
 
-    def transport(self, src: _FlatPoint, dst: _FlatPoint, v: np.ndarray, t: float) -> TransportResult:
-        return TransportResult(coords=v, scale=1.0)
+    def transport(
+        self, src: _FlatPoint, dst: _FlatPoint, v: np.ndarray, t: float, slope: float
+    ) -> TransportResult:
+        return TransportResult(coords=v, scale=1.0, dst_slope=float(dst.grad.dot(v)))
 
 
 def run_euclidean_cg(

@@ -133,12 +133,20 @@ def build_cache(
 
 def metric_inner(cache: GeometryCache, x: np.ndarray, y: np.ndarray) -> float:
     """Warped inner product <x, y> + psi^2 <grad, x> <grad, y>."""
-    return float(x.dot(y) + cache.psi_sq * cache.grad.dot(x) * cache.grad.dot(y))
+    grad_x = cache.grad.dot(x)
+    grad_y = grad_x if y is x else cache.grad.dot(y)
+    return float(x.dot(y) + cache.psi_sq * grad_x * grad_y)
 
 
 def metric_norm(cache: GeometryCache, x: np.ndarray) -> float:
     """Warped norm sqrt(metric_inner(x, x))."""
-    return math.sqrt(max(metric_inner(cache, x, x), 0.0))
+    return _norm_from_dots(cache, float(x.dot(x)), float(cache.grad.dot(x)))
+
+
+def _norm_from_dots(cache: GeometryCache, x_sq: float, grad_x: float) -> float:
+    """metric_norm(cache, x) from <x, x> and <grad, x>, for a caller that
+    already holds both products."""
+    return math.sqrt(max(x_sq + cache.psi_sq * grad_x * grad_x, 0.0))
 
 
 def riemannian_gradient(cache: GeometryCache) -> np.ndarray:

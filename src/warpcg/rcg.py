@@ -154,28 +154,22 @@ class RcgResult:
     failed_attempts: int = 0
 
 
-def dy_beta(
-    src: GeometryCache,
-    dst: GeometryCache,
-    direction: np.ndarray,
-    transported: TransportResult,
-) -> float:
+def dy_beta(dst: GeometryCache, transported: TransportResult, slope: float) -> float:
     """Dai-Yuan-type conjugacy coefficient.
 
     Numerator: squared warped norm of the new Riemannian gradient,
-    ||grad||^2 / W^2 at dst. Denominator: scale * <grad_dst, transported> -
-    <grad_src, direction>, i.e. the change in ascent slope along the
-    direction across the step (each inner product is the warped pairing of
-    the Riemannian gradient with a tangent vector, which collapses to the
-    plain Euclidean product with the objective gradient).
+    ||grad||^2 / W^2 at dst. Denominator: scale * transported.dst_slope -
+    slope, where slope is the direction's initial slope <grad_src,
+    direction>, i.e. the change in ascent slope along the direction across
+    the step (each inner product is the warped pairing of the Riemannian
+    gradient with a tangent vector, which collapses to the plain Euclidean
+    product with the objective gradient).
 
     Returns the raw quotient; sign handling is the caller's policy. Raises
     DegenerateBeta when the denominator vanishes to below 1e-300.
     """
     num = dst.grad_sq / dst.w_sq
-    den = transported.scale * float(dst.grad.dot(transported.coords)) - float(
-        src.grad.dot(direction)
-    )
+    den = transported.scale * transported.dst_slope - slope
     if not math.isfinite(den) or abs(den) < 1e-300:
         raise DegenerateBeta(f"conjugacy denominator degenerate: {den}")
     return num / den
@@ -197,9 +191,9 @@ class _WarpedGeometry:
         return taylor_coefficients(self.obj, point, v)
 
     def transport(
-        self, src: GeometryCache, dst: GeometryCache, v: np.ndarray, t: float
+        self, src: GeometryCache, dst: GeometryCache, v: np.ndarray, t: float, slope: float
     ) -> TransportResult:
-        return vector_transport(src, dst, v, t)
+        return vector_transport(src, dst, v, t, slope)
 
 
 def run_rcg(
@@ -221,7 +215,8 @@ def run_rcg(
 
 def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgConfig) -> RcgResult:
     """The CG ascent loop of both drivers, over a geometry that provides
-    point(theta, value_grad=None), jet(point, v) and transport(src, dst, v, t).
+    point(theta, value_grad=None), jet(point, v) and transport(src, dst, v,
+    t, slope), where slope is <src.grad, v>.
     A point has theta, value, grad, grad_sq, w_sq and grad_norm_riem. Each
     jet dies by the end of its iteration, so a run holds O(dim) memory."""
     theta0 = np.asarray(theta0, dtype=float)
@@ -252,9 +247,11 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         counts_before = counting.counts.snapshot()
 
         try:
-            slope0 = float(cache.grad.dot(v))
+            slope0 = v_slope = float(cache.grad.dot(v))
             if not math.isfinite(slope0) or slope0 <= 0.0:
-                # Direction lost ascent: fall back to steepest.
+                # Direction lost ascent: fall back to steepest. The search
+                # starts from its exact slope ||grad||^2 / W^2; the transport
+                # and beta pair grad with v as computed.
                 v = riemannian_gradient(cache)
                 steepest = True
                 restarted = 1
@@ -262,6 +259,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 if slope0 <= 0.0:
                     stop = StopReason.SMALL_GRAD
                     break
+                v_slope = float(cache.grad.dot(v))
 
             jet = geometry.jet(cache, v)
             if prev_slope is None:
@@ -294,8 +292,8 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
 
             dst = geometry.point(ls.point, value_grad=(ls.value, ls.grad))
             try:
-                transported = geometry.transport(cache, dst, v, ls.t)
-                beta = dy_beta(cache, dst, v, transported)
+                transported = geometry.transport(cache, dst, v, ls.t, v_slope)
+                beta = dy_beta(dst, transported, v_slope)
             except (DegenerateStep, DegenerateBeta):
                 beta = 0.0
                 transported = None

@@ -11,12 +11,13 @@ vector reduces to v itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateStep
-from .geometry import GeodesicJet, GeometryCache, metric_norm
+from .geometry import GeodesicJet, GeometryCache, _norm_from_dots
 from .objective import Objective, _check_finite
 
 __all__ = [
@@ -70,16 +71,19 @@ def directional_value_and_slope(
 
 @dataclass(frozen=True, eq=False)
 class TransportResult:
-    """A transported tangent vector and its norm-safeguard scale.
+    """A transported tangent vector, its norm-safeguard scale and its slope.
 
     coords: chart coordinates of the transported vector at the destination.
     scale: min(1, source norm / destination norm), both in the respective
         warped metrics; multiplying by it guarantees the transported vector
         never reports a longer warped length than the original.
+    dst_slope: <dst.grad, coords>, the ascent slope of the unscaled
+        transported vector at the destination.
     """
 
     coords: np.ndarray
     scale: float
+    dst_slope: float
 
 
 def vector_transport(
@@ -87,15 +91,19 @@ def vector_transport(
     dst: GeometryCache,
     v: np.ndarray,
     t: float,
+    slope: float,
 ) -> TransportResult:
     """Transport tangent vector v from src to dst along the step that moved
-    the iterate there in parameter length t.
+    the iterate there in parameter length t. slope is <src.grad, v>, which
+    the caller already holds as the step's initial slope.
 
     Uses the backward-secant form: the ambient displacement from dst back to
     src, metric-projected onto the destination tangent space and divided by
     -t. All geometric quantities are the destination's; the source
     contributes only its point and value. Exact in the Euclidean limit when
-    dst = src + t v.
+    dst = src + t v. Each inner product is taken once: <coords, coords>
+    screens for non-finite entries and enters the destination norm, and
+    <dst.grad, coords> enters that norm and the result's dst_slope.
 
     Raises DegenerateStep for t <= 0, coincident endpoints, or a transported
     vector of zero destination norm (the scale would be undefined).
@@ -113,9 +121,12 @@ def vector_transport(
     coords = delta
     coords -= corr * dst.grad
     coords /= -t
-    _check_finite(coords, "transported vector")
-    dst_norm = metric_norm(dst, coords)
+    coords_sq = float(coords.dot(coords))
+    if not math.isfinite(coords_sq):
+        _check_finite(coords, "transported vector")
+    dst_slope = float(dst.grad.dot(coords))
+    dst_norm = _norm_from_dots(dst, coords_sq, dst_slope)
     if dst_norm == 0.0:
         raise DegenerateStep("transported vector has zero norm")
-    scale = min(1.0, metric_norm(src, v) / dst_norm)
-    return TransportResult(coords=coords, scale=scale)
+    scale = min(1.0, _norm_from_dots(src, float(v.dot(v)), slope) / dst_norm)
+    return TransportResult(coords=coords, scale=scale, dst_slope=dst_slope)

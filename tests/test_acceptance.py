@@ -271,7 +271,7 @@ def test_c04_matrix_free_equals_dense(capsys):
             jet = taylor_coefficients(problem, cache, unit_v)
             t_step = 0.2
             dst = build_cache(problem, warp, retract(jet, t_step))
-            res = vector_transport(cache, dst, unit_v, t_step)
+            res = vector_transport(cache, dst, unit_v, t_step, float(cache.grad @ unit_v))
             secant = np.append(
                 dst.theta - cache.theta, dst.value - cache.value
             ) / t_step
@@ -307,7 +307,7 @@ def test_c05_euclidean_limit(capsys):
         v = riemannian_gradient(src)
         t_step = 0.7
         dst = build_cache(quad, warp, start + t_step * v)
-        moved = vector_transport(src, dst, v, t_step)
+        moved = vector_transport(src, dst, v, t_step, float(src.grad @ v))
         assert np.linalg.norm(moved.coords - v) <= 1e-8 * max(1.0, np.linalg.norm(v))
 
 

@@ -251,7 +251,7 @@ def _overflowing_transport(dim, bad):
     src = np.zeros(dim)
     src[bad:] = 1e300
     with np.errstate(over="ignore"):
-        vector_transport(flat_cache(src), flat_cache(np.zeros(dim)), np.ones(dim), 1e-300)
+        vector_transport(flat_cache(src), flat_cache(np.zeros(dim)), np.ones(dim), 1e-300, 0.0)
 
 
 def _inf_normal_vector(dim, bad):

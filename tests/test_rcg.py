@@ -157,25 +157,28 @@ class TestBetaPolicy:
         )
         return src, dst
 
+    def transported(self, dst, coords, scale):
+        return TransportResult(coords=coords, scale=scale, dst_slope=float(dst.grad @ coords))
+
     def test_quotient_value(self):
         src, dst = self.synthetic_pair()
-        transported = TransportResult(coords=np.array([1.0, 0.0]), scale=1.0)
-        beta = dy_beta(src, dst, np.array([1.0, 0.0]), transported)
+        transported = self.transported(dst, np.array([1.0, 0.0]), 1.0)
+        beta = dy_beta(dst, transported, float(src.grad @ np.array([1.0, 0.0])))
         assert beta == pytest.approx(0.625, rel=1e-15)
 
     def test_scale_enters_denominator(self):
         src, dst = self.synthetic_pair()
-        transported = TransportResult(coords=np.array([1.0, 0.0]), scale=0.5)
-        beta = dy_beta(src, dst, np.array([1.0, 0.0]), transported)
+        transported = self.transported(dst, np.array([1.0, 0.0]), 0.5)
+        beta = dy_beta(dst, transported, float(src.grad @ np.array([1.0, 0.0])))
         # Denominator becomes 0.5 * 5 - 1 = 1.5.
         assert beta == pytest.approx(2.5 / 1.5, rel=1e-15)
 
     def test_degenerate_denominator(self):
         src, dst = self.synthetic_pair()
-        transported = TransportResult(coords=np.array([0.2, 0.0]), scale=1.0)
+        transported = self.transported(dst, np.array([0.2, 0.0]), 1.0)
         # 1 * <(5,0), (0.2,0)> - <(1,0), (1,0)> = 1 - 1 = 0.
         with pytest.raises(DegenerateBeta):
-            dy_beta(src, dst, np.array([1.0, 0.0]), transported)
+            dy_beta(dst, transported, float(src.grad @ np.array([1.0, 0.0])))
 
     def test_driver_never_uses_positive_beta(self):
         sq = SquiggleProblem(8)

@@ -119,7 +119,7 @@ class TestVectorTransport:
         v = np.array([1.0, 0.2, -0.4, 0.6, 0.3])
         t = 0.5
         dst = build_cache(self.sq, warp, theta + t * v)
-        res = vector_transport(src, dst, v, t)
+        res = vector_transport(src, dst, v, t, float(src.grad @ v))
         np.testing.assert_allclose(res.coords, v, rtol=1e-7, atol=1e-8)
         assert res.scale == pytest.approx(1.0, abs=1e-7)
 
@@ -132,7 +132,7 @@ class TestVectorTransport:
         jet = taylor_coefficients(self.sq, src, v)
         t = 1e-6
         dst = build_cache(self.sq, self.warp, retract(jet, t))
-        res = vector_transport(src, dst, v, t)
+        res = vector_transport(src, dst, v, t, float(src.grad @ v))
         np.testing.assert_allclose(res.coords, v, rtol=1e-4, atol=1e-5)
 
     def test_matches_projection_of_ambient_secant(self):
@@ -141,7 +141,7 @@ class TestVectorTransport:
         # agree to roundoff.
         for _ in range(20):
             src, dst, v, t = self.endpoints()
-            res = vector_transport(src, dst, v, t)
+            res = vector_transport(src, dst, v, t, float(src.grad @ v))
             secant = np.append(dst.theta - src.theta, dst.value - src.value) / t
             ref = project_to_tangent(dst, secant)
             np.testing.assert_allclose(res.coords, ref, rtol=1e-11, atol=1e-11)
@@ -157,22 +157,32 @@ class TestVectorTransport:
     def test_scale_never_expands(self):
         for _ in range(20):
             src, dst, v, t = self.endpoints()
-            res = vector_transport(src, dst, v, t)
+            res = vector_transport(src, dst, v, t, float(src.grad @ v))
             assert 0.0 < res.scale <= 1.0
             scaled_norm = metric_norm(dst, res.scale * res.coords)
             assert scaled_norm <= metric_norm(src, v) * (1.0 + 1e-12)
 
+    def test_each_product_taken_once_gives_the_metric_figures(self):
+        # The transport reuses <coords, coords>, <dst.grad, coords> and the
+        # caller's slope; its scale and dst_slope must be the bits that the
+        # metric norms and a fresh inner product give.
+        for _ in range(20):
+            src, dst, v, t = self.endpoints()
+            res = vector_transport(src, dst, v, t, float(src.grad @ v))
+            assert res.dst_slope == float(dst.grad.dot(res.coords))
+            assert res.scale == min(1.0, metric_norm(src, v) / metric_norm(dst, res.coords))
+
     def test_rejects_nonpositive_step(self):
         src, dst, v, _ = self.endpoints()
         with pytest.raises(DegenerateStep):
-            vector_transport(src, dst, v, 0.0)
+            vector_transport(src, dst, v, 0.0, float(src.grad @ v))
         with pytest.raises(DegenerateStep):
-            vector_transport(src, dst, v, -1.0)
+            vector_transport(src, dst, v, -1.0, float(src.grad @ v))
 
     def test_rejects_coincident_points(self):
         src, _, v, _ = self.endpoints()
         with pytest.raises(DegenerateStep):
-            vector_transport(src, src, v, 0.5)
+            vector_transport(src, src, v, 0.5, float(src.grad @ v))
 
     def test_rejects_zero_norm_result(self):
         # Hand-built caches where the secant lands exactly on the destination
@@ -194,4 +204,4 @@ class TestVectorTransport:
         src = cache_at(1.0, -2.0)
         dst = cache_at(0.0, 0.0)
         with pytest.raises(DegenerateStep):
-            vector_transport(src, dst, np.array([1.0]), 1.0)
+            vector_transport(src, dst, np.array([1.0]), 1.0, float(src.grad @ np.array([1.0])))

@@ -160,13 +160,24 @@ def riemannian_gradient(cache: GeometryCache) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GeodesicJet:
     """Taylor data of a search curve leaving theta with velocity v:
-    position ~ theta + t v + t^2/2 q + t^3/6 k. An order-n curve carries its
-    first n-1 coefficients; a straight ray has neither q nor k."""
+    position ~ theta + t v + t^2/2 q + t^3/6 k. curv holds q and k as the
+    two rows of one C-contiguous (2, dim) array, so the curved part of a
+    point or a velocity is one product with it. A straight ray has no curv;
+    a quadratic curve has a zero k row."""
 
     theta: np.ndarray
     v: np.ndarray
-    q: np.ndarray | None = None
-    k: np.ndarray | None = None
+    curv: np.ndarray | None = None
+
+    @property
+    def q(self) -> np.ndarray | None:
+        """Second derivative of the curve at t = 0 (a row of curv)."""
+        return None if self.curv is None else self.curv[0]
+
+    @property
+    def k(self) -> np.ndarray | None:
+        """Third derivative of the curve at t = 0 (a row of curv)."""
+        return None if self.curv is None else self.curv[1]
 
 
 def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> GeodesicJet:
@@ -185,70 +196,76 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
       * its mean: H v and H grad at theta itself, to O(r^2), and up to
         rounding on a quadratic.
 
+    Only the sums and the H g difference are formed as vectors; the exact
+    0.5 of each mean goes into the scalars, and tau is a difference of dot
+    products. q is written into the first row of the jet's curv and k,
+    a combination of g, both sums and the difference, into the second, in
+    17 elementwise passes over dim-vectors.
+
     A zero direction short-circuits to the straight ray GeodesicJet(theta,
-    v), with no q or k and no evaluations.
+    v), with no curv and no evaluations.
     """
     v = np.asarray(v, dtype=float)
     theta = cache.theta
     if not v.any():
         return GeodesicJet(theta=theta, v=v)
 
-    # The +r probe's H g and H v wait while the -r probe folds each into its
-    # central difference and its mean, H v first. An objective's outputs
-    # may be read-only, so the H v mean is summed into its difference's
-    # buffer once tau is read from it; every other probe vector dies at its
-    # last use.
+    # The +r probe's H g and H v wait while the -r probe is evaluated, H v
+    # first. An objective's outputs may be read-only, so every vector below
+    # is a fresh sum or difference of them, updated in place at its last
+    # use; each probe vector dies as soon as it is summed.
     r = fd_step(theta, v)
+    two_r = 2.0 * r
     rv = r * v
     th = theta + rv
     hg_hi = hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float))
     hv_hi = hvp_or_fallback(obj, th, v)
-    th = theta - rv
+    th = np.subtract(theta, rv, out=rv)
     del rv
     hv_lo = hvp_or_fallback(obj, th, v)
-    hv_dot = hv_hi - hv_lo
-    hv_dot /= 2.0 * r
-    tau = float(v.dot(hv_dot))  # D^3 f [v, v, v]
-    hess_v = np.add(hv_hi, hv_lo, out=hv_dot)
-    del hv_dot, hv_hi, hv_lo
-    hess_v *= 0.5
-    # d/dt [H grad] along the curve; the probe pair fuses the third-derivative
-    # contraction with grad and the H^2 v term in one central difference.
+    # D^3 f [v, v, v], from the central difference of H v along v.
+    tau = (float(v.dot(hv_hi)) - float(v.dot(hv_lo))) / two_r
+    hv_sum = hv_hi + hv_lo  # 2 H v
+    del hv_hi, hv_lo
     hg_lo = hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float))
     del th
-    u_dot = hg_hi - hg_lo
-    u = hg_hi + hg_lo
+    # The H g pair: its sum is 2 H grad; its difference, over 2 r, is d/dt
+    # [H grad] along the curve, which fuses the third-derivative contraction
+    # with grad and the H^2 v term.
+    hg_diff = hg_hi - hg_lo
+    p = hg_hi + hg_lo
     del hg_hi, hg_lo
-    u *= 0.5  # H grad
-    u_dot /= 2.0 * r
 
     g = cache.grad
     c0 = 2.0 * cache.sigma_sq / (cache.w_sigma_sq * cache.w_sigma_sq)
-    p = c0 * u  # gradient of the warp factor psi^2
+    vu = 0.5 * float(v.dot(p))  # <v, H grad>
+    p *= 0.5 * c0  # gradient of the warp factor psi^2, c0 H grad
     psi_sq = cache.psi_sq
     w_sq = cache.w_sq
     a = float(v.dot(p))
     b = float(v.dot(g))
-    c = float(v.dot(hess_v))
+    c = 0.5 * float(v.dot(hv_sum))  # <v, H v>
     e = float(p.dot(g))
     t_num = a * b + psi_sq * c + 0.5 * psi_sq * e * b * b
     u1 = t_num / w_sq
     u2 = 0.5 * b * b
-    q = -u1 * g
-    q += u2 * p
 
-    vu = float(v.dot(u))
+    curv = np.empty((2, v.size))
+    q, k = curv
+    # q = -u1 g + u2 p, with k's row holding u2 p until k is built.
+    np.multiply(p, u2, out=k)
+    np.multiply(g, -u1, out=q)
+    q += k
+
+    # The contractions of p_dot = c0 (d/dt [H grad]) - (4 / w_sigma_sq)
+    # <v, H grad> p, the warp factor's gradient along the curve.
     g2 = cache.grad_sq
-
-    p_dot = -(4.0 / cache.w_sigma_sq) * vu * u
-    del u
-    p_dot += u_dot
-    del u_dot
-    p_dot *= c0
-    a_dot = float(q.dot(p)) + float(v.dot(p_dot))
+    p_dot_coef = -(4.0 / cache.w_sigma_sq) * vu
+    diff_coef = c0 / two_r
+    a_dot = float(q.dot(p)) + (p_dot_coef * a + diff_coef * float(v.dot(hg_diff)))
     b_dot = float(q.dot(g)) + c
-    c_dot = 2.0 * float(q.dot(hess_v)) + tau
-    e_dot = float(p_dot.dot(g)) + float(p.dot(hess_v))
+    c_dot = float(q.dot(hv_sum)) + tau
+    e_dot = (p_dot_coef * e + diff_coef * float(g.dot(hg_diff))) + 0.5 * float(p.dot(hv_sum))
     w_sq_dot = a * g2 + 2.0 * psi_sq * vu
 
     t_num_dot = (
@@ -261,11 +278,16 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     u1_dot = t_num_dot / w_sq - t_num * w_sq_dot / (w_sq * w_sq)
     u2_dot = b * b_dot
 
-    k = u1_dot * g
-    k += u1 * hess_v
-    k *= -1.0  # exact negation, as the unary minus
-    k += u2_dot * p
-    k += u2 * p_dot
-    _check_finite(q, "jet coefficient q")
-    _check_finite(k, "jet coefficient k")
-    return GeodesicJet(theta=theta, v=v, q=q, k=k)
+    # k = -(u1_dot g + u1 H v) + u2_dot p + u2 p_dot, collected per vector.
+    np.multiply(g, -u1_dot, out=k)
+    hv_sum *= -0.5 * u1
+    k += hv_sum
+    p *= u2_dot + u2 * p_dot_coef
+    k += p
+    hg_diff *= u2 * diff_coef
+    k += hg_diff
+    # One screen over both rows; the row checks name the first bad entry.
+    if not math.isfinite(np.vdot(curv, curv)):
+        _check_finite(q, "jet coefficient q")
+        _check_finite(k, "jet coefficient k")
+    return GeodesicJet(theta=theta, v=v, curv=curv)

@@ -1,8 +1,9 @@
 """Cubic geodesic retraction and secant vector transport.
 
 The retraction follows the Taylor jet of the geodesic: theta(t) = theta +
-t v + t^2/2 q + t^3/6 k, summing only the terms the jet carries, so a
-straight ray is a jet with no terms. Its inverse (in the first-order
+t v + t^2/2 q + t^3/6 k, where q and k are the rows of the jet's curv, so
+the curved part is one product with it and a straight ray, which has no
+curv, is theta + t v alone. Its inverse (in the first-order
 secant sense) yields the transport: the chart displacement between the two
 endpoints, metric-projected at the destination and divided by the step
 length. In the Euclidean limit (warp -> 0, straight curve) the transported
@@ -31,26 +32,23 @@ __all__ = [
 
 def retract(jet: GeodesicJet, t: float) -> np.ndarray:
     """Point on the jet's search curve at parameter t: theta + t v, plus the
-    t^2/2 q and t^3/6 k terms the jet carries."""
+    curved part [t^2/2, t^3/6] @ curv when the jet carries one."""
     out = t * jet.v
     out += jet.theta
-    if jet.q is not None:
-        out += (0.5 * t * t) * jet.q
-    if jet.k is not None:
-        out += (t * t * t / 6.0) * jet.k
+    if jet.curv is not None:
+        out += np.array([0.5 * t * t, t * t * t / 6.0]) @ jet.curv
     return out
 
 
 def curve_velocity(jet: GeodesicJet, t: float) -> np.ndarray:
-    """Velocity of the jet's search curve at parameter t (its t-derivative).
+    """Velocity of the jet's search curve at parameter t (its t-derivative),
+    v + [t, t^2/2] @ curv.
 
     A straight ray returns jet.v itself, not a copy."""
-    if jet.q is None:
+    if jet.curv is None:
         return jet.v
-    out = t * jet.q
+    out = np.array([t, 0.5 * t * t]) @ jet.curv
     out += jet.v
-    if jet.k is not None:
-        out += (0.5 * t * t) * jet.k
     return out
 
 
@@ -60,12 +58,17 @@ def directional_value_and_slope(
     """Objective value and d/dt of it along the retraction curve at t.
 
     Returns (value, slope, point, gradient) so line-search callers can reuse
-    the evaluation; costs one value and one gradient.
+    the evaluation; costs one value and one gradient. The slope is <grad,
+    curve_velocity(jet, t)> taken without building the velocity: <grad, v>
+    + t s_0 + (t^2/2) s_1 with s = curv @ grad.
     """
     point = retract(jet, t)
     value = float(obj.value(point))
     grad = np.asarray(obj.grad(point), dtype=float)
-    slope = float(grad.dot(curve_velocity(jet, t)))
+    slope = float(grad.dot(jet.v))
+    if jet.curv is not None:
+        s = jet.curv @ grad
+        slope += t * float(s[0]) + 0.5 * t * t * float(s[1])
     return value, slope, point, grad
 
 

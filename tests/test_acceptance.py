@@ -189,7 +189,7 @@ def test_c03_retraction_order(capsys):
             jet = taylor_coefficients(problem, cache, v0)
             truncated = {
                 1: GeodesicJet(jet.theta, jet.v),
-                2: GeodesicJet(jet.theta, jet.v, jet.q),
+                2: GeodesicJet(jet.theta, jet.v, np.stack([jet.q, np.zeros_like(jet.q)])),
                 3: jet,
             }
             refs = [

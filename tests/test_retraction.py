@@ -27,7 +27,12 @@ def make_jet():
     v = np.array([0.2, 1.0])
     q = np.array([-0.3, 0.1])
     k = np.array([0.05, -0.02])
-    return GeodesicJet(theta=theta, v=v, q=q, k=k)
+    return GeodesicJet(theta=theta, v=v, curv=np.stack([q, k]))
+
+
+def quadratic_part(jet):
+    """The jet truncated after q: its k row is zero."""
+    return GeodesicJet(jet.theta, jet.v, np.stack([jet.q, np.zeros_like(jet.q)]))
 
 
 class TestRetract:
@@ -38,7 +43,7 @@ class TestRetract:
     def test_polynomial_orders(self):
         jet = make_jet()
         ray = GeodesicJet(jet.theta, jet.v)
-        bent = GeodesicJet(jet.theta, jet.v, jet.q)
+        bent = quadratic_part(jet)
         t = 0.7
         first = jet.theta + t * jet.v
         second = first + 0.5 * t * t * jet.q
@@ -46,6 +51,43 @@ class TestRetract:
         np.testing.assert_allclose(retract(ray, t), first, rtol=1e-15)
         np.testing.assert_allclose(retract(bent, t), second, rtol=1e-15)
         np.testing.assert_allclose(retract(jet, t), third, rtol=1e-15)
+
+
+class TestJetLayout:
+    def test_straight_ray_keeps_the_flat_arithmetic(self):
+        # The flat driver's search curves: theta + t v to the bit, the plain
+        # slope <grad, v>, and v itself as the velocity.
+        sq = SquiggleProblem(4)
+        theta = np.array([0.5, -1.0, 0.2, 0.8])
+        v = np.array([1.0, 0.3, -0.2, 0.5])
+        ray = GeodesicJet(theta, v)
+        assert ray.curv is None and ray.q is None and ray.k is None
+        for t in (0.0, 1e-9, 0.3, 1.7):
+            assert retract(ray, t).tobytes() == (t * v + theta).tobytes()
+            assert curve_velocity(ray, t) is v
+            _, slope, point, grad = directional_value_and_slope(sq, ray, t)
+            assert point.tobytes() == (t * v + theta).tobytes()
+            assert slope == float(grad.dot(v))
+
+    def test_cubic_jet_is_one_block_and_matches_per_term_sums(self):
+        sq = SquiggleProblem(6)
+        cache = build_cache(sq, WarpConfig(1.0), np.array([0.5, -1.0, 0.2, 0.8, 1.5, -0.3]))
+        jet = taylor_coefficients(sq, cache, np.array([1.0, 0.3, -0.2, 0.5, -0.7, 0.4]))
+        assert jet.curv.shape == (2, 6) and jet.curv.flags.c_contiguous
+        assert jet.q.base is jet.curv and jet.k.base is jet.curv
+        np.testing.assert_array_equal(jet.q, jet.curv[0])
+        np.testing.assert_array_equal(jet.k, jet.curv[1])
+        for t in (0.1, 0.5, 1.0):
+            # The one product sums the terms in another order, so each entry
+            # may differ by a rounding of its largest term, and no more.
+            terms = [jet.theta, t * jet.v, (0.5 * t * t) * jet.q, (t ** 3 / 6.0) * jet.k]
+            point = terms[0] + terms[1] + terms[2] + terms[3]
+            assert np.all(abs(retract(jet, t) - point) <= 1e-15 * sum(map(abs, terms)))
+            terms = [jet.v, t * jet.q, (0.5 * t * t) * jet.k]
+            velocity = terms[0] + terms[1] + terms[2]
+            assert np.all(abs(curve_velocity(jet, t) - velocity) <= 1e-15 * sum(map(abs, terms)))
+            _, slope, _, grad = directional_value_and_slope(sq, jet, t)
+            assert slope == pytest.approx(float(grad.dot(velocity)), rel=1e-14)
 
 
 class TestCurveVelocity:
@@ -63,7 +105,7 @@ class TestCurveVelocity:
     @pytest.mark.parametrize("with_q", [False, True])
     def test_truncated_jet_matches_fd_of_retraction(self, with_q):
         full = make_jet()
-        jet = GeodesicJet(full.theta, full.v, full.q if with_q else None)
+        jet = quadratic_part(full) if with_q else GeodesicJet(full.theta, full.v)
         v_before = jet.v.copy()
         h = 1e-6
         for t in (0.0, 0.3, 1.1):

@@ -19,26 +19,31 @@ Span ``run`` is the whole run. The others are the peaks inside
 measured by wrapping each function at its ``warpcg.rcg`` binding, as the
 benchmark's spans do, and the bindings are restored afterwards. A span the
 driver never calls prints ``-`` and 0 calls. After its traced run each
-driver runs once more, untraced, on the same problem and start, and prints
+driver runs three more times, untraced, on the same problem and start, and
+prints
 
     <driver> faults <minor page faults per iteration> <iterations>
 
-from the process's ``ru_minflt`` delta over that run. The traced run warms
-the heap first. Unlike the traced peaks, this figure counts the pages glibc
-hands back to the system and faults in again. It falls as the heap warms
-up, so compare it only at equal iteration counts. Lines starting with ``#``
-are comments.
+with the median over those runs of the process's ``ru_minflt`` delta per
+iteration. Unlike the traced peaks, this figure counts the pages glibc hands
+back to the system and faults in again. A single run after the traced one
+still paid part of the heap's warm-up, so its figure fell as the run grew
+longer; one such run does not move the median of three. Lines starting
+with ``#`` are comments.
 """
 
 from __future__ import annotations
 
 import resource
+import statistics
 import sys
 import tracemalloc
 from pathlib import Path
 
 #: Functions wrapped at their warpcg.rcg binding, one span each.
 SPANS = ("build_cache", "taylor_coefficients", "strong_wolfe", "vector_transport")
+#: Untraced runs per driver behind the faults figure.
+FAULT_RUNS = 3
 
 
 class PeakMeter:
@@ -113,8 +118,10 @@ def main(argv: list[str]) -> int:
             calls = meter.calls[span]
             shown = f"{meter.peaks[span] / theta0.nbytes:.2f}" if calls else "-"
             print(f"{driver.__name__} {span} {shown} {calls}")
-        faults, iterations = minor_faults(driver, problem, theta0, cfg)
-        print(f"{driver.__name__} faults {faults / max(1, iterations):.1f} {iterations}")
+        runs = [minor_faults(driver, problem, theta0, cfg) for _ in range(FAULT_RUNS)]
+        iterations = runs[0][1]
+        per_iteration = statistics.median(faults / max(1, its) for faults, its in runs)
+        print(f"{driver.__name__} faults {per_iteration:.1f} {iterations}")
     return 0
 
 

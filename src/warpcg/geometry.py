@@ -133,9 +133,7 @@ def build_cache(
 
 def metric_inner(cache: GeometryCache, x: np.ndarray, y: np.ndarray) -> float:
     """Warped inner product <x, y> + psi^2 <grad, x> <grad, y>."""
-    grad_x = cache.grad.dot(x)
-    grad_y = grad_x if y is x else cache.grad.dot(y)
-    return float(x.dot(y) + cache.psi_sq * grad_x * grad_y)
+    return float(x.dot(y) + cache.psi_sq * cache.grad.dot(x) * cache.grad.dot(y))
 
 
 def metric_norm(cache: GeometryCache, x: np.ndarray) -> float:
@@ -286,8 +284,5 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     k += p
     hg_diff *= u2 * diff_coef
     k += hg_diff
-    # One screen over both rows; the row checks name the first bad entry.
-    if not math.isfinite(np.vdot(curv, curv)):
-        _check_finite(q, "jet coefficient q")
-        _check_finite(k, "jet coefficient k")
+    _check_finite(curv, "jet coefficients")
     return GeodesicJet(theta=theta, v=v, curv=curv)

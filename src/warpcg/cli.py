@@ -122,6 +122,10 @@ def execute(spec: RunSpec) -> tuple[RcgResult, dict]:
         "final_f": result.value,
         "final_grad_norm_riem": result.grad_norm_riem,
         "final_grad_norm_eucl": result.grad_norm_eucl,
+        "n_value": result.n_value,
+        "n_grad": result.n_grad,
+        "n_hvp": result.n_hvp,
+        "failed_attempts": result.failed_attempts,
         "distance_to_maximizer": float(np.linalg.norm(result.theta - problem.maximizer())),
         "basin": (
             classify_rosenbrock_basin(result.theta) if spec.problem == "rosenbrock" else None

@@ -184,9 +184,10 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
 
     q is the geodesic acceleration at t=0 and k its time derivative along
     the curve. Assembled from scalar contractions of the products at two
-    probe points theta +- r v, costing exactly four hvps and two gradients:
-    H v and H g at each probe, with g the probe-point gradient. Each pair
-    gives two figures:
+    probe points theta +- r v, costing exactly four hvps and no gradient:
+    H v and H w at each probe, where w = g +- r H v is the probe-point
+    gradient to first order, with g = cache.grad and H v the probe mean
+    below. Each pair gives two figures:
 
       * its central difference: d/dt[H v] along the curve, whose contraction
         with v is the pure third directional derivative of f along v, and
@@ -194,11 +195,17 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
       * its mean: H v and H grad at theta itself, to O(r^2), and up to
         rounding on a quadratic.
 
+    The first-order w drops (r^2/2) D^3 f[v, v, .] from each probe
+    gradient. Through H it enters the H g mean at O(r^2), and the H g
+    difference over 2 r at O(r^2) as well, since the dropped term is even
+    in r and cancels from the difference to that order; so both keep the
+    order of accuracy of exact probe gradients.
+
     Only the sums and the H g difference are formed as vectors; the exact
     0.5 of each mean goes into the scalars, and tau is a difference of dot
     products. q is written into the first row of the jet's curv and k,
     a combination of g, both sums and the difference, into the second, in
-    17 elementwise passes over dim-vectors.
+    22 elementwise passes over dim-vectors.
 
     A zero direction short-circuits to the straight ray GeodesicJet(theta,
     v), with no curv and no evaluations.
@@ -208,16 +215,14 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     if not v.any():
         return GeodesicJet(theta=theta, v=v)
 
-    # The +r probe's H g and H v wait while the -r probe is evaluated, H v
-    # first. An objective's outputs may be read-only, so every vector below
-    # is a fresh sum or difference of them, updated in place at its last
-    # use; each probe vector dies as soon as it is summed.
+    # The jet never writes into an array it has handed to the objective,
+    # which may keep it, and an objective's outputs may be read-only: every
+    # vector below is a fresh sum or difference of them, updated in place
+    # at its last use, and each probe vector dies as soon as it is summed.
     r = fd_step(theta, v)
     two_r = 2.0 * r
     rv = r * v
-    th = theta + rv
-    hg_hi = hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float))
-    hv_hi = hvp_or_fallback(obj, th, v)
+    hv_hi = hvp_or_fallback(obj, theta + rv, v)
     th = np.subtract(theta, rv, out=rv)
     del rv
     hv_lo = hvp_or_fallback(obj, th, v)
@@ -225,8 +230,17 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     tau = (float(v.dot(hv_hi)) - float(v.dot(hv_lo))) / two_r
     hv_sum = hv_hi + hv_lo  # 2 H v
     del hv_hi, hv_lo
-    hg_lo = hvp_or_fallback(obj, th, np.asarray(obj.grad(th), dtype=float))
+    # The probe gradients to first order, g +- r H v, and their H g pair.
+    # The -r probe goes first, in the buffer that held r v; the +r point is
+    # rebuilt as a fresh array rather than held across it.
+    g = cache.grad
+    w = hv_sum * (0.5 * r)
+    hg_lo = hvp_or_fallback(obj, th, g - w)
     del th
+    th = r * v
+    th += theta
+    hg_hi = hvp_or_fallback(obj, th, np.add(g, w, out=w))
+    del th, w
     # The H g pair: its sum is 2 H grad; its difference, over 2 r, is d/dt
     # [H grad] along the curve, which fuses the third-derivative contraction
     # with grad and the H^2 v term.
@@ -234,7 +248,6 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     p = hg_hi + hg_lo
     del hg_hi, hg_lo
 
-    g = cache.grad
     c0 = 2.0 * cache.sigma_sq / (cache.w_sigma_sq * cache.w_sigma_sq)
     vu = 0.5 * float(v.dot(p))  # <v, H grad>
     p *= 0.5 * c0  # gradient of the warp factor psi^2, c0 H grad

@@ -4,8 +4,8 @@ One iteration of the driver:
 
   1. start from the cached geometry at the current point and a search
      direction in chart coordinates;
-  2. build the cubic geodesic jet along the direction (four hvps, two
-     gradients);
+  2. build the cubic geodesic jet along the direction (four hvps, no
+     value or gradient);
   3. strong-Wolfe search along the curved path;
   4. build the geometry cache at the accepted point from the accepted
      trial's value and gradient (no evaluation);

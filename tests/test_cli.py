@@ -248,6 +248,16 @@ class TestRunSpecApi:
         assert summary["final_f"] == result.value
         assert summary["version"]
 
+    @pytest.mark.parametrize("method", ["rcg", "euclid_cg"])
+    def test_summary_carries_the_evaluation_totals(self, method):
+        spec = RunSpec(problem="rosenbrock", dim=4, method=method,
+                       cfg=RcgConfig(max_iters=30, tol_df=0.0))
+        result, summary = execute(spec)
+        for key in ("n_value", "n_grad", "n_hvp", "failed_attempts"):
+            assert summary[key] == getattr(result, key)
+        assert summary["n_grad"] > 0
+        assert (summary["n_hvp"] > 0) == (method == "rcg")
+
     def test_validate_rejects_without_running(self):
         with pytest.raises(ValueError):
             RunSpec(problem="quadratic", dim=3, cfg=RcgConfig(wolfe_c2=2.0)).validate()

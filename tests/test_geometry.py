@@ -4,7 +4,7 @@ curvature scalars, and the geodesic jet."""
 import numpy as np
 import pytest
 
-from warpcg import QuadraticProblem, SquiggleProblem, WarpConfig, make_problem
+from warpcg import Objective, QuadraticProblem, SquiggleProblem, WarpConfig, make_problem
 from warpcg.geometry import (
     build_cache,
     metric_inner,
@@ -279,6 +279,35 @@ class TestGeodesicAcceleration:
         assert s == acc.coef_grad
 
 
+class Keeping(Objective):
+    """Keeps every array it is handed, beside a copy, as an objective that
+    caches its inputs may; without_hvp sends every hvp through the
+    central-difference fallback."""
+
+    def __init__(self, inner, without_hvp=False):
+        super().__init__(inner.dim)
+        self.inner = inner
+        self.without_hvp = without_hvp
+        self.kept = []
+
+    def _keep(self, *arrays):
+        self.kept.extend((a, a.copy()) for a in arrays)
+
+    def value(self, theta):
+        self._keep(theta)
+        return self.inner.value(theta)
+
+    def grad(self, theta):
+        self._keep(theta)
+        return self.inner.grad(theta)
+
+    def hvp(self, theta, v):
+        if self.without_hvp:
+            raise NotImplementedError
+        self._keep(theta, v)
+        return self.inner.hvp(theta, v)
+
+
 class TestTaylorCoefficients:
     def test_worked_example(self):
         c = bowl_cache()
@@ -288,8 +317,9 @@ class TestTaylorCoefficients:
 
     def test_q_equals_geodesic_acceleration(self):
         # The jet takes H v and H g at theta as the means of its probe pair
-        # theta +- r v; given the same means, the oracle's acceleration must
-        # agree to the bit.
+        # theta +- r v, with the H g probes taken along the first-order probe
+        # gradients g +- r H v; given the same means, the oracle's
+        # acceleration must agree to the bit.
         rng = np.random.default_rng(12)
         sq = SquiggleProblem(5)
         for _ in range(10):
@@ -299,7 +329,9 @@ class TestTaylorCoefficients:
             r = fd_step(c.theta, v)
             probes = (c.theta + r * v, c.theta - r * v)
             hv_hi, hv_lo = (sq.hvp(th, v) for th in probes)
-            hg_hi, hg_lo = (sq.hvp(th, sq.grad(th)) for th in probes)
+            step = (hv_hi + hv_lo) * (0.5 * r)
+            hg_hi = sq.hvp(probes[0], c.grad + step)
+            hg_lo = sq.hvp(probes[1], c.grad - step)
             hess_v = (hv_hi + hv_lo) / 2.0
             hess_grad = (hg_hi + hg_lo) / 2.0
             acc = geodesic_acceleration(sq, c, v, hess_v=hess_v, hess_grad=hess_grad)
@@ -309,9 +341,11 @@ class TestTaylorCoefficients:
     @pytest.mark.parametrize("dim", [2, 10, 100])
     @pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
     def test_probe_means_match_exact_hessian(self, name, dim, sigma_sq):
-        # H v and H g at theta come from the probe means, accurate to O(r^2);
-        # q and k must stay within 1e-6 relative of a jet that takes both
-        # products at theta itself. The largest deviation here is 2e-8.
+        # H v and H g at theta come from the probe means, accurate to O(r^2)
+        # also with the H g probes taken along the first-order probe
+        # gradients; q and k must stay within 1e-6 relative of a jet that
+        # takes both products at theta itself. The largest deviation here
+        # is 1.3e-8 (k on Rosenbrock).
         rng = np.random.default_rng([dim, int(sigma_sq)])
         problem = make_problem(name, dim)
         for _ in range(20):
@@ -338,15 +372,32 @@ class TestTaylorCoefficients:
         assert counted.counts.n_grad == before.n_grad
         np.testing.assert_array_equal(retract(jet, 0.7), c.theta)
 
-    def test_budget_is_four_hvps_two_grads(self):
+    def test_budget_is_four_hvps_no_grads(self):
         counted = CountingObjective(SquiggleProblem(4))
         c = build_cache(counted, WarpConfig(1.0), np.array([1.0, -2.0, 0.5, 0.3]))
         assert counted.counts.n_hvp == 0
         before = counted.counts.snapshot()
         taylor_coefficients(counted, c, np.array([0.2, 1.0, -0.4, 0.1]))
         assert counted.counts.n_hvp - before.n_hvp == 4
-        assert counted.counts.n_grad - before.n_grad == 2
+        assert counted.counts.n_grad - before.n_grad == 0
         assert counted.counts.n_value - before.n_value == 0
+
+    @pytest.mark.parametrize("without_hvp", [False, True], ids=["hvp", "grad_only"])
+    @pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
+    def test_never_writes_into_an_array_it_passed_to_the_objective(self, name, without_hvp):
+        # An objective may keep its inputs, so every probe point and every
+        # direction the jet hands over must still hold its bits when the jet
+        # returns.
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            keeping = Keeping(make_problem(name, 6), without_hvp)
+            c = build_cache(make_problem(name, 6), WarpConfig(1.0), rng.standard_normal(6))
+            taylor_coefficients(keeping, c, rng.standard_normal(6))
+            # Four hvps keep a point and a direction each, or on the
+            # fallback route two gradient points each.
+            assert len(keeping.kept) == 8
+            for kept, copy in keeping.kept:
+                assert kept.tobytes() == copy.tobytes()
 
     def test_quadratic_jet_against_quadratic_geometry(self):
         # On an isotropic quadratic the whole geometry is rotationally

@@ -208,8 +208,8 @@ class TestObjectiveContract:
 @pytest.mark.parametrize("name", ["squiggle", "rosenbrock"])
 def test_fallback_route_counts_exactly(name, dim):
     # Every hvp goes through the fallback: the jet's four hvps are two
-    # gradients each, plus the jet's two probe gradients, and a cache build
-    # calls no hvp, so an iteration spends 4 * 2 + 2 = 10 gradients beyond
+    # gradients each, the jet calls no gradient of its own, and a cache
+    # build calls no hvp, so an iteration spends 4 * 2 = 8 gradients beyond
     # its line search. A gradient returned as a list runs the same route to
     # the same bits.
     recorded_runs = [
@@ -228,7 +228,7 @@ def test_fallback_route_counts_exactly(name, dim):
         for row in res.trace:
             assert row.n_hvp == 0
             assert row.n_value == row.ls_evals
-            assert row.n_grad == row.ls_evals + 10
+            assert row.n_grad == row.ls_evals + 8
     runs = [res for res, _ in recorded_runs]
     assert runs[1].theta.tobytes() == runs[0].theta.tobytes()
     assert runs[1].n_grad == runs[0].n_grad

@@ -2,24 +2,20 @@
 
 The warped metric G = I + psi^2 grad grad^T tends to the identity as
 sigma_sq grows, so the flat-space baseline is the warped driver's loop run
-over the identity metric: points carry W^2 = 1, search curves are jets
-without curvature terms (straight rays), transport is the identity with
-scale 1, and no geometry cache or hvp is ever built. Wolfe search,
-Dai-Yuan coefficient, sign policy, trace schema and stop reasons are
-therefore the warped driver's own. It gives experiments a like-for-like
-flat-space reference.
+over the identity metric: points are geometry caches with psi^2 = 0 and
+W^2 = 1, search curves are jets without curvature terms (straight rays),
+transport is the identity with scale 1, and no hvp is ever called. Wolfe
+search, Dai-Yuan coefficient, sign policy, trace schema and stop reasons
+are therefore the warped driver's own. It gives experiments a
+like-for-like flat-space reference.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NumericalBreakdown
-from .geometry import GeodesicJet
-from .objective import CountingObjective, Objective, _check_finite
+from .geometry import GeodesicJet, GeometryCache, build_cache
+from .objective import CountingObjective, Objective
 from .rcg import RcgConfig, RcgResult, _run_cg
 from .retraction import TransportResult
 
@@ -30,46 +26,23 @@ from .retraction import directional_value_and_slope  # noqa: F401
 __all__ = ["run_euclidean_cg"]
 
 
-@dataclass(frozen=True, eq=False)
-class _FlatPoint:
-    theta: np.ndarray
-    value: float
-    grad: np.ndarray
-    grad_sq: float
-    w_sq = 1.0
-
-    @property
-    def grad_norm_riem(self) -> float:
-        return math.sqrt(self.grad_sq)
-
-
 class _FlatGeometry:
-    """Identity metric: straight rays, identity transport, no cache builds."""
+    """Identity metric: geometry caches built with no warp, straight rays,
+    identity transport. point calls this module's own import of
+    build_cache, so perfbench's span on warpcg.rcg.build_cache counts the
+    warped driver's points alone."""
 
     def __init__(self, obj: Objective):
         self.obj = obj
 
-    def point(self, theta: np.ndarray, value_grad=None) -> _FlatPoint:
-        if value_grad is None:
-            value = float(self.obj.value(theta))
-            grad = np.asarray(self.obj.grad(theta), dtype=float)
-            if not math.isfinite(value):
-                raise NumericalBreakdown("non-finite objective data")
-        else:
-            # The line search accepts only trials of finite value and slope.
-            value, grad = value_grad
-        # A NaN or inf entry makes the self-dot non-finite, so the full
-        # check runs only when it is.
-        grad_sq = float(grad.dot(grad))
-        if not math.isfinite(grad_sq):
-            _check_finite(grad, "objective data")
-        return _FlatPoint(theta=theta, value=value, grad=grad, grad_sq=grad_sq)
+    def point(self, theta: np.ndarray, value_grad=None) -> GeometryCache:
+        return build_cache(self.obj, None, theta, value_grad=value_grad)
 
-    def jet(self, point: _FlatPoint, v: np.ndarray) -> GeodesicJet:
+    def jet(self, point: GeometryCache, v: np.ndarray) -> GeodesicJet:
         return GeodesicJet(theta=point.theta, v=v)
 
     def transport(
-        self, src: _FlatPoint, dst: _FlatPoint, v: np.ndarray, t: float, slope: float
+        self, src: GeometryCache, dst: GeometryCache, v: np.ndarray, t: float, slope: float
     ) -> TransportResult:
         return TransportResult(coords=v, scale=1.0, dst_slope=float(dst.grad.dot(v)))
 

@@ -15,7 +15,10 @@ All per-point quantities that the optimizer reuses are bundled into an
 immutable :class:`GeometryCache`, built once per visited point from one
 value and one gradient (injected when the caller already has them, e.g.
 from a line-search trial) and no Hessian-vector product. The Hessian terms
-live only in the geodesic jet, which takes them from its own probe pair.
+and sigma^2 enter only the geodesic jet, which takes the Hessian terms from
+its own probe pair and sigma^2 from its caller's WarpConfig. The Euclidean
+limit is a cache of the identity metric (psi^2 = 0, W^2 = 1), which is what
+the flat-space baseline's points are.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ __all__ = [
     "GeometryCache",
     "GeodesicJet",
     "build_cache",
-    "metric_inner",
-    "metric_norm",
     "riemannian_gradient",
     "taylor_coefficients",
 ]
@@ -60,28 +61,26 @@ class WarpConfig:
 class GeometryCache:
     """The first-order geometry at one point, computed once: all that the
     metric, the transport, the conjugacy coefficient and the stop tests
-    read. It holds no Hessian term; the jet takes those from its probes.
+    read. It holds no Hessian term and no sigma^2; the jet takes those from
+    its probes and its WarpConfig.
 
     Attributes:
         theta: the point, shape (dim,).
         value: objective value f(theta).
         grad: objective gradient, shape (dim,).
         grad_sq: ||grad||^2.
-        w_sigma_sq: sigma_sq + ||grad||^2.
-        psi_sq: warp factor ||grad||^2 / w_sigma_sq, in [0, 1).
+        psi_sq: warp factor ||grad||^2 / (sigma_sq + ||grad||^2), in
+            [0, 1); exactly 0 for the identity metric.
         w_sq: 1 + psi_sq ||grad||^2, the squared warped length of the graph
-            tangent along grad.
-        sigma_sq: warp parameter echoed for the jet's derivative formulas.
+            tangent along grad; exactly 1 for the identity metric.
     """
 
     theta: np.ndarray
     value: float
     grad: np.ndarray
     grad_sq: float
-    w_sigma_sq: float
     psi_sq: float
     w_sq: float
-    sigma_sq: float
 
     @property
     def grad_norm_riem(self) -> float:
@@ -91,11 +90,12 @@ class GeometryCache:
 
 def build_cache(
     obj: Objective,
-    warp: WarpConfig,
+    warp: WarpConfig | None,
     theta: np.ndarray,
     value_grad: tuple[float, np.ndarray] | None = None,
 ) -> GeometryCache:
-    """Evaluate the warp geometry at theta.
+    """Evaluate the warp geometry at theta; warp=None is the identity
+    metric, with psi_sq = 0 and w_sq = 1 whatever the gradient.
 
     Costs one value and one gradient, and nothing when value_grad passes an
     evaluation the caller already paid for. It calls no hvp.
@@ -116,34 +116,20 @@ def build_cache(
     grad_sq = float(grad.dot(grad))
     if not math.isfinite(grad_sq):
         _check_finite(grad, "gradient")
-    w_sigma_sq = warp.sigma_sq + grad_sq
-    psi_sq = grad_sq / w_sigma_sq
-    w_sq = 1.0 + psi_sq * grad_sq
+    if warp is None:
+        psi_sq = 0.0
+        w_sq = 1.0
+    else:
+        psi_sq = grad_sq / (warp.sigma_sq + grad_sq)
+        w_sq = 1.0 + psi_sq * grad_sq
     return GeometryCache(
-        theta=theta,
-        value=value,
-        grad=grad,
-        grad_sq=grad_sq,
-        w_sigma_sq=w_sigma_sq,
-        psi_sq=psi_sq,
-        w_sq=w_sq,
-        sigma_sq=warp.sigma_sq,
+        theta=theta, value=value, grad=grad, grad_sq=grad_sq, psi_sq=psi_sq, w_sq=w_sq
     )
 
 
-def metric_inner(cache: GeometryCache, x: np.ndarray, y: np.ndarray) -> float:
-    """Warped inner product <x, y> + psi^2 <grad, x> <grad, y>."""
-    return float(x.dot(y) + cache.psi_sq * cache.grad.dot(x) * cache.grad.dot(y))
-
-
-def metric_norm(cache: GeometryCache, x: np.ndarray) -> float:
-    """Warped norm sqrt(metric_inner(x, x))."""
-    return _norm_from_dots(cache, float(x.dot(x)), float(cache.grad.dot(x)))
-
-
 def _norm_from_dots(cache: GeometryCache, x_sq: float, grad_x: float) -> float:
-    """metric_norm(cache, x) from <x, x> and <grad, x>, for a caller that
-    already holds both products."""
+    """Warped norm sqrt(<x, x> + psi^2 <grad, x>^2) of a vector x, from
+    <x, x> and <grad, x>, for a caller that already holds both products."""
     return math.sqrt(max(x_sq + cache.psi_sq * grad_x * grad_x, 0.0))
 
 
@@ -178,7 +164,9 @@ class GeodesicJet:
         return None if self.curv is None else self.curv[1]
 
 
-def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> GeodesicJet:
+def taylor_coefficients(
+    obj: Objective, warp: WarpConfig, cache: GeometryCache, v: np.ndarray
+) -> GeodesicJet:
     """Second and third chart derivatives of the geodesic with initial
     velocity v, for the cubic retraction.
 
@@ -248,7 +236,8 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     p = hg_hi + hg_lo
     del hg_hi, hg_lo
 
-    c0 = 2.0 * cache.sigma_sq / (cache.w_sigma_sq * cache.w_sigma_sq)
+    w_sigma_sq = warp.sigma_sq + cache.grad_sq
+    c0 = 2.0 * warp.sigma_sq / (w_sigma_sq * w_sigma_sq)
     vu = 0.5 * float(v.dot(p))  # <v, H grad>
     p *= 0.5 * c0  # gradient of the warp factor psi^2, c0 H grad
     psi_sq = cache.psi_sq
@@ -271,7 +260,7 @@ def taylor_coefficients(obj: Objective, cache: GeometryCache, v: np.ndarray) -> 
     # The contractions of p_dot = c0 (d/dt [H grad]) - (4 / w_sigma_sq)
     # <v, H grad> p, the warp factor's gradient along the curve.
     g2 = cache.grad_sq
-    p_dot_coef = -(4.0 / cache.w_sigma_sq) * vu
+    p_dot_coef = -(4.0 / w_sigma_sq) * vu
     diff_coef = c0 / two_r
     a_dot = float(q.dot(p)) + (p_dot_coef * a + diff_coef * float(v.dot(hg_diff)))
     b_dot = float(q.dot(g)) + c

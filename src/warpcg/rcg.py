@@ -188,7 +188,7 @@ class _WarpedGeometry:
         return build_cache(self.obj, self.warp, theta, value_grad=value_grad)
 
     def jet(self, point: GeometryCache, v: np.ndarray) -> GeodesicJet:
-        return taylor_coefficients(self.obj, point, v)
+        return taylor_coefficients(self.obj, self.warp, point, v)
 
     def transport(
         self, src: GeometryCache, dst: GeometryCache, v: np.ndarray, t: float, slope: float
@@ -216,13 +216,9 @@ def run_rcg(
 def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgConfig) -> RcgResult:
     """The CG ascent loop of both drivers, over a geometry that provides
     point(theta, value_grad=None), jet(point, v) and transport(src, dst, v,
-    t, slope), where slope is <src.grad, v>.
-    A point has theta, value, grad, grad_sq, w_sq and grad_norm_riem. Each
-    jet dies by the end of its iteration, so a run holds O(dim) memory."""
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (counting.dim,):
-        raise ValueError(f"theta must have shape ({counting.dim},), got {theta0.shape}")
-
+    t, slope), where slope is <src.grad, v>. A point is a GeometryCache;
+    building the first one checks theta0's shape. Each jet dies by the end
+    of its iteration, so a run holds O(dim) memory."""
     cache = geometry.point(theta0)
     v = riemannian_gradient(cache)
     trace: list[IterationTrace] = []

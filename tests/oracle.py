@@ -4,12 +4,13 @@ geodesic integrator, and the matrix-free operations no run needs.
 Everything dense here is deliberately slow and explicit: dense metric,
 dense Christoffel symbols (by closed form AND by finite differences of the
 metric, two independent routes), and a fixed-step RK4 integrator for the
-exact geodesic equation. The matrix-free section holds the tangent-space
-projection, the unit normal, the curvature scalar, the geodesic
-acceleration, projection transport and finite-difference helpers. It
-shares no code with what it checks: the warp factor's gradient comes from
-the oracle's own H g, and the acceleration writes its scalar contractions
-out itself instead of calling the jet's.
+exact geodesic equation. The matrix-free section holds the metric's inner
+product and norm, the tangent-space projection, the unit normal, the
+curvature scalar, the geodesic acceleration, projection transport and
+finite-difference helpers. It shares no code with what it checks: the warp
+factor's gradient comes from the oracle's own H g and its own sigma^2 +
+||grad||^2, and the acceleration writes its scalar contractions out itself
+instead of calling the jet's.
 
 Dense routines are capped at dim <= 64 since costs are cubic-ish and no
 test needs more.
@@ -17,6 +18,7 @@ test needs more.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,8 @@ __all__ = [
     "PsiDegenerate",
     "StepUnstable",
     "Bowl",
+    "metric_inner",
+    "metric_norm",
     "inverse_metric_apply",
     "embed_tangent",
     "project_to_tangent",
@@ -83,6 +87,18 @@ class Bowl(Objective):
         return -np.asarray(v, dtype=float)
 
 
+def metric_inner(cache: GeometryCache, x: np.ndarray, y: np.ndarray) -> float:
+    """Warped inner product <x, y> + psi^2 <grad, x> <grad, y>."""
+    return float(x.dot(y) + cache.psi_sq * cache.grad.dot(x) * cache.grad.dot(y))
+
+
+def metric_norm(cache: GeometryCache, x: np.ndarray) -> float:
+    """Warped norm sqrt(max(<x, x> + psi^2 <grad, x>^2, 0))."""
+    x_sq = float(x.dot(x))
+    grad_x = float(cache.grad.dot(x))
+    return math.sqrt(max(x_sq + cache.psi_sq * grad_x * grad_x, 0.0))
+
+
 def inverse_metric_apply(cache: GeometryCache, z: np.ndarray) -> np.ndarray:
     """Apply G^{-1} = I - (psi^2 / W^2) grad grad^T to z. O(dim)."""
     return z - (cache.psi_sq / cache.w_sq) * (cache.grad @ z) * cache.grad
@@ -124,14 +140,18 @@ def normal_vector(cache: GeometryCache) -> np.ndarray:
 
 
 def warp_gradient(
-    obj: Objective, cache: GeometryCache, hess_grad: np.ndarray | None = None
+    obj: Objective,
+    warp: WarpConfig,
+    cache: GeometryCache,
+    hess_grad: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the warp factor psi^2 at the cache point,
     (2 sigma^2 / (sigma^2 + ||grad||^2)^2) H grad. H grad is one fresh hvp
     at the point unless the caller passes it."""
     if hess_grad is None:
         hess_grad = hvp_or_fallback(obj, cache.theta, cache.grad)
-    c0 = 2.0 * cache.sigma_sq / (cache.w_sigma_sq * cache.w_sigma_sq)
+    w_sigma_sq = warp.sigma_sq + cache.grad_sq
+    c0 = 2.0 * warp.sigma_sq / (w_sigma_sq * w_sigma_sq)
     return c0 * hess_grad
 
 
@@ -148,6 +168,7 @@ class GeodesicAcceleration:
 
 def geodesic_acceleration(
     obj: Objective,
+    warp: WarpConfig,
     cache: GeometryCache,
     v: np.ndarray,
     hess_v: np.ndarray | None = None,
@@ -162,7 +183,7 @@ def geodesic_acceleration(
     v = np.asarray(v, dtype=float)
     if hess_v is None:
         hess_v = hvp_or_fallback(obj, cache.theta, v)
-    p = warp_gradient(obj, cache, hess_grad)
+    p = warp_gradient(obj, warp, cache, hess_grad)
     a = float(v.dot(p))
     b = float(v.dot(cache.grad))
     c = float(v.dot(hess_v))
@@ -175,7 +196,7 @@ def geodesic_acceleration(
 
 
 def exact_hessian_jet(
-    obj: Objective, cache: GeometryCache, v: np.ndarray
+    obj: Objective, warp: WarpConfig, cache: GeometryCache, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(q, k) of the cubic geodesic jet, with H v and H g taken at the cache
     point itself rather than from probes around it.
@@ -194,17 +215,18 @@ def exact_hessian_jet(
     theta, g = cache.theta, cache.grad
     hess_v = hvp_or_fallback(obj, theta, v)
     hess_grad = hvp_or_fallback(obj, theta, g)
-    acc = geodesic_acceleration(obj, cache, v, hess_v=hess_v, hess_grad=hess_grad)
+    acc = geodesic_acceleration(obj, warp, cache, v, hess_v=hess_v, hess_grad=hess_grad)
     q, u1, u2 = acc.v_dot, acc.coef_grad, acc.coef_warp
-    p = warp_gradient(obj, cache, hess_grad)
+    p = warp_gradient(obj, warp, cache, hess_grad)
     psi_sq, w_sq = cache.psi_sq, cache.w_sq
     tau = float(v @ third_directional_derivative(obj, theta, v, v))
     hess_grad_dot = third_directional_derivative(obj, theta, v, g) + hvp_or_fallback(
         obj, theta, hess_v
     )
-    c0 = 2.0 * cache.sigma_sq / cache.w_sigma_sq**2
+    w_sigma_sq = warp.sigma_sq + cache.grad_sq
+    c0 = 2.0 * warp.sigma_sq / w_sigma_sq**2
     vu = float(v @ hess_grad)
-    p_dot = c0 * (hess_grad_dot - (4.0 / cache.w_sigma_sq) * vu * hess_grad)
+    p_dot = c0 * (hess_grad_dot - (4.0 / w_sigma_sq) * vu * hess_grad)
 
     a, b, c, e = float(v @ p), float(v @ g), float(v @ hess_v), float(p @ g)
     a_dot = float(q @ p) + float(v @ p_dot)
@@ -227,6 +249,7 @@ def exact_hessian_jet(
 
 def second_fundamental_form(
     obj: Objective,
+    warp: WarpConfig,
     cache: GeometryCache,
     v: np.ndarray,
     normalized: bool = False,
@@ -239,7 +262,7 @@ def second_fundamental_form(
     (W / psi) times that coefficient, which requires psi > 0 and raises
     PsiDegenerate at critical points.
     """
-    u1 = geodesic_acceleration(obj, cache, v).coef_grad
+    u1 = geodesic_acceleration(obj, warp, cache, v).coef_grad
     if not normalized:
         return u1
     if cache.psi_sq == 0.0:
@@ -351,7 +374,7 @@ def build_dense_geometry(obj: Objective, warp: WarpConfig, theta: np.ndarray) ->
     metric_inv = np.linalg.inv(metric)
 
     g = cache.grad
-    p = warp_gradient(obj, cache)
+    p = warp_gradient(obj, warp, cache)
     sym = np.outer(p, g) + np.outer(g, p) + 2.0 * cache.psi_sq * hessian
     ginv_g = g / cache.w_sq
     ginv_p = metric_inv @ p
@@ -446,7 +469,7 @@ def integrate_geodesic(
 
         def accel(th, vv):
             cache = build_cache(obj, warp, th)
-            return geodesic_acceleration(obj, cache, vv).v_dot
+            return geodesic_acceleration(obj, warp, cache, vv).v_dot
 
     def rhs(th, vv):
         try:

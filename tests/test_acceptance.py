@@ -33,7 +33,6 @@ from warpcg import (
 from warpcg.geometry import (
     GeodesicJet,
     build_cache,
-    metric_inner,
     riemannian_gradient,
     taylor_coefficients,
 )
@@ -44,6 +43,7 @@ from oracle import (
     geodesic_acceleration,
     integrate_geodesic,
     inverse_metric_apply,
+    metric_inner,
     normal_vector,
     project_to_tangent,
 )
@@ -186,7 +186,7 @@ def test_c03_retraction_order(capsys):
         floors = {3: 3.6, 2: 2.8, 1: 1.9}
         for problem, theta0, v0 in cases:
             cache = build_cache(problem, warp, theta0)
-            jet = taylor_coefficients(problem, cache, v0)
+            jet = taylor_coefficients(problem, warp, cache, v0)
             truncated = {
                 1: GeodesicJet(jet.theta, jet.v),
                 2: GeodesicJet(jet.theta, jet.v, np.stack([jet.q, np.zeros_like(jet.q)])),
@@ -221,7 +221,7 @@ def test_c04_matrix_free_equals_dense(capsys):
             cache = geo.cache
 
             # Acceleration vs dense Christoffel contraction.
-            acc = geodesic_acceleration(problem, cache, v)
+            acc = geodesic_acceleration(problem, warp, cache, v)
             dense_qdot = -np.einsum("mij,i,j->m", geo.christoffels, v, v)
             scale = max(1.0, np.linalg.norm(dense_qdot))
             assert np.linalg.norm(acc.v_dot - dense_qdot) <= 1e-8 * scale
@@ -268,7 +268,7 @@ def test_c04_matrix_free_equals_dense(capsys):
             # destination gradient stays within the range where the dense
             # oracle itself holds 1e-10 digits.
             unit_v = v / np.linalg.norm(v)
-            jet = taylor_coefficients(problem, cache, unit_v)
+            jet = taylor_coefficients(problem, warp, cache, unit_v)
             t_step = 0.2
             dst = build_cache(problem, warp, retract(jet, t_step))
             res = vector_transport(cache, dst, unit_v, t_step, float(cache.grad @ unit_v))

@@ -14,6 +14,7 @@ from warpcg import (
     make_problem,
     run_euclidean_cg,
 )
+from warpcg.geometry import GeometryCache
 from warpcg.retraction import directional_value_and_slope, retract
 from recording import recorded
 
@@ -93,6 +94,19 @@ class TestSchemaParity:
         res = run_euclidean_cg(q, np.full(3, 0.5))
         assert res.n_hvp == 0
         assert res.grad_norm_riem == res.grad_norm_eucl
+
+    def test_points_are_caches_of_the_identity_metric(self):
+        # The flat driver's points are the warped driver's point type at
+        # psi^2 = 0 and W^2 = 1 exactly.
+        sq = SquiggleProblem(5)
+        res, recording = recorded(run_euclidean_cg, sq, initial_point("squiggle", 5),
+                                  cfg=RcgConfig(max_iters=10))
+        points = [point for kind, point in recording.calls if kind == "point"]
+        assert len(points) == res.iterations + 1
+        for point in points:
+            assert type(point) is GeometryCache
+            assert point.psi_sq == 0.0
+            assert point.w_sq == 1.0
 
     def test_value_calls_reconcile(self):
         # One evaluation at the start plus the line-search evaluations.

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from warpcg import Objective, QuadraticProblem, SquiggleProblem, WarpConfig, make_problem
-from warpcg.geometry import (
-    build_cache,
-    metric_inner,
-    metric_norm,
-    riemannian_gradient,
-    taylor_coefficients,
-)
+from warpcg.geometry import build_cache, riemannian_gradient, taylor_coefficients
 from warpcg.objective import CountingObjective, fd_step
 from oracle import (
     Bowl,
@@ -20,6 +14,8 @@ from oracle import (
     exact_hessian_jet,
     geodesic_acceleration,
     inverse_metric_apply,
+    metric_inner,
+    metric_norm,
     normal_vector,
     project_to_tangent,
     second_fundamental_form,
@@ -53,10 +49,11 @@ class TestCacheValues:
         assert c.value == -0.5
         np.testing.assert_array_equal(c.grad, [-1.0, 0.0])
         assert c.grad_sq == 1.0
-        assert c.w_sigma_sq == 2.0
         assert c.psi_sq == 0.5
         assert c.w_sq == 1.5
-        np.testing.assert_allclose(warp_gradient(Bowl(), c), [0.5, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(
+            warp_gradient(Bowl(), WarpConfig(1.0), c), [0.5, 0.0], rtol=1e-15
+        )
         np.testing.assert_allclose(riemannian_gradient(c), [-2.0 / 3.0, 0.0], rtol=1e-15)
         assert c.grad_norm_riem == pytest.approx(np.sqrt(1.0 / 1.5), rel=1e-15)
 
@@ -209,8 +206,8 @@ class TestCurvatureScalar:
     def test_quadratic_in_direction(self):
         c = bowl_cache()
         v = np.array([0.4, -0.9])
-        one = second_fundamental_form(Bowl(), c, v)
-        two = second_fundamental_form(Bowl(), c, 2.0 * v)
+        one = second_fundamental_form(Bowl(), WarpConfig(1.0), c, v)
+        two = second_fundamental_form(Bowl(), WarpConfig(1.0), c, 2.0 * v)
         assert two == pytest.approx(4.0 * one, rel=1e-12)
 
     def test_normalized_matches_dense_form(self):
@@ -227,36 +224,38 @@ class TestCurvatureScalar:
             psi = np.sqrt(c.psi_sq)
             w = np.sqrt(c.w_sq)
             hess = np.column_stack([sq.hvp(theta, e) for e in np.eye(3)])
-            grad_psi_sq = warp_gradient(sq, c)
+            grad_psi_sq = warp_gradient(sq, WarpConfig(1.0), c)
             grad_psi = grad_psi_sq / (2.0 * psi)
             m = (
                 (2.0 / w) * np.outer(grad_psi, c.grad)
                 + (psi / w) * hess
                 + (psi / (2.0 * w)) * float(grad_psi_sq @ c.grad) * np.outer(c.grad, c.grad)
             )
-            got = second_fundamental_form(sq, c, v, normalized=True)
+            got = second_fundamental_form(sq, WarpConfig(1.0), c, v, normalized=True)
             want = float(v @ ((m + m.T) / 2.0) @ v)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_normalized_scale_relation(self):
         c = bowl_cache()
         v = np.array([1.3, 0.2])
-        scaled = second_fundamental_form(Bowl(), c, v)
-        normalized = second_fundamental_form(Bowl(), c, v, normalized=True)
+        scaled = second_fundamental_form(Bowl(), WarpConfig(1.0), c, v)
+        normalized = second_fundamental_form(Bowl(), WarpConfig(1.0), c, v, normalized=True)
         assert normalized == pytest.approx(np.sqrt(c.w_sq / c.psi_sq) * scaled, rel=1e-14)
 
     def test_degenerate_normalization(self):
         c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
         with pytest.raises(PsiDegenerate):
-            second_fundamental_form(Bowl(), c, np.array([1.0, 0.0]), normalized=True)
+            second_fundamental_form(
+                Bowl(), WarpConfig(1.0), c, np.array([1.0, 0.0]), normalized=True
+            )
         # The scaled variant stays finite (zero) there.
-        assert second_fundamental_form(Bowl(), c, np.array([1.0, 0.0])) == 0.0
+        assert second_fundamental_form(Bowl(), WarpConfig(1.0), c, np.array([1.0, 0.0])) == 0.0
 
 
 class TestGeodesicAcceleration:
     def test_worked_example(self):
         c = bowl_cache()
-        acc = geodesic_acceleration(Bowl(), c, np.array([1.0, 0.0]))
+        acc = geodesic_acceleration(Bowl(), WarpConfig(1.0), c, np.array([1.0, 0.0]))
         assert acc.coef_grad == pytest.approx(-0.75, rel=1e-14)
         assert acc.coef_warp == pytest.approx(0.5, rel=1e-14)
         np.testing.assert_allclose(acc.v_dot, [-0.5, 0.0], rtol=1e-14)
@@ -267,15 +266,15 @@ class TestGeodesicAcceleration:
         for _ in range(10):
             c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(4))
             v = rng.standard_normal(4)
-            acc = geodesic_acceleration(sq, c, v)
-            want = -acc.coef_grad * c.grad + acc.coef_warp * warp_gradient(sq, c)
+            acc = geodesic_acceleration(sq, WarpConfig(1.0), c, v)
+            want = -acc.coef_grad * c.grad + acc.coef_warp * warp_gradient(sq, WarpConfig(1.0), c)
             np.testing.assert_array_equal(acc.v_dot, want)
 
     def test_curvature_scalar_is_acceleration_coefficient(self):
         c = bowl_cache()
         v = np.array([0.7, -0.4])
-        acc = geodesic_acceleration(Bowl(), c, v)
-        s = second_fundamental_form(Bowl(), c, v)
+        acc = geodesic_acceleration(Bowl(), WarpConfig(1.0), c, v)
+        s = second_fundamental_form(Bowl(), WarpConfig(1.0), c, v)
         assert s == acc.coef_grad
 
 
@@ -311,7 +310,7 @@ class Keeping(Objective):
 class TestTaylorCoefficients:
     def test_worked_example(self):
         c = bowl_cache()
-        jet = taylor_coefficients(Bowl(), c, np.array([0.0, 1.0]))
+        jet = taylor_coefficients(Bowl(), WarpConfig(1.0), c, np.array([0.0, 1.0]))
         np.testing.assert_allclose(jet.q, [-1.0 / 3.0, 0.0], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(jet.k, [0.0, -1.0 / 3.0], rtol=1e-6, atol=1e-9)
 
@@ -325,7 +324,7 @@ class TestTaylorCoefficients:
         for _ in range(10):
             c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(5))
             v = rng.standard_normal(5)
-            jet = taylor_coefficients(sq, c, v)
+            jet = taylor_coefficients(sq, WarpConfig(1.0), c, v)
             r = fd_step(c.theta, v)
             probes = (c.theta + r * v, c.theta - r * v)
             hv_hi, hv_lo = (sq.hvp(th, v) for th in probes)
@@ -334,7 +333,9 @@ class TestTaylorCoefficients:
             hg_lo = sq.hvp(probes[1], c.grad - step)
             hess_v = (hv_hi + hv_lo) / 2.0
             hess_grad = (hg_hi + hg_lo) / 2.0
-            acc = geodesic_acceleration(sq, c, v, hess_v=hess_v, hess_grad=hess_grad)
+            acc = geodesic_acceleration(
+                sq, WarpConfig(1.0), c, v, hess_v=hess_v, hess_grad=hess_grad
+            )
             np.testing.assert_array_equal(jet.q, acc.v_dot)
 
     @pytest.mark.parametrize("sigma_sq", [1.0, 1e4])
@@ -349,16 +350,17 @@ class TestTaylorCoefficients:
         rng = np.random.default_rng([dim, int(sigma_sq)])
         problem = make_problem(name, dim)
         for _ in range(20):
-            c = build_cache(problem, WarpConfig(sigma_sq), rng.standard_normal(dim))
+            warp = WarpConfig(sigma_sq)
+            c = build_cache(problem, warp, rng.standard_normal(dim))
             v = rng.standard_normal(dim)
-            jet = taylor_coefficients(problem, c, v)
-            q, k = exact_hessian_jet(problem, c, v)
+            jet = taylor_coefficients(problem, warp, c, v)
+            q, k = exact_hessian_jet(problem, warp, c, v)
             assert np.linalg.norm(jet.q - q) <= 1e-6 * np.linalg.norm(q)
             assert np.linalg.norm(jet.k - k) <= 1e-6 * np.linalg.norm(k)
 
     def test_critical_point_gives_straight_line(self):
         c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
-        jet = taylor_coefficients(Bowl(), c, np.array([0.3, 0.8]))
+        jet = taylor_coefficients(Bowl(), WarpConfig(1.0), c, np.array([0.3, 0.8]))
         np.testing.assert_array_equal(jet.q, np.zeros(2))
         np.testing.assert_array_equal(jet.k, np.zeros(2))
 
@@ -366,7 +368,7 @@ class TestTaylorCoefficients:
         counted = CountingObjective(Bowl())
         c = build_cache(counted, WarpConfig(1.0), np.array([1.0, 0.0]))
         before = counted.counts.snapshot()
-        jet = taylor_coefficients(counted, c, np.zeros(2))
+        jet = taylor_coefficients(counted, WarpConfig(1.0), c, np.zeros(2))
         assert jet.q is None and jet.k is None
         assert counted.counts.n_hvp == before.n_hvp
         assert counted.counts.n_grad == before.n_grad
@@ -377,7 +379,7 @@ class TestTaylorCoefficients:
         c = build_cache(counted, WarpConfig(1.0), np.array([1.0, -2.0, 0.5, 0.3]))
         assert counted.counts.n_hvp == 0
         before = counted.counts.snapshot()
-        taylor_coefficients(counted, c, np.array([0.2, 1.0, -0.4, 0.1]))
+        taylor_coefficients(counted, WarpConfig(1.0), c, np.array([0.2, 1.0, -0.4, 0.1]))
         assert counted.counts.n_hvp - before.n_hvp == 4
         assert counted.counts.n_grad - before.n_grad == 0
         assert counted.counts.n_value - before.n_value == 0
@@ -392,7 +394,7 @@ class TestTaylorCoefficients:
         for _ in range(5):
             keeping = Keeping(make_problem(name, 6), without_hvp)
             c = build_cache(make_problem(name, 6), WarpConfig(1.0), rng.standard_normal(6))
-            taylor_coefficients(keeping, c, rng.standard_normal(6))
+            taylor_coefficients(keeping, WarpConfig(1.0), c, rng.standard_normal(6))
             # Four hvps keep a point and a direction each, or on the
             # fallback route two gradient points each.
             assert len(keeping.kept) == 8
@@ -405,6 +407,6 @@ class TestTaylorCoefficients:
         # spanned by the start point and the direction.
         quad = QuadraticProblem(3, curvatures=np.ones(3))
         c = build_cache(quad, WarpConfig(1.0), np.array([1.0, 0.0, 0.0]))
-        jet = taylor_coefficients(quad, c, np.array([0.0, 1.0, 0.0]))
+        jet = taylor_coefficients(quad, WarpConfig(1.0), c, np.array([0.0, 1.0, 0.0]))
         assert jet.q[2] == pytest.approx(0.0, abs=1e-12)
         assert jet.k[2] == pytest.approx(0.0, abs=1e-9)

@@ -133,11 +133,12 @@ class TestOnCurvedPath:
         # geometry, exactly as the optimizer does.
         sq = SquiggleProblem(6)
         theta = np.array([-10.0, 10.0, -10.0, 10.0, -10.0, 10.0])
-        cache = build_cache(sq, WarpConfig(1.0), theta)
+        warp = WarpConfig(1.0)
+        cache = build_cache(sq, warp, theta)
         from warpcg.geometry import riemannian_gradient
 
         v = riemannian_gradient(cache)
-        jet = taylor_coefficients(sq, cache, v)
+        jet = taylor_coefficients(sq, warp, cache, v)
         slope0 = float(cache.grad @ v)
         assert slope0 > 0.0
 

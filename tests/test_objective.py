@@ -18,7 +18,6 @@ from warpcg import (
     run_euclidean_cg,
     run_rcg,
 )
-from warpcg.baseline import _FlatGeometry
 from warpcg.errors import NumericalBreakdown
 from warpcg.geometry import build_cache
 from warpcg.objective import FD_STEP, CountingObjective, _check_finite, fd_step, hvp_or_fallback
@@ -268,7 +267,7 @@ def _inf_normal_vector(dim, bad):
     [
         (_nan_cache_gradient, "non-finite gradient"),
         (_overflowing_transport, "non-finite transported vector"),
-        (_nan_flat_gradient, "non-finite objective data"),
+        (_nan_flat_gradient, "non-finite gradient"),
         (_inf_normal_vector, "non-finite normal vector"),
     ],
     ids=["build_cache", "vector_transport", "flat_point", "normal_vector"],
@@ -317,15 +316,20 @@ class TestCheckFinite:
             _check_finite(arr, "thing")
         assert info.value.component == 2
 
-    def test_gradient_whose_self_dot_overflows_passes_the_point_builders(self):
-        # build_cache and the flat point screen with the gradient's self-dot,
-        # which they need anyway; its overflow alone must not raise.
+    @pytest.mark.parametrize("warp", [WarpConfig(), None], ids=["warped", "identity"])
+    def test_gradient_whose_self_dot_overflows_passes_the_point_builders(self, warp):
+        # build_cache screens with the gradient's self-dot, which it needs
+        # anyway, for the warped points and the flat ones; its overflow
+        # alone must not raise.
         grad = np.array([1e200, 1.0, -1e200])
-        obj = QuadraticProblem(3)
         with np.errstate(over="ignore"):
-            cache = build_cache(obj, WarpConfig(), np.zeros(3), value_grad=(0.0, grad))
-            point = _FlatGeometry(obj).point(np.zeros(3), value_grad=(0.0, grad))
-        assert cache.grad_sq == point.grad_sq == np.inf
+            cache = build_cache(QuadraticProblem(3), warp, np.zeros(3), value_grad=(0.0, grad))
+        assert cache.grad_sq == np.inf
+        if warp is None:
+            # The identity metric holds whatever the gradient.
+            assert cache.psi_sq == 0.0
+            assert cache.w_sq == 1.0
+            assert cache.grad_norm_riem == np.inf
 
 
 class TestThirdDerivative:

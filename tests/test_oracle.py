@@ -44,7 +44,7 @@ class TestDenseGeometry:
             geo = build_dense_geometry(sq, WARP, theta)
             v = rng.standard_normal(4)
             dense = -np.einsum("mij,i,j->m", geo.christoffels, v, v)
-            free = geodesic_acceleration(sq, geo.cache, v).v_dot
+            free = geodesic_acceleration(sq, WARP, geo.cache, v).v_dot
             np.testing.assert_allclose(dense, free, rtol=1e-10, atol=1e-12)
 
     def test_christoffel_symmetry_in_lower_indices(self):

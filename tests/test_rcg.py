@@ -163,12 +163,11 @@ class TestBetaPolicy:
         # source slope <(1,0), (1,0)> = 1 gives denominator 5 - 1 = 4.
         src = GeometryCache(
             theta=np.zeros(2), value=0.0, grad=np.array([1.0, 0.0]), grad_sq=1.0,
-            w_sigma_sq=2.0, psi_sq=0.5, w_sq=1.5, sigma_sq=1.0,
+            psi_sq=0.5, w_sq=1.5,
         )
         dst = GeometryCache(
             theta=np.array([1.0, 0.0]), value=1.0, grad=np.array([5.0, 0.0]),
-            grad_sq=25.0, w_sigma_sq=26.0, psi_sq=25.0 / 26.0, w_sq=10.0,
-            sigma_sq=1.0,
+            grad_sq=25.0, psi_sq=25.0 / 26.0, w_sq=10.0,
         )
         return src, dst
 

@@ -10,10 +10,9 @@ from warpcg.geometry import (
     GeodesicJet,
     GeometryCache,
     build_cache,
-    metric_norm,
     taylor_coefficients,
 )
-from oracle import project_to_tangent, transport_by_projection
+from oracle import metric_norm, project_to_tangent, transport_by_projection
 from warpcg.retraction import (
     curve_velocity,
     directional_value_and_slope,
@@ -71,8 +70,9 @@ class TestJetLayout:
 
     def test_cubic_jet_is_one_block_and_matches_per_term_sums(self):
         sq = SquiggleProblem(6)
-        cache = build_cache(sq, WarpConfig(1.0), np.array([0.5, -1.0, 0.2, 0.8, 1.5, -0.3]))
-        jet = taylor_coefficients(sq, cache, np.array([1.0, 0.3, -0.2, 0.5, -0.7, 0.4]))
+        warp = WarpConfig(1.0)
+        cache = build_cache(sq, warp, np.array([0.5, -1.0, 0.2, 0.8, 1.5, -0.3]))
+        jet = taylor_coefficients(sq, warp, cache, np.array([1.0, 0.3, -0.2, 0.5, -0.7, 0.4]))
         assert jet.curv.shape == (2, 6) and jet.curv.flags.c_contiguous
         assert jet.q.base is jet.curv and jet.k.base is jet.curv
         np.testing.assert_array_equal(jet.q, jet.curv[0])
@@ -118,8 +118,9 @@ class TestDirectionalValueAndSlope:
     def test_slope_matches_fd_along_curve(self):
         sq = SquiggleProblem(4)
         theta = np.array([0.5, -1.0, 0.2, 0.8])
-        cache = build_cache(sq, WarpConfig(1.0), theta)
-        jet = taylor_coefficients(sq, cache, np.array([1.0, 0.3, -0.2, 0.5]))
+        warp = WarpConfig(1.0)
+        cache = build_cache(sq, warp, theta)
+        jet = taylor_coefficients(sq, warp, cache, np.array([1.0, 0.3, -0.2, 0.5]))
         h = 1e-6
         for t in (0.1, 0.5):
             val, slope, point, grad = directional_value_and_slope(sq, jet, t)
@@ -131,9 +132,10 @@ class TestDirectionalValueAndSlope:
     def test_initial_slope_is_plain_inner_product(self):
         sq = SquiggleProblem(3)
         theta = np.array([0.4, -0.3, 1.1])
-        cache = build_cache(sq, WarpConfig(1.0), theta)
+        warp = WarpConfig(1.0)
+        cache = build_cache(sq, warp, theta)
         v = np.array([0.5, 1.0, -0.2])
-        jet = taylor_coefficients(sq, cache, v)
+        jet = taylor_coefficients(sq, warp, cache, v)
         _, slope, _, _ = directional_value_and_slope(sq, jet, 0.0)
         assert slope == pytest.approx(float(cache.grad @ v), rel=1e-14)
 
@@ -148,7 +150,7 @@ class TestVectorTransport:
         theta = self.rng.standard_normal(5)
         src = build_cache(self.sq, self.warp, theta)
         v = self.rng.standard_normal(5)
-        jet = taylor_coefficients(self.sq, src, v)
+        jet = taylor_coefficients(self.sq, self.warp, src, v)
         dst = build_cache(self.sq, self.warp, retract(jet, t))
         return src, dst, v, t
 
@@ -171,7 +173,7 @@ class TestVectorTransport:
         theta = np.array([0.5, 0.1, -0.4, 0.8, -0.2])
         src = build_cache(self.sq, self.warp, theta)
         v = np.array([0.7, -0.3, 0.5, 0.1, 0.4])
-        jet = taylor_coefficients(self.sq, src, v)
+        jet = taylor_coefficients(self.sq, self.warp, src, v)
         t = 1e-6
         dst = build_cache(self.sq, self.warp, retract(jet, t))
         res = vector_transport(src, dst, v, t, float(src.grad @ v))
@@ -237,10 +239,8 @@ class TestVectorTransport:
                 value=value,
                 grad=np.array([1.0]),
                 grad_sq=1.0,
-                w_sigma_sq=2.0,
                 psi_sq=0.5,
                 w_sq=1.5,
-                sigma_sq=1.0,
             )
 
         src = cache_at(1.0, -2.0)

@@ -3,11 +3,12 @@
 The warped metric G = I + psi^2 grad grad^T tends to the identity as
 sigma_sq grows, so the flat-space baseline is the warped driver's loop run
 over the identity metric: points are geometry caches with psi^2 = 0 and
-W^2 = 1, search curves are jets without curvature terms (straight rays),
-transport is the identity with scale 1, and no hvp is ever called. Wolfe
-search, Dai-Yuan coefficient, sign policy, trace schema and stop reasons
-are therefore the warped driver's own. It gives experiments a
-like-for-like flat-space reference.
+W^2 = 1, built from the value and gradient the loop already holds, search
+curves are jets without curvature terms (straight rays), transport is the
+identity with scale 1, and no hvp is ever called. Wolfe search, Dai-Yuan
+coefficient, sign policy, trace schema and stop reasons are therefore the
+warped driver's own. It gives experiments a like-for-like flat-space
+reference.
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ __all__ = ["run_euclidean_cg"]
 
 class _FlatGeometry:
     """Identity metric: geometry caches built with no warp, straight rays,
-    identity transport. point calls this module's own import of
-    build_cache, so perfbench's span on warpcg.rcg.build_cache counts the
-    warped driver's points alone."""
+    identity transport. It holds no state, since nothing here evaluates
+    the objective. point calls this module's own import of build_cache, so
+    perfbench's span on warpcg.rcg.build_cache counts the warped driver's
+    points alone."""
 
-    def __init__(self, obj: Objective):
-        self.obj = obj
-
-    def point(self, theta: np.ndarray, value_grad=None) -> GeometryCache:
-        return build_cache(self.obj, None, theta, value_grad=value_grad)
+    def point(self, theta: np.ndarray, value: float, grad: np.ndarray) -> GeometryCache:
+        return build_cache(None, theta, value, grad)
 
     def jet(self, point: GeometryCache, v: np.ndarray) -> GeodesicJet:
         return GeodesicJet(theta=point.theta, v=v)
@@ -58,4 +57,4 @@ def run_euclidean_cg(
     gradient-norm columns coincide since the metric is the identity.
     """
     counting = CountingObjective(obj)
-    return _run_cg(counting, _FlatGeometry(counting), theta0, cfg or RcgConfig())
+    return _run_cg(counting, _FlatGeometry(), theta0, cfg or RcgConfig())

@@ -12,9 +12,9 @@ O(dim) via the Sherman-Morrison form of G^{-1}. Nothing in this module
 builds a dense matrix.
 
 All per-point quantities that the optimizer reuses are bundled into an
-immutable :class:`GeometryCache`, built once per visited point from one
-value and one gradient (injected when the caller already has them, e.g.
-from a line-search trial) and no Hessian-vector product. The Hessian terms
+immutable :class:`GeometryCache`, built once per visited point from the
+value and gradient its caller already holds (a driver's start, or an
+accepted line-search trial) and no Hessian-vector product. The Hessian terms
 and sigma^2 enter only the geodesic jet, which takes the Hessian terms from
 its own probe pair and sigma^2 from its caller's WarpConfig. The Euclidean
 limit is a cache of the identity metric (psi^2 = 0, W^2 = 1), which is what
@@ -89,26 +89,15 @@ class GeometryCache:
 
 
 def build_cache(
-    obj: Objective,
-    warp: WarpConfig | None,
-    theta: np.ndarray,
-    value_grad: tuple[float, np.ndarray] | None = None,
+    warp: WarpConfig | None, theta: np.ndarray, value: float, grad: np.ndarray
 ) -> GeometryCache:
-    """Evaluate the warp geometry at theta; warp=None is the identity
-    metric, with psi_sq = 0 and w_sq = 1 whatever the gradient.
+    """The warp geometry at theta from the objective's value and gradient
+    there, a float and a float array of theta's shape; warp=None is the
+    identity metric, with psi_sq = 0 and w_sq = 1 whatever the gradient.
 
-    Costs one value and one gradient, and nothing when value_grad passes an
-    evaluation the caller already paid for. It calls no hvp.
+    It evaluates nothing. Raises NumericalBreakdown when the value or a
+    gradient entry is not finite.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size != obj.dim:
-        raise ValueError(f"theta must have shape ({obj.dim},), got {theta.shape}")
-    if value_grad is None:
-        value = float(obj.value(theta))
-        grad = np.asarray(obj.grad(theta), dtype=float)
-    else:
-        value = float(value_grad[0])
-        grad = np.asarray(value_grad[1], dtype=float)
     if not math.isfinite(value):
         raise NumericalBreakdown("non-finite objective value")
     # A NaN or inf entry makes the self-dot non-finite, so the full check

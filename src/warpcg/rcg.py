@@ -7,8 +7,8 @@ One iteration of the driver:
   2. build the cubic geodesic jet along the direction (four hvps, no
      value or gradient);
   3. strong-Wolfe search along the curved path;
-  4. build the geometry cache at the accepted point from the accepted
-     trial's value and gradient (no evaluation);
+  4. build the geometry cache at the accepted point from the value and
+     gradient the search already evaluated there;
   5. transport the old direction across the step, compute the conjugacy
      coefficient, and combine with the new Riemannian gradient.
 
@@ -24,9 +24,11 @@ direction. In ascent form with Wolfe curvature the quotient is negative and
 the update subtracts beta times the transported direction; a positive value
 signals loss of conjugacy and is clamped to zero, which restarts the
 direction to steepest ascent. A search may spend linesearch.MAX_EVALS
-evaluations. Line-search failure on a non-steepest direction restarts to
-steepest ascent; failure on steepest ascent stops the run, since repeating
-that deterministic search would fail the same way.
+evaluations. A direction that lost ascent (a slope that is not finite or
+not positive) or whose search failed restarts to steepest ascent. Along
+steepest ascent that stops the run, since repeating that deterministic
+search would fail the same way: a failed search on LINE_SEARCH_FAIL, a
+slope <= 0 on SMALL_GRAD and a non-finite slope on NUMERICAL_BREAKDOWN.
 
 The loop itself only asks its geometry for points, search curves and
 transport; run_euclidean_cg in baseline.py runs the same loop over the
@@ -184,8 +186,8 @@ class _WarpedGeometry:
         self.obj = obj
         self.warp = warp
 
-    def point(self, theta: np.ndarray, value_grad=None) -> GeometryCache:
-        return build_cache(self.obj, self.warp, theta, value_grad=value_grad)
+    def point(self, theta: np.ndarray, value: float, grad: np.ndarray) -> GeometryCache:
+        return build_cache(self.warp, theta, value, grad)
 
     def jet(self, point: GeometryCache, v: np.ndarray) -> GeodesicJet:
         return taylor_coefficients(self.obj, self.warp, point, v)
@@ -215,11 +217,17 @@ def run_rcg(
 
 def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgConfig) -> RcgResult:
     """The CG ascent loop of both drivers, over a geometry that provides
-    point(theta, value_grad=None), jet(point, v) and transport(src, dst, v,
-    t, slope), where slope is <src.grad, v>. A point is a GeometryCache;
-    building the first one checks theta0's shape. Each jet dies by the end
-    of its iteration, so a run holds O(dim) memory."""
-    cache = geometry.point(theta0)
+    point(theta, value, grad), jet(point, v) and transport(src, dst, v, t,
+    slope), where slope is <src.grad, v>. A point is a GeometryCache built
+    from a value and gradient already evaluated: the start's here, after
+    theta0's shape check, and each accepted trial's. Each jet dies by the
+    end of its iteration, so a run holds O(dim) memory."""
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape != (counting.dim,):
+        raise ValueError(f"theta must have shape ({counting.dim},), got {theta0.shape}")
+    cache = geometry.point(
+        theta0, float(counting.value(theta0)), np.asarray(counting.grad(theta0), dtype=float)
+    )
     v = riemannian_gradient(cache)
     trace: list[IterationTrace] = []
     stop: StopReason | None = None
@@ -243,53 +251,50 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         counts_before = counting.counts.snapshot()
 
         try:
-            slope0 = v_slope = float(cache.grad.dot(v))
-            if not math.isfinite(slope0) or slope0 <= 0.0:
-                # Direction lost ascent: fall back to steepest. The search
-                # starts from its exact slope ||grad||^2 / W^2; the transport
-                # and beta pair grad with v as computed.
-                v = riemannian_gradient(cache)
-                steepest = True
-                restarted = 1
-                slope0 = cache.grad_sq / cache.w_sq
-                if slope0 <= 0.0:
-                    stop = StopReason.SMALL_GRAD
-                    break
-                v_slope = float(cache.grad.dot(v))
-
-            jet = geometry.jet(cache, v)
-            if prev_slope is None:
-                t_init = 1.0
-            else:
-                t_init = prev_t * prev_slope / slope0
-                if not math.isfinite(t_init) or t_init <= 0.0:
+            slope0 = float(cache.grad.dot(v))
+            ls = None
+            if math.isfinite(slope0) and slope0 > 0.0:
+                jet = geometry.jet(cache, v)
+                if prev_slope is None:
                     t_init = 1.0
-                t_init = min(max(t_init, 1e-12), 1e12)
-
-            try:
-                ls = strong_wolfe(
-                    lambda t: directional_value_and_slope(counting, jet, t),
-                    f0=cache.value,
-                    slope0=slope0,
-                    c1=cfg.wolfe_c1,
-                    c2=cfg.wolfe_c2,
-                    t_init=t_init,
-                )
-            except LineSearchFail:
-                del jet
-                failed_attempts += 1
+                else:
+                    t_init = prev_t * prev_slope / slope0
+                    if not math.isfinite(t_init) or t_init <= 0.0:
+                        t_init = 1.0
+                    t_init = min(max(t_init, 1e-12), 1e12)
+                try:
+                    ls = strong_wolfe(
+                        lambda t: directional_value_and_slope(counting, jet, t),
+                        f0=cache.value,
+                        slope0=slope0,
+                        c1=cfg.wolfe_c1,
+                        c2=cfg.wolfe_c2,
+                        t_init=t_init,
+                    )
+                except LineSearchFail:
+                    del jet
+                    failed_attempts += 1
+            if ls is None:
+                # The direction lost ascent or its search failed. Along
+                # steepest ascent nothing is left to try; otherwise the row
+                # restarts from steepest ascent.
                 if steepest:
-                    stop = StopReason.LINE_SEARCH_FAIL
+                    if not math.isfinite(slope0):
+                        stop = StopReason.NUMERICAL_BREAKDOWN
+                    elif slope0 <= 0.0:
+                        stop = StopReason.SMALL_GRAD
+                    else:
+                        stop = StopReason.LINE_SEARCH_FAIL
                     break
                 v = riemannian_gradient(cache)
                 steepest = True
                 restarted = 1
                 continue
 
-            dst = geometry.point(ls.point, value_grad=(ls.value, ls.grad))
+            dst = geometry.point(ls.point, ls.value, ls.grad)
             try:
-                transported = geometry.transport(cache, dst, v, ls.t, v_slope)
-                beta = dy_beta(dst, transported, v_slope)
+                transported = geometry.transport(cache, dst, v, ls.t, slope0)
+                beta = dy_beta(dst, transported, slope0)
             except (DegenerateStep, DegenerateBeta):
                 beta = 0.0
                 transported = None

@@ -4,10 +4,11 @@ geodesic integrator, and the matrix-free operations no run needs.
 Everything dense here is deliberately slow and explicit: dense metric,
 dense Christoffel symbols (by closed form AND by finite differences of the
 metric, two independent routes), and a fixed-step RK4 integrator for the
-exact geodesic equation. The matrix-free section holds the metric's inner
-product and norm, the tangent-space projection, the unit normal, the
-curvature scalar, the geodesic acceleration, projection transport and
-finite-difference helpers. It shares no code with what it checks: the warp
+exact geodesic equation. cache_at evaluates the objective and builds the
+geometry cache there, as a driver does at its start. The matrix-free
+section holds the metric's inner product and norm, the tangent-space
+projection, the unit normal, the curvature scalar, the geodesic
+acceleration, projection transport and finite-difference helpers. It shares no code with what it checks: the warp
 factor's gradient comes from the oracle's own H g and its own sigma^2 +
 ||grad||^2, and the acceleration writes its scalar contractions out itself
 instead of calling the jet's.
@@ -31,6 +32,7 @@ __all__ = [
     "PsiDegenerate",
     "StepUnstable",
     "Bowl",
+    "cache_at",
     "metric_inner",
     "metric_norm",
     "inverse_metric_apply",
@@ -85,6 +87,15 @@ class Bowl(Objective):
 
     def hvp(self, theta, v):
         return -np.asarray(v, dtype=float)
+
+
+def cache_at(obj: Objective, warp: WarpConfig | None, theta: np.ndarray) -> GeometryCache:
+    """Evaluate obj's value and gradient at theta and build the geometry
+    cache there, with the conversions a driver applies to its start."""
+    theta = np.asarray(theta, dtype=float)
+    return build_cache(
+        warp, theta, float(obj.value(theta)), np.asarray(obj.grad(theta), dtype=float)
+    )
 
 
 def metric_inner(cache: GeometryCache, x: np.ndarray, y: np.ndarray) -> float:
@@ -366,7 +377,7 @@ def build_dense_geometry(obj: Objective, warp: WarpConfig, theta: np.ndarray) ->
     d = theta.size
     if d > DENSE_DIM_CAP:
         raise ValueError(f"dense oracle capped at dim {DENSE_DIM_CAP}, got {d}")
-    cache = build_cache(obj, warp, theta)
+    cache = cache_at(obj, warp, theta)
     hessian = np.column_stack(
         [hvp_or_fallback(obj, theta, e) for e in np.eye(d)]
     )
@@ -468,7 +479,7 @@ def integrate_geodesic(
     else:
 
         def accel(th, vv):
-            cache = build_cache(obj, warp, th)
+            cache = cache_at(obj, warp, th)
             return geodesic_acceleration(obj, warp, cache, vv).v_dot
 
     def rhs(th, vv):
@@ -502,7 +513,7 @@ def integrate_geodesic(
 
 def warped_speed(obj: Objective, warp: WarpConfig, theta: np.ndarray, v: np.ndarray) -> float:
     """Warped-metric norm of velocity v at theta, for conservation checks."""
-    cache = build_cache(obj, warp, theta)
+    cache = cache_at(obj, warp, theta)
     val = float(v @ v) + cache.psi_sq * float(cache.grad @ v) ** 2
     return float(np.sqrt(val))
 

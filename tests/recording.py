@@ -58,8 +58,8 @@ def _logged(base, warped: bool, recordings: list[Recording]):
             self.recording = Recording(warped)
             recordings.append(self.recording)
 
-        def point(self, theta, value_grad=None):
-            point = super().point(theta, value_grad=value_grad)
+        def point(self, theta, value, grad):
+            point = super().point(theta, value, grad)
             self.recording.calls.append(("point", point))
             return point
 

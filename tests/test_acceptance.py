@@ -32,12 +32,12 @@ from warpcg import (
 )
 from warpcg.geometry import (
     GeodesicJet,
-    build_cache,
     riemannian_gradient,
     taylor_coefficients,
 )
 from oracle import (
     build_dense_geometry,
+    cache_at,
     central_diff_grad,
     fit_loglog_slope,
     geodesic_acceleration,
@@ -122,7 +122,7 @@ def test_c01_metric_algebra(capsys):
                 for _ in range(1000):
                     theta = rng.standard_normal(dim)
                     v = rng.standard_normal(dim)
-                    cache = build_cache(problem, warp, theta)
+                    cache = cache_at(problem, warp, theta)
 
                     gx = v + cache.psi_sq * float(cache.grad @ v) * cache.grad
                     back = inverse_metric_apply(cache, gx)
@@ -154,7 +154,7 @@ def test_c02_normal_vector(capsys):
                 problem = make(dim)
                 for _ in range(25):
                     theta = rng.standard_normal(dim)
-                    cache = build_cache(problem, warp, theta)
+                    cache = cache_at(problem, warp, theta)
                     if cache.psi_sq == 0.0:
                         continue
                     n = normal_vector(cache)
@@ -185,7 +185,7 @@ def test_c03_retraction_order(capsys):
         ]
         floors = {3: 3.6, 2: 2.8, 1: 1.9}
         for problem, theta0, v0 in cases:
-            cache = build_cache(problem, warp, theta0)
+            cache = cache_at(problem, warp, theta0)
             jet = taylor_coefficients(problem, warp, cache, v0)
             truncated = {
                 1: GeodesicJet(jet.theta, jet.v),
@@ -270,7 +270,7 @@ def test_c04_matrix_free_equals_dense(capsys):
             unit_v = v / np.linalg.norm(v)
             jet = taylor_coefficients(problem, warp, cache, unit_v)
             t_step = 0.2
-            dst = build_cache(problem, warp, retract(jet, t_step))
+            dst = cache_at(problem, warp, retract(jet, t_step))
             res = vector_transport(cache, dst, unit_v, t_step, float(cache.grad @ unit_v))
             secant = np.append(
                 dst.theta - cache.theta, dst.value - cache.value
@@ -303,10 +303,10 @@ def test_c05_euclidean_limit(capsys):
             assert diff <= 1e-8 * max(1.0, np.linalg.norm(theta_f))
 
         warp = WarpConfig(1e12)
-        src = build_cache(quad, warp, start)
+        src = cache_at(quad, warp, start)
         v = riemannian_gradient(src)
         t_step = 0.7
-        dst = build_cache(quad, warp, start + t_step * v)
+        dst = cache_at(quad, warp, start + t_step * v)
         moved = vector_transport(src, dst, v, t_step, float(src.grad @ v))
         assert np.linalg.norm(moved.coords - v) <= 1e-8 * max(1.0, np.linalg.norm(v))
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from warpcg import Objective, QuadraticProblem, SquiggleProblem, WarpConfig, make_problem
-from warpcg.geometry import build_cache, riemannian_gradient, taylor_coefficients
+from warpcg.geometry import riemannian_gradient, taylor_coefficients
 from warpcg.objective import CountingObjective, fd_step
 from oracle import (
     Bowl,
     PsiDegenerate,
+    cache_at,
     embed_tangent,
     exact_hessian_jet,
     geodesic_acceleration,
@@ -25,7 +26,7 @@ from warpcg.retraction import retract
 
 
 def bowl_cache():
-    return build_cache(Bowl(), WarpConfig(1.0), np.array([1.0, 0.0]))
+    return cache_at(Bowl(), WarpConfig(1.0), np.array([1.0, 0.0]))
 
 
 def dense_metric_of(cache):
@@ -58,29 +59,17 @@ class TestCacheValues:
         assert c.grad_norm_riem == pytest.approx(np.sqrt(1.0 / 1.5), rel=1e-15)
 
     def test_critical_point_limits(self):
-        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
+        c = cache_at(Bowl(), WarpConfig(1.0), np.zeros(2))
         assert c.psi_sq == 0.0
         assert c.w_sq == 1.0
         np.testing.assert_array_equal(riemannian_gradient(c), np.zeros(2))
         assert c.grad_norm_riem == 0.0
 
     def test_flat_limit_large_sigma(self):
-        c = build_cache(Bowl(), WarpConfig(1e12), np.array([1.0, 0.0]))
+        c = cache_at(Bowl(), WarpConfig(1e12), np.array([1.0, 0.0]))
         assert c.psi_sq == pytest.approx(1e-12, rel=1e-6)
         x, y = np.array([0.3, -0.7]), np.array([1.5, 0.2])
         assert metric_inner(c, x, y) == pytest.approx(float(x @ y), rel=1e-11)
-
-    def test_value_grad_reuse(self):
-        counted = CountingObjective(Bowl())
-        theta = np.array([1.0, 0.0])
-        build_cache(counted, WarpConfig(1.0), theta, value_grad=(-0.5, np.array([-1.0, 0.0])))
-        assert counted.counts.n_value == 0
-        assert counted.counts.n_grad == 0
-        assert counted.counts.n_hvp == 0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_cache(Bowl(), WarpConfig(1.0), np.zeros(3))
 
 
 class TestMetricIdentities:
@@ -92,7 +81,7 @@ class TestMetricIdentities:
 
     def test_inner_matches_dense(self):
         for _ in range(50):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
+            c = cache_at(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
             G = dense_metric_of(c)
             x, y = self.rng.standard_normal(7), self.rng.standard_normal(7)
             np.testing.assert_allclose(
@@ -101,7 +90,7 @@ class TestMetricIdentities:
 
     def test_inverse_roundtrip_both_ways(self):
         for _ in range(50):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
+            c = cache_at(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
             G = dense_metric_of(c)
             x = self.rng.standard_normal(7)
             gx = G @ x
@@ -114,7 +103,7 @@ class TestMetricIdentities:
 
     def test_positive_definite(self):
         for _ in range(20):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
+            c = cache_at(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
             x = self.rng.standard_normal(7)
             assert metric_inner(c, x, x) > 0
             # The same products in the same order, so the same bits.
@@ -124,7 +113,7 @@ class TestMetricIdentities:
         # Warped pairing of the Riemannian gradient with any tangent vector
         # collapses to the plain Euclidean pairing with the raw gradient.
         for _ in range(50):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
+            c = cache_at(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
             v = self.rng.standard_normal(7)
             lhs = metric_inner(c, riemannian_gradient(c), v)
             rhs = float(c.grad @ v)
@@ -133,7 +122,7 @@ class TestMetricIdentities:
 
     def test_gradient_norm_identity(self):
         for _ in range(50):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
+            c = cache_at(self.problem, WarpConfig(1.0), self.rng.standard_normal(7))
             g = riemannian_gradient(c)
             np.testing.assert_allclose(
                 metric_inner(c, g, g), c.grad_sq / c.w_sq, rtol=1e-12
@@ -142,7 +131,7 @@ class TestMetricIdentities:
 
 class TestNormalVector:
     def test_one_dimensional_closed_form(self):
-        c = build_cache(Bowl(dim=1), WarpConfig(1.0), np.array([1.0]))
+        c = cache_at(Bowl(dim=1), WarpConfig(1.0), np.array([1.0]))
         n = normal_vector(c)
         np.testing.assert_allclose(n, [1.0 / np.sqrt(3.0), 2.0 / np.sqrt(3.0)], rtol=1e-14)
 
@@ -150,7 +139,7 @@ class TestNormalVector:
         rng = np.random.default_rng(3)
         sq = SquiggleProblem(5)
         for _ in range(25):
-            c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(5))
+            c = cache_at(sq, WarpConfig(1.0), rng.standard_normal(5))
             n = normal_vector(c)
             norm_sq = float(n[:-1] @ n[:-1]) + c.psi_sq * n[-1] ** 2
             assert norm_sq == pytest.approx(1.0, abs=1e-12)
@@ -162,7 +151,7 @@ class TestNormalVector:
                 assert abs(inner) <= 1e-12 * max(1.0, abs(c.grad[i]))
 
     def test_degenerate_at_critical_point(self):
-        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
+        c = cache_at(Bowl(), WarpConfig(1.0), np.zeros(2))
         with pytest.raises(PsiDegenerate):
             normal_vector(c)
 
@@ -175,21 +164,21 @@ class TestProjection:
     def test_tangent_vectors_are_fixed(self):
         # Embedding a chart vector and projecting back is the identity.
         for _ in range(30):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(4))
+            c = cache_at(self.problem, WarpConfig(1.0), self.rng.standard_normal(4))
             v = self.rng.standard_normal(4)
             got = project_to_tangent(c, embed_tangent(c, v))
             np.testing.assert_allclose(got, v, rtol=1e-11, atol=1e-11 * np.linalg.norm(c.grad @ v * c.grad + v))
 
     def test_normal_projects_to_zero(self):
         for _ in range(10):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(4))
+            c = cache_at(self.problem, WarpConfig(1.0), self.rng.standard_normal(4))
             n = normal_vector(c)
             got = project_to_tangent(c, n)
             np.testing.assert_allclose(got, np.zeros(4), atol=1e-12 * max(1.0, np.max(np.abs(n))))
 
     def test_matches_dense_least_squares(self):
         for _ in range(30):
-            c = build_cache(self.problem, WarpConfig(1.0), self.rng.standard_normal(4))
+            c = cache_at(self.problem, WarpConfig(1.0), self.rng.standard_normal(4))
             z = self.rng.standard_normal(5)
             embed = np.vstack([np.eye(4), c.grad[None, :]])
             weights = np.diag(np.append(np.ones(4), c.psi_sq))
@@ -217,7 +206,7 @@ class TestCurvatureScalar:
         sq = SquiggleProblem(3)
         for _ in range(20):
             theta = rng.standard_normal(3)
-            c = build_cache(sq, WarpConfig(1.0), theta)
+            c = cache_at(sq, WarpConfig(1.0), theta)
             if c.psi_sq == 0.0:
                 continue
             v = rng.standard_normal(3)
@@ -243,7 +232,7 @@ class TestCurvatureScalar:
         assert normalized == pytest.approx(np.sqrt(c.w_sq / c.psi_sq) * scaled, rel=1e-14)
 
     def test_degenerate_normalization(self):
-        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
+        c = cache_at(Bowl(), WarpConfig(1.0), np.zeros(2))
         with pytest.raises(PsiDegenerate):
             second_fundamental_form(
                 Bowl(), WarpConfig(1.0), c, np.array([1.0, 0.0]), normalized=True
@@ -264,7 +253,7 @@ class TestGeodesicAcceleration:
         rng = np.random.default_rng(7)
         sq = SquiggleProblem(4)
         for _ in range(10):
-            c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(4))
+            c = cache_at(sq, WarpConfig(1.0), rng.standard_normal(4))
             v = rng.standard_normal(4)
             acc = geodesic_acceleration(sq, WarpConfig(1.0), c, v)
             want = -acc.coef_grad * c.grad + acc.coef_warp * warp_gradient(sq, WarpConfig(1.0), c)
@@ -322,7 +311,7 @@ class TestTaylorCoefficients:
         rng = np.random.default_rng(12)
         sq = SquiggleProblem(5)
         for _ in range(10):
-            c = build_cache(sq, WarpConfig(1.0), rng.standard_normal(5))
+            c = cache_at(sq, WarpConfig(1.0), rng.standard_normal(5))
             v = rng.standard_normal(5)
             jet = taylor_coefficients(sq, WarpConfig(1.0), c, v)
             r = fd_step(c.theta, v)
@@ -351,7 +340,7 @@ class TestTaylorCoefficients:
         problem = make_problem(name, dim)
         for _ in range(20):
             warp = WarpConfig(sigma_sq)
-            c = build_cache(problem, warp, rng.standard_normal(dim))
+            c = cache_at(problem, warp, rng.standard_normal(dim))
             v = rng.standard_normal(dim)
             jet = taylor_coefficients(problem, warp, c, v)
             q, k = exact_hessian_jet(problem, warp, c, v)
@@ -359,14 +348,14 @@ class TestTaylorCoefficients:
             assert np.linalg.norm(jet.k - k) <= 1e-6 * np.linalg.norm(k)
 
     def test_critical_point_gives_straight_line(self):
-        c = build_cache(Bowl(), WarpConfig(1.0), np.zeros(2))
+        c = cache_at(Bowl(), WarpConfig(1.0), np.zeros(2))
         jet = taylor_coefficients(Bowl(), WarpConfig(1.0), c, np.array([0.3, 0.8]))
         np.testing.assert_array_equal(jet.q, np.zeros(2))
         np.testing.assert_array_equal(jet.k, np.zeros(2))
 
     def test_zero_direction_short_circuits(self):
         counted = CountingObjective(Bowl())
-        c = build_cache(counted, WarpConfig(1.0), np.array([1.0, 0.0]))
+        c = cache_at(counted, WarpConfig(1.0), np.array([1.0, 0.0]))
         before = counted.counts.snapshot()
         jet = taylor_coefficients(counted, WarpConfig(1.0), c, np.zeros(2))
         assert jet.q is None and jet.k is None
@@ -376,7 +365,7 @@ class TestTaylorCoefficients:
 
     def test_budget_is_four_hvps_no_grads(self):
         counted = CountingObjective(SquiggleProblem(4))
-        c = build_cache(counted, WarpConfig(1.0), np.array([1.0, -2.0, 0.5, 0.3]))
+        c = cache_at(counted, WarpConfig(1.0), np.array([1.0, -2.0, 0.5, 0.3]))
         assert counted.counts.n_hvp == 0
         before = counted.counts.snapshot()
         taylor_coefficients(counted, WarpConfig(1.0), c, np.array([0.2, 1.0, -0.4, 0.1]))
@@ -393,7 +382,7 @@ class TestTaylorCoefficients:
         rng = np.random.default_rng(5)
         for _ in range(5):
             keeping = Keeping(make_problem(name, 6), without_hvp)
-            c = build_cache(make_problem(name, 6), WarpConfig(1.0), rng.standard_normal(6))
+            c = cache_at(make_problem(name, 6), WarpConfig(1.0), rng.standard_normal(6))
             taylor_coefficients(keeping, WarpConfig(1.0), c, rng.standard_normal(6))
             # Four hvps keep a point and a direction each, or on the
             # fallback route two gradient points each.
@@ -406,7 +395,7 @@ class TestTaylorCoefficients:
         # symmetric around the center; the jet must stay in the plane
         # spanned by the start point and the direction.
         quad = QuadraticProblem(3, curvatures=np.ones(3))
-        c = build_cache(quad, WarpConfig(1.0), np.array([1.0, 0.0, 0.0]))
+        c = cache_at(quad, WarpConfig(1.0), np.array([1.0, 0.0, 0.0]))
         jet = taylor_coefficients(quad, WarpConfig(1.0), c, np.array([0.0, 1.0, 0.0]))
         assert jet.q[2] == pytest.approx(0.0, abs=1e-12)
         assert jet.k[2] == pytest.approx(0.0, abs=1e-9)

@@ -6,8 +6,9 @@ import pytest
 
 from warpcg import RcgConfig, SquiggleProblem, WarpConfig
 from warpcg.errors import LineSearchFail
-from warpcg.geometry import build_cache, taylor_coefficients
+from warpcg.geometry import taylor_coefficients
 from warpcg.linesearch import WolfeResult, strong_wolfe
+from oracle import cache_at
 from warpcg.retraction import directional_value_and_slope, retract
 
 
@@ -134,7 +135,7 @@ class TestOnCurvedPath:
         sq = SquiggleProblem(6)
         theta = np.array([-10.0, 10.0, -10.0, 10.0, -10.0, 10.0])
         warp = WarpConfig(1.0)
-        cache = build_cache(sq, warp, theta)
+        cache = cache_at(sq, warp, theta)
         from warpcg.geometry import riemannian_gradient
 
         v = riemannian_gradient(cache)

@@ -7,7 +7,6 @@ import pytest
 
 from warpcg import (
     Objective,
-    QuadraticProblem,
     RcgConfig,
     RosenbrockProblem,
     SquiggleProblem,
@@ -21,7 +20,7 @@ from warpcg import (
 from warpcg.errors import NumericalBreakdown
 from warpcg.geometry import build_cache
 from warpcg.objective import FD_STEP, CountingObjective, _check_finite, fd_step, hvp_or_fallback
-from oracle import central_diff_grad, normal_vector, third_directional_derivative
+from oracle import cache_at, central_diff_grad, normal_vector, third_directional_derivative
 from recording import recorded
 from warpcg.retraction import vector_transport
 
@@ -234,7 +233,7 @@ def test_fallback_route_counts_exactly(name, dim):
 
 
 def _nan_cache_gradient(dim, bad):
-    build_cache(NanGrad(dim, bad), WarpConfig(), np.zeros(dim))
+    cache_at(NanGrad(dim, bad), WarpConfig(), np.zeros(dim))
 
 
 def _nan_flat_gradient(dim, bad):
@@ -245,7 +244,7 @@ def _overflowing_transport(dim, bad):
     # With zero gradients the transport is the plain secant -(src - dst) / t,
     # so a 1e300 displacement over t = 1e-300 overflows exactly entries bad:.
     def flat_cache(theta):
-        return build_cache(GradOnly(dim), WarpConfig(), theta, value_grad=(0.0, np.zeros(dim)))
+        return build_cache(WarpConfig(), theta, 0.0, np.zeros(dim))
 
     src = np.zeros(dim)
     src[bad:] = 1e300
@@ -255,7 +254,7 @@ def _overflowing_transport(dim, bad):
 
 def _inf_normal_vector(dim, bad):
     # A finite cache whose gradient then gains inf entries from index bad on.
-    cache = build_cache(GradOnly(dim), WarpConfig(), np.zeros(dim), value_grad=(0.0, np.ones(dim)))
+    cache = build_cache(WarpConfig(), np.zeros(dim), 0.0, np.ones(dim))
     grad = cache.grad.copy()
     grad[bad:] = np.inf
     normal_vector(dataclasses.replace(cache, grad=grad))
@@ -323,7 +322,7 @@ class TestCheckFinite:
         # alone must not raise.
         grad = np.array([1e200, 1.0, -1e200])
         with np.errstate(over="ignore"):
-            cache = build_cache(QuadraticProblem(3), warp, np.zeros(3), value_grad=(0.0, grad))
+            cache = build_cache(warp, np.zeros(3), 0.0, grad)
         assert cache.grad_sq == np.inf
         if warp is None:
             # The identity metric holds whatever the gradient.

@@ -516,6 +516,32 @@ class TestFailureHandling:
         assert np.all(np.isfinite(res.theta))
         assert np.isfinite(res.value)
 
+    @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+    def test_steepest_slope_that_overflows_is_reported_not_raised(self, run):
+        # Each gradient entry is finite but the self-dot overflows, so the
+        # steepest direction's slope is not finite. Both drivers stop on
+        # NUMERICAL_BREAKDOWN at the start, before any jet or search.
+        class Steep(Objective):
+            def __init__(self):
+                super().__init__(2)
+
+            def value(self, theta):
+                return 1e200 * float(np.sum(theta))
+
+            def grad(self, theta):
+                return np.array([1e200, 1e200])
+
+            def hvp(self, theta, v):
+                return np.zeros(2)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run(Steep(), np.zeros(2))
+        assert res.stop_reason == StopReason.NUMERICAL_BREAKDOWN
+        assert res.iterations == 0
+        assert res.failed_attempts == 0
+        assert (res.n_value, res.n_grad, res.n_hvp) == (1, 1, 0)
+        np.testing.assert_array_equal(res.theta, np.zeros(2))
+
     def test_shape_mismatch_raises(self):
         # Both drivers reject a start of the wrong length before running.
         # Rosenbrock's own arithmetic accepts any length, so only the

@@ -9,10 +9,9 @@ from warpcg.errors import DegenerateStep
 from warpcg.geometry import (
     GeodesicJet,
     GeometryCache,
-    build_cache,
     taylor_coefficients,
 )
-from oracle import metric_norm, project_to_tangent, transport_by_projection
+from oracle import cache_at, metric_norm, project_to_tangent, transport_by_projection
 from warpcg.retraction import (
     curve_velocity,
     directional_value_and_slope,
@@ -71,7 +70,7 @@ class TestJetLayout:
     def test_cubic_jet_is_one_block_and_matches_per_term_sums(self):
         sq = SquiggleProblem(6)
         warp = WarpConfig(1.0)
-        cache = build_cache(sq, warp, np.array([0.5, -1.0, 0.2, 0.8, 1.5, -0.3]))
+        cache = cache_at(sq, warp, np.array([0.5, -1.0, 0.2, 0.8, 1.5, -0.3]))
         jet = taylor_coefficients(sq, warp, cache, np.array([1.0, 0.3, -0.2, 0.5, -0.7, 0.4]))
         assert jet.curv.shape == (2, 6) and jet.curv.flags.c_contiguous
         assert jet.q.base is jet.curv and jet.k.base is jet.curv
@@ -119,7 +118,7 @@ class TestDirectionalValueAndSlope:
         sq = SquiggleProblem(4)
         theta = np.array([0.5, -1.0, 0.2, 0.8])
         warp = WarpConfig(1.0)
-        cache = build_cache(sq, warp, theta)
+        cache = cache_at(sq, warp, theta)
         jet = taylor_coefficients(sq, warp, cache, np.array([1.0, 0.3, -0.2, 0.5]))
         h = 1e-6
         for t in (0.1, 0.5):
@@ -133,7 +132,7 @@ class TestDirectionalValueAndSlope:
         sq = SquiggleProblem(3)
         theta = np.array([0.4, -0.3, 1.1])
         warp = WarpConfig(1.0)
-        cache = build_cache(sq, warp, theta)
+        cache = cache_at(sq, warp, theta)
         v = np.array([0.5, 1.0, -0.2])
         jet = taylor_coefficients(sq, warp, cache, v)
         _, slope, _, _ = directional_value_and_slope(sq, jet, 0.0)
@@ -148,10 +147,10 @@ class TestVectorTransport:
 
     def endpoints(self, t=0.6):
         theta = self.rng.standard_normal(5)
-        src = build_cache(self.sq, self.warp, theta)
+        src = cache_at(self.sq, self.warp, theta)
         v = self.rng.standard_normal(5)
         jet = taylor_coefficients(self.sq, self.warp, src, v)
-        dst = build_cache(self.sq, self.warp, retract(jet, t))
+        dst = cache_at(self.sq, self.warp, retract(jet, t))
         return src, dst, v, t
 
     def test_flat_limit_recovers_parallel_translation(self):
@@ -159,10 +158,10 @@ class TestVectorTransport:
         # the step direction itself must return (almost) that direction.
         warp = WarpConfig(1e16)
         theta = np.array([0.3, -0.5, 0.2, 0.1, 0.9])
-        src = build_cache(self.sq, warp, theta)
+        src = cache_at(self.sq, warp, theta)
         v = np.array([1.0, 0.2, -0.4, 0.6, 0.3])
         t = 0.5
-        dst = build_cache(self.sq, warp, theta + t * v)
+        dst = cache_at(self.sq, warp, theta + t * v)
         res = vector_transport(src, dst, v, t, float(src.grad @ v))
         np.testing.assert_allclose(res.coords, v, rtol=1e-7, atol=1e-8)
         assert res.scale == pytest.approx(1.0, abs=1e-7)
@@ -171,11 +170,11 @@ class TestVectorTransport:
         # As t -> 0 along a geodesic jet the transported direction tends to
         # the original one.
         theta = np.array([0.5, 0.1, -0.4, 0.8, -0.2])
-        src = build_cache(self.sq, self.warp, theta)
+        src = cache_at(self.sq, self.warp, theta)
         v = np.array([0.7, -0.3, 0.5, 0.1, 0.4])
         jet = taylor_coefficients(self.sq, self.warp, src, v)
         t = 1e-6
-        dst = build_cache(self.sq, self.warp, retract(jet, t))
+        dst = cache_at(self.sq, self.warp, retract(jet, t))
         res = vector_transport(src, dst, v, t, float(src.grad @ v))
         np.testing.assert_allclose(res.coords, v, rtol=1e-4, atol=1e-5)
 

@@ -3,6 +3,8 @@ refactor leaves every solve unchanged."""
 
 import hashlib
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,16 +12,18 @@ import numpy as np
 from warpcg import (
     QuadraticProblem,
     RcgConfig,
+    RosenbrockProblem,
     SquiggleProblem,
     WarpConfig,
+    initial_point,
+    make_problem,
     run_euclidean_cg,
     run_rcg,
 )
 from recording import recorded
 
-_SPEC = importlib.util.spec_from_file_location(
-    "trace_digest", Path(__file__).resolve().parents[1] / "tools" / "trace_digest.py"
-)
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("trace_digest", ROOT / "tools" / "trace_digest.py")
 trace_digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(trace_digest)
 
@@ -52,3 +56,46 @@ def test_same_solves_same_digest_and_one_ulp_changes_it():
     (_, nudged_first), nudged_jets = two_solves(nudged)
     assert nudged_first != first
     assert nudged_jets != jets
+
+
+
+def test_acceptance_set_is_the_acceptance_fixtures_under_both_drivers():
+    # The fixtures of test_acceptance.py as written there. The set runs each
+    # under both drivers; stub drivers record the calls instead of solving.
+    fixtures = [
+        (SquiggleProblem, "squiggle", (2, 10, 50), WarpConfig(1.0), 1e-6),
+        (RosenbrockProblem, "rosenbrock", (2, 10), WarpConfig(sigma_sq=300.0 ** 2), 1e-4),
+    ]
+    expected = []
+    for make, name, dims, warp, tol_grad in fixtures:
+        cfg = RcgConfig(max_iters=8000, tol_df=0.0, tol_grad=tol_grad)
+        for dim in dims:
+            start = initial_point(name, dim).tobytes()
+            expected += [("rcg", make, dim, start, warp, cfg), ("flat", make, dim, start, None, cfg)]
+
+    calls = []
+
+    def record(driver, obj, theta0, warp, cfg):
+        calls.append((driver, type(obj), obj.dim, theta0.tobytes(), warp, cfg))
+
+    stub = types.SimpleNamespace(
+        RcgConfig=RcgConfig,
+        WarpConfig=WarpConfig,
+        initial_point=initial_point,
+        make_problem=make_problem,
+        run_rcg=lambda obj, theta0, warp, cfg: record("rcg", obj, theta0, warp, cfg),
+        run_euclidean_cg=lambda obj, theta0, cfg: record("flat", obj, theta0, None, cfg),
+    )
+    assert len(trace_digest.acceptance_results(stub)) == len(expected)
+    assert calls == expected
+
+
+def test_acceptance_prints_one_line_whatever_the_seeds(capsys, monkeypatch):
+    results = [run_rcg(SquiggleProblem(2), np.array([3.0, 1.4]), cfg=CFG)]
+    monkeypatch.setattr(trace_digest, "acceptance_results", lambda warpcg: results)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert trace_digest.main([str(ROOT), "acceptance", "0,1"]) == 0
+    comment, line = capsys.readouterr().out.splitlines()
+    assert comment.startswith("# warpcg from ")
+    rows, hexdigest = trace_digest.digest(results)
+    assert line == f"acceptance rows={rows} sha256={hexdigest}"

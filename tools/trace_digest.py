@@ -7,13 +7,19 @@ Usage:
 
 <src-tree> is the root of a warpcg checkout (it holds ``src/`` and
 ``perfbench/``); <workloads> is a comma-separated list of
-``perfbench.workloads.WORKLOADS`` names or ``all``; <seeds> is a
-comma-separated list of integers. For each (workload, seed) it runs every
-solve of ``perfbench.workloads.build(workload, seed)`` and prints the trace
-row count and a sha256 over every ``RcgResult`` field, every
-``IterationTrace`` field except ``wall_ns``, and the ``theta`` bytes. Floats
-and arrays enter the hash as their raw IEEE bytes, so signed zeros count.
-Run it once on each of two trees and compare the lines.
+``perfbench.workloads.WORKLOADS`` names, ``all`` for every one of them, and
+``acceptance``; <seeds> is a comma-separated list of integers. For each
+(workload, seed) it runs every solve of
+``perfbench.workloads.build(workload, seed)`` and prints the trace row count
+and a sha256 over every ``RcgResult`` field, every ``IterationTrace`` field
+except ``wall_ns``, and the ``theta`` bytes. Floats and arrays enter the
+hash as their raw IEEE bytes, so signed zeros count. Run it once on each of
+two trees and compare the lines.
+
+``acceptance`` is the acceptance gate's fixed solves (``ACCEPTANCE``),
+which take no seed, so it prints one line whatever <seeds> holds:
+
+    python3 tools/trace_digest.py <src-tree> acceptance 0
 """
 
 from __future__ import annotations
@@ -29,6 +35,14 @@ import numpy as np
 
 #: Wall-clock time differs between runs of the same arithmetic.
 SKIPPED_FIELDS = frozenset({"wall_ns"})
+
+#: The solves of tests/test_acceptance.py's fixtures, as (problem, dims,
+#: sigma_sq, tol_grad): each from initial_point with tol_df = 0 and
+#: max_iters = 8000, under run_rcg and then under run_euclidean_cg.
+ACCEPTANCE = (
+    ("squiggle", (2, 10, 50), 1.0, 1e-6),
+    ("rosenbrock", (2, 10), 300.0**2, 1e-4),
+)
 
 
 def _feed(h, value) -> None:
@@ -69,6 +83,20 @@ def digest(results) -> tuple[int, str]:
     return rows, h.hexdigest()
 
 
+def acceptance_results(warpcg) -> list:
+    """The RcgResults of the ACCEPTANCE solves, run with the given warpcg
+    package."""
+    results = []
+    for name, dims, sigma_sq, tol_grad in ACCEPTANCE:
+        cfg = warpcg.RcgConfig(max_iters=8000, tol_df=0.0, tol_grad=tol_grad)
+        for dim in dims:
+            theta0 = warpcg.initial_point(name, dim)
+            warp = warpcg.WarpConfig(sigma_sq)
+            results.append(warpcg.run_rcg(warpcg.make_problem(name, dim), theta0, warp, cfg))
+            results.append(warpcg.run_euclidean_cg(warpcg.make_problem(name, dim), theta0, cfg))
+    return results
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -82,6 +110,10 @@ def main(argv: list[str]) -> int:
     names = workloads.WORKLOADS if argv[1] == "all" else argv[1].split(",")
     seeds = [int(s) for s in argv[2].split(",")]
     for name in names:
+        if name == "acceptance":
+            rows, hexdigest = digest(acceptance_results(warpcg))
+            print(f"acceptance rows={rows} sha256={hexdigest}")
+            continue
         for seed in seeds:
             results = [solve.run(solve.make()) for solve in workloads.build(name, seed)]
             rows, hexdigest = digest(results)

@@ -185,7 +185,9 @@ def taylor_coefficients(
     22 elementwise passes over dim-vectors.
 
     A zero direction short-circuits to the straight ray GeodesicJet(theta,
-    v), with no curv and no evaluations.
+    v), with no curv and no evaluations. A caller may skip this function and
+    take that straight ray itself where the warp is below rounding: the
+    warped driver does so when psi^2 ||grad||^2 < rcg.FLAT_WARP.
     """
     v = np.asarray(v, dtype=float)
     theta = cache.theta

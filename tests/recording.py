@@ -11,51 +11,75 @@ from __future__ import annotations
 
 import warpcg.baseline
 import warpcg.rcg
+from warpcg.rcg import FLAT_WARP
+
+
+def jet_hvps(point) -> int:
+    """The hvps a jet from point costs, by the driver's rule: four when
+    psi^2 ||grad||^2 is at or above FLAT_WARP (or NaN), none below it, where
+    the jet is the straight ray. A flat point has psi^2 = 0, so its jets
+    cost none either."""
+    return 0 if point.psi_sq * point.grad_sq < FLAT_WARP else 4
 
 
 class Recording:
     """The point and jet calls of one run, in call order, as ("point",
-    point) and ("jet", jet) pairs; a call that raised is not logged.
-    warped tells the warped geometry from the flat one."""
+    point) and ("jet", jet) pairs; a call that raised is not logged."""
 
-    def __init__(self, warped: bool):
-        self.warped = warped
+    def __init__(self):
         self.calls: list[tuple[str, object]] = []
 
-    def steps(self) -> list[tuple[object, int]]:
-        """(jet, builds) per accepted step. A jet is accepted when the next
-        call builds a point, the end of its search; builds counts the points
-        built from there up to the next jet or the end of the run."""
+    def steps(self) -> list[tuple[object, object, int]]:
+        """(start, jet, builds) per accepted step. start is the point the
+        jet left from, the last point logged before it. A jet is accepted
+        when the next call builds a point, the end of its search; builds
+        counts the points built from there up to the next jet or the end of
+        the run."""
         steps = []
-        pending = None
+        start = pending = None
         for kind, obj in self.calls:
             if kind == "jet":
                 pending = obj
-            elif pending is not None:
-                steps.append((pending, 1))
+                continue
+            if pending is not None:
+                steps.append([start, pending, 1])
                 pending = None
             elif steps:
-                jet, builds = steps[-1]
-                steps[-1] = (jet, builds + 1)
-        return steps
+                steps[-1][2] += 1
+            start = obj
+        return [tuple(step) for step in steps]
 
     def accepted_jets(self) -> list:
-        return [jet for jet, _ in self.steps()]
+        return [jet for _, jet, _ in self.steps()]
+
+    def accepted_starts(self) -> list:
+        return [start for start, _, _ in self.steps()]
 
     def builds_per_step(self) -> list[int]:
-        return [builds for _, builds in self.steps()]
+        return [builds for _, _, builds in self.steps()]
+
+    def failed_starts(self) -> list:
+        """The start points of the jets whose search found no Wolfe point:
+        those not followed by a point build."""
+        failed = []
+        start = None
+        for i, (kind, obj) in enumerate(self.calls):
+            if kind == "point":
+                start = obj
+            elif i + 1 == len(self.calls) or self.calls[i + 1][0] == "jet":
+                failed.append(start)
+        return failed
 
     def failed_jets(self) -> int:
         """Jets whose search found no Wolfe point."""
-        jets = sum(kind == "jet" for kind, _ in self.calls)
-        return jets - len(self.steps())
+        return len(self.failed_starts())
 
 
-def _logged(base, warped: bool, recordings: list[Recording]):
+def _logged(base, recordings: list[Recording]):
     class Logged(base):
         def __init__(self, *args):
             super().__init__(*args)
-            self.recording = Recording(warped)
+            self.recording = Recording()
             recordings.append(self.recording)
 
         def point(self, theta, value, grad):
@@ -76,8 +100,8 @@ def recorded(driver, *args, **kwargs):
     the Recording of the geometry it built."""
     recordings: list[Recording] = []
     warped, flat = warpcg.rcg._WarpedGeometry, warpcg.baseline._FlatGeometry
-    warpcg.rcg._WarpedGeometry = _logged(warped, True, recordings)
-    warpcg.baseline._FlatGeometry = _logged(flat, False, recordings)
+    warpcg.rcg._WarpedGeometry = _logged(warped, recordings)
+    warpcg.baseline._FlatGeometry = _logged(flat, recordings)
     try:
         result = driver(*args, **kwargs)
     finally:

@@ -48,11 +48,13 @@ from oracle import (
     project_to_tangent,
 )
 from warpcg.objective import FD_STEP, fd_step
-from recording import recorded
+from recording import jet_hvps, recorded
 from warpcg.retraction import directional_value_and_slope, retract, vector_transport
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.1
+SQUIGGLE_WARP = WarpConfig(1.0)
+ROSENBROCK_WARP = WarpConfig(sigma_sq=300.0 ** 2)
 
 
 @contextmanager
@@ -81,7 +83,7 @@ def squiggle_runs():
             run_rcg,
             problem,
             initial_point("squiggle", dim),
-            warp=WarpConfig(1.0),
+            warp=SQUIGGLE_WARP,
             cfg=RcgConfig(max_iters=8000, tol_df=0.0, tol_grad=1e-6),
         )
         runs[dim] = (problem, res, recording)
@@ -101,7 +103,7 @@ def rosenbrock_runs():
             run_rcg,
             problem,
             initial_point("rosenbrock", dim),
-            warp=WarpConfig(sigma_sq=300.0 ** 2),
+            warp=ROSENBROCK_WARP,
             cfg=RcgConfig(max_iters=8000, tol_df=0.0, tol_grad=1e-4),
         )
         runs[dim] = (problem, res, recording)
@@ -369,20 +371,46 @@ def test_c08_wolfe_certification(capsys, squiggle_runs, rosenbrock_runs):
 
 def test_c09_budget(capsys, squiggle_runs, rosenbrock_runs):
     """Instrumented counters: exactly four Hessian-vector products (the
-    jet's; a cache build costs none) and exactly one geometry cache build
-    per accepted iteration, and the run totals reconcile exactly with the
-    per-row counts."""
+    jet's; a cache build costs none) per accepted iteration whose start
+    point has psi^2 ||grad||^2 >= FLAT_WARP and none below it, exactly one
+    geometry cache build per accepted iteration, and the run totals
+    reconcile exactly with the per-row counts, failed searches' jets
+    included. Every run has rows of both kinds."""
     with criterion(capsys, 9, "per-iteration evaluation budget"):
         for runs, _ in (squiggle_runs, rosenbrock_runs):
             for _, (_, res, recording) in runs.items():
                 assert len(res.trace) > 0
                 builds = recording.builds_per_step()
                 assert len(builds) == len(res.trace)
-                for row, n_builds in zip(res.trace, builds):
-                    assert row.n_hvp == 4, (row.k, row.n_hvp)
+                starts = recording.accepted_starts()
+                assert {jet_hvps(p) for p in starts} == {0, 4}
+                for row, n_builds, start in zip(res.trace, builds, starts):
+                    assert row.n_hvp == jet_hvps(start), (row.k, row.n_hvp)
                     assert n_builds == 1, (row.k, n_builds)
                 from_rows = sum(row.n_hvp for row in res.trace)
-                assert res.n_hvp == from_rows + 4 * res.failed_attempts
+                failed = recording.failed_starts()
+                assert len(failed) == res.failed_attempts
+                assert res.n_hvp == from_rows + sum(jet_hvps(p) for p in failed)
+
+
+def test_straight_rows_drop_curvature_below_rounding(squiggle_runs, rosenbrock_runs):
+    """Each accepted row whose start point had psi^2 ||grad||^2 below
+    FLAT_WARP searched the straight ray. The full jet rebuilt at the logged
+    point along the row's direction has a curved part, at the row's t,
+    below the unit roundoff 2^-53 of the straight part ||t v||."""
+    straight = 0
+    for (runs, _), warp in ((squiggle_runs, SQUIGGLE_WARP), (rosenbrock_runs, ROSENBROCK_WARP)):
+        for problem, res, recording in runs.values():
+            rows = zip(res.trace, recording.accepted_starts(), recording.accepted_jets())
+            for row, start, jet in rows:
+                if jet_hvps(start):
+                    continue
+                assert jet.curv is None, row.k
+                full = taylor_coefficients(problem, warp, start, jet.v)
+                curved = np.array([0.5 * row.t * row.t, row.t ** 3 / 6.0]) @ full.curv
+                assert np.linalg.norm(curved) < 2.0 ** -53 * row.t * np.linalg.norm(jet.v), row.k
+                straight += 1
+    assert straight > 0
 
 
 def test_c10_derivative_hygiene(capsys):

@@ -21,7 +21,7 @@ from warpcg.errors import NumericalBreakdown
 from warpcg.geometry import build_cache
 from warpcg.objective import FD_STEP, CountingObjective, _check_finite, fd_step, hvp_or_fallback
 from oracle import cache_at, central_diff_grad, normal_vector, third_directional_derivative
-from recording import recorded
+from recording import jet_hvps, recorded
 from warpcg.retraction import vector_transport
 
 
@@ -208,8 +208,10 @@ def test_fallback_route_counts_exactly(name, dim):
     # Every hvp goes through the fallback: the jet's four hvps are two
     # gradients each, the jet calls no gradient of its own, and a cache
     # build calls no hvp, so an iteration spends 4 * 2 = 8 gradients beyond
-    # its line search. A gradient returned as a list runs the same route to
-    # the same bits.
+    # its line search when its start point has psi^2 ||grad||^2 >= FLAT_WARP,
+    # and none below it, where the jet is the straight ray; each run has
+    # rows of both kinds. A gradient returned as a list runs the same route
+    # to the same bits.
     recorded_runs = [
         recorded(
             run_rcg,
@@ -223,10 +225,12 @@ def test_fallback_route_counts_exactly(name, dim):
         assert res.stop_reason is StopReason.SMALL_GRAD
         assert res.n_hvp == 0
         assert recording.builds_per_step() == [1] * res.iterations
-        for row in res.trace:
+        starts = recording.accepted_starts()
+        assert {jet_hvps(p) for p in starts} == {0, 4}
+        for row, start in zip(res.trace, starts):
             assert row.n_hvp == 0
             assert row.n_value == row.ls_evals
-            assert row.n_grad == row.ls_evals + 8
+            assert row.n_grad == row.ls_evals + 2 * jet_hvps(start)
     runs = [res for res, _ in recorded_runs]
     assert runs[1].theta.tobytes() == runs[0].theta.tobytes()
     assert runs[1].n_grad == runs[0].n_grad

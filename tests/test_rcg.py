@@ -23,20 +23,22 @@ from warpcg import (
     run_rcg,
 )
 import warpcg.rcg
-from warpcg.errors import DegenerateBeta, DegenerateStep, LineSearchFail
-from warpcg.geometry import GeometryCache
-from warpcg.rcg import dy_beta
+from warpcg.errors import DegenerateBeta, DegenerateStep, LineSearchFail, NumericalBreakdown
+from warpcg.geometry import GeometryCache, riemannian_gradient
+from warpcg.objective import CountingObjective
+from warpcg.rcg import FLAT_WARP, dy_beta
 from warpcg.retraction import TransportResult
-from recording import recorded
+from recording import jet_hvps, recorded
 
 
 def reconcile(result, recording):
-    """Total hvp calls must equal the trace rows' sum plus, on the warped
-    geometry, four per failed line-search attempt, each of which is a jet
-    no step accepted; a cache build calls none. The flat geometry calls no
-    hvp."""
+    """Total hvp calls must equal the trace rows' sum plus each failed
+    line-search attempt's jet, which no step accepted: four hvps when its
+    start point has psi^2 ||grad||^2 >= FLAT_WARP, none below it; a cache
+    build calls none. The flat geometry's points have psi^2 = 0, so it
+    calls no hvp."""
     from_rows = sum(row.n_hvp for row in result.trace)
-    outside_rows = 4 * result.failed_attempts if recording.warped else 0
+    outside_rows = sum(jet_hvps(start) for start in recording.failed_starts())
     return (recording.failed_jets() == result.failed_attempts
             and result.n_hvp == from_rows + outside_rows)
 
@@ -151,7 +153,8 @@ class TestConvergence:
                                   cfg=RcgConfig(tol_df=0.0, tol_grad=1e-4, max_iters=4000))
         assert res.stop_reason == StopReason.SMALL_GRAD
         assert any(row.restart for row in res.trace)
-        assert all(row.n_hvp == 4 for row in res.trace)
+        starts = recording.accepted_starts()
+        assert [row.n_hvp for row in res.trace] == [jet_hvps(p) for p in starts]
         assert reconcile(res, recording)
 
 
@@ -218,10 +221,14 @@ class TestTraceAccounting:
                                   cfg=RcgConfig(tol_df=0.0, tol_grad=1e-6))
         assert [row.k for row in res.trace] == list(range(res.iterations))
         assert recording.builds_per_step() == [1] * res.iterations
-        for row in res.trace:
+        # A row's jet costs four hvps from a start point with psi^2 ||grad||^2
+        # >= FLAT_WARP and none below it; this run has rows of both kinds.
+        starts = recording.accepted_starts()
+        assert {jet_hvps(p) for p in starts} == {0, 4}
+        for row, start in zip(res.trace, starts):
             for f in dataclasses.fields(row):
                 assert type(getattr(row, f.name)) in (int, float), f.name
-            assert row.n_hvp == 4
+            assert row.n_hvp == jet_hvps(start)
             assert row.ls_evals >= 1
             assert row.n_value >= row.ls_evals
             assert row.wall_ns > 0
@@ -233,13 +240,17 @@ class TestTraceAccounting:
     def test_rows_spend_search_evaluations_and_four_hvps(self, name):
         # On the analytic route the jet calls no value and no gradient, and
         # the accepted point's cache reuses its trial's, so every value and
-        # gradient of a row is a line-search evaluation.
-        res = run_rcg(make_problem(name, 10), initial_point(name, 10),
-                      cfg=RcgConfig(tol_df=0.0, max_iters=200))
+        # gradient of a row is a line-search evaluation. The jet's four hvps
+        # are spent only from a start point with psi^2 ||grad||^2 >=
+        # FLAT_WARP; each run has rows of both kinds.
+        res, recording = recorded(run_rcg, make_problem(name, 10), initial_point(name, 10),
+                                  cfg=RcgConfig(tol_df=0.0, max_iters=200))
         assert res.iterations > 0
-        for row in res.trace:
+        starts = recording.accepted_starts()
+        assert {jet_hvps(p) for p in starts} == {0, 4}
+        for row, start in zip(res.trace, starts, strict=True):
             assert row.n_grad == row.n_value == row.ls_evals
-            assert row.n_hvp == 4
+            assert row.n_hvp == jet_hvps(start)
 
     def test_jet_recording(self):
         sq = SquiggleProblem(3)
@@ -290,6 +301,61 @@ class TestTraceAccounting:
         for field in ("n_value", "n_grad"):
             assert getattr(res, field) == 1 + sum(getattr(row, field) for row in res.trace)
         assert res.n_hvp == 4 + sum(row.n_hvp for row in res.trace)
+
+
+class TestFlatWarpGate:
+    """The warped geometry's jet is the straight ray, with no hvp, where
+    psi^2 ||grad||^2 = W^2 - 1 is below FLAT_WARP, and the full jet
+    elsewhere."""
+
+    @staticmethod
+    def geometry(problem, warp):
+        return warpcg.rcg._WarpedGeometry(CountingObjective(problem), warp)
+
+    @staticmethod
+    def point(psi_sq, grad_sq):
+        # A hand-built point: the gate reads psi_sq and grad_sq alone.
+        grad = np.array([math.sqrt(grad_sq), 0.0, 0.0])
+        return GeometryCache(theta=np.ones(3), value=-1.0, grad=grad, grad_sq=grad_sq,
+                             psi_sq=psi_sq, w_sq=1.0 + psi_sq * grad_sq)
+
+    def test_small_warp_is_the_straight_ray(self):
+        geometry = self.geometry(QuadraticProblem(3), WarpConfig())
+        point = self.point(np.nextafter(FLAT_WARP, 0.0), 1.0)
+        v = riemannian_gradient(point)
+        jet = geometry.jet(point, v)
+        assert jet.curv is None and geometry.obj.counts.n_hvp == 0
+        assert jet.theta is point.theta and jet.v is v
+
+    def test_warp_at_the_threshold_gets_the_full_jet(self):
+        geometry = self.geometry(QuadraticProblem(3), WarpConfig())
+        point = self.point(FLAT_WARP, 1.0)
+        jet = geometry.jet(point, riemannian_gradient(point))
+        assert jet.curv is not None and geometry.obj.counts.n_hvp == 4
+
+    def test_small_psi_sq_with_a_large_gradient_keeps_its_curvature(self):
+        # psi^2 is below 1e-10, but with ||grad||^2 near 7e8 the warp
+        # psi^2 ||grad||^2 is 5e-3: the curved part at a unit step is 0.6 %
+        # of the straight part, far above rounding, so psi^2 alone cannot
+        # be the gate.
+        problem = QuadraticProblem(3)
+        geometry = self.geometry(problem, WarpConfig(sigma_sq=1e20))
+        theta = np.full(3, 1e4)
+        point = geometry.point(theta, problem.value(theta), problem.grad(theta))
+        assert point.psi_sq < 1e-10 and point.psi_sq * point.grad_sq > 1e-3
+        v = riemannian_gradient(point)
+        jet = geometry.jet(point, v)
+        assert jet.curv is not None and geometry.obj.counts.n_hvp == 4
+        curved = np.array([0.5, 1.0 / 6.0]) @ jet.curv
+        assert np.linalg.norm(curved) > 1e-3 * np.linalg.norm(v)
+
+    def test_nan_warp_takes_the_full_jet(self):
+        # A NaN psi^2 ||grad||^2 fails the gate's test, so the full jet
+        # spends its four hvps and its non-finite coefficients raise.
+        geometry = self.geometry(QuadraticProblem(3), WarpConfig())
+        with pytest.raises(NumericalBreakdown):
+            geometry.jet(self.point(math.nan, 1.0), np.ones(3))
+        assert geometry.obj.counts.n_hvp == 4
 
 
 @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])

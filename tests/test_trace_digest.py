@@ -99,3 +99,34 @@ def test_acceptance_prints_one_line_whatever_the_seeds(capsys, monkeypatch):
     assert comment.startswith("# warpcg from ")
     rows, hexdigest = trace_digest.digest(results)
     assert line == f"acceptance rows={rows} sha256={hexdigest}"
+
+
+def test_acceptance_labels_name_the_solves_in_order():
+    # One label per acceptance solve, in acceptance_results' order: each
+    # fixture under rcg and then under the flat driver.
+    assert trace_digest.acceptance_labels() == [
+        "squiggle d=2 rcg sigma_sq=1", "squiggle d=2 euclid_cg",
+        "squiggle d=10 rcg sigma_sq=1", "squiggle d=10 euclid_cg",
+        "squiggle d=50 rcg sigma_sq=1", "squiggle d=50 euclid_cg",
+        "rosenbrock d=2 rcg sigma_sq=90000", "rosenbrock d=2 euclid_cg",
+        "rosenbrock d=10 rcg sigma_sq=90000", "rosenbrock d=10 euclid_cg",
+    ]
+
+
+def test_solves_adds_one_line_per_solve_under_the_batch_line(capsys, monkeypatch):
+    results = [
+        run_rcg(SquiggleProblem(2), np.array([3.0, 1.4]), cfg=CFG),
+        run_euclidean_cg(SquiggleProblem(2), np.array([3.0, 1.4]), cfg=CFG),
+    ]
+    monkeypatch.setattr(trace_digest, "acceptance_results", lambda warpcg: results)
+    monkeypatch.setattr(trace_digest, "acceptance_labels", lambda: ["a b", "c"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert trace_digest.main([str(ROOT), "acceptance", "--solves", "0"]) == 0
+    _, batch, *solves = capsys.readouterr().out.splitlines()
+    rows, hexdigest = trace_digest.digest(results)
+    assert batch == f"acceptance rows={rows} sha256={hexdigest}"
+    expected = []
+    for label, result in zip(["a b", "c"], results):
+        rows, hexdigest = trace_digest.digest([result])
+        expected.append(f"  {label} rows={rows} sha256={hexdigest}")
+    assert solves == expected

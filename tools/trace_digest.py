@@ -3,7 +3,7 @@ change results.
 
 Usage:
 
-    python3 tools/trace_digest.py <src-tree> <workloads> <seeds>
+    python3 tools/trace_digest.py <src-tree> <workloads> <seeds> [--solves]
 
 <src-tree> is the root of a warpcg checkout (it holds ``src/`` and
 ``perfbench/``); <workloads> is a comma-separated list of
@@ -15,6 +15,11 @@ and a sha256 over every ``RcgResult`` field, every ``IterationTrace`` field
 except ``wall_ns``, and the ``theta`` bytes. Floats and arrays enter the
 hash as their raw IEEE bytes, so signed zeros count. Run it once on each of
 two trees and compare the lines.
+
+``--solves`` adds, under each batch line, one indented line per solve: its
+label (``perfbench.workloads.Solve.label``), its row count and the sha256
+of its result alone, so a change that moves a batch names the solves it
+moves.
 
 ``acceptance`` is the acceptance gate's fixed solves (``ACCEPTANCE``),
 which take no seed, so it prints one line whatever <seeds> holds:
@@ -97,7 +102,19 @@ def acceptance_results(warpcg) -> list:
     return results
 
 
+def acceptance_labels() -> list[str]:
+    """The labels of acceptance_results' solves, in its order."""
+    return [
+        label
+        for name, dims, sigma_sq, _ in ACCEPTANCE
+        for dim in dims
+        for label in (f"{name} d={dim} rcg sigma_sq={sigma_sq:g}", f"{name} d={dim} euclid_cg")
+    ]
+
+
 def main(argv: list[str]) -> int:
+    solves = "--solves" in argv
+    argv = [arg for arg in argv if arg != "--solves"]
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
@@ -109,15 +126,23 @@ def main(argv: list[str]) -> int:
     print(f"# warpcg from {Path(warpcg.__file__).parent}, workloads from {workloads.__file__}")
     names = workloads.WORKLOADS if argv[1] == "all" else argv[1].split(",")
     seeds = [int(s) for s in argv[2].split(",")]
+
+    def report(batch: str, labels: list[str], results: list) -> None:
+        rows, hexdigest = digest(results)
+        print(f"{batch} rows={rows} sha256={hexdigest}")
+        if solves:
+            for label, result in zip(labels, results, strict=True):
+                rows, hexdigest = digest([result])
+                print(f"  {label} rows={rows} sha256={hexdigest}")
+
     for name in names:
         if name == "acceptance":
-            rows, hexdigest = digest(acceptance_results(warpcg))
-            print(f"acceptance rows={rows} sha256={hexdigest}")
+            report("acceptance", acceptance_labels(), acceptance_results(warpcg))
             continue
         for seed in seeds:
-            results = [solve.run(solve.make()) for solve in workloads.build(name, seed)]
-            rows, hexdigest = digest(results)
-            print(f"{name} seed={seed} rows={rows} sha256={hexdigest}")
+            batch = workloads.build(name, seed)
+            results = [solve.run(solve.make()) for solve in batch]
+            report(f"{name} seed={seed}", [solve.label for solve in batch], results)
     return 0
 
 

@@ -1,29 +1,24 @@
-"""Command-line harness: single runs and (method x dimension) sweeps.
-
-Single run:
+"""Command-line harness: one solve per call, from the problem's default
+start (problems.initial_point).
 
     warpcg --problem squiggle --dim 10 --method rcg --sigma-sq 1.0 \\
            --trace-out trace.csv --summary-out run.json
 
-Sweep (comma lists; --dims switches modes):
-
-    warpcg --problem squiggle --dims 2,10,50 --method rcg,euclid_cg \\
-           --summary-out sweep.json
+For one trace per dimension, loop over --dim in the shell; tools/cells.py
+builds (method x dimension) grids from seeded starts.
 
 The numeric flags are the fields of WarpConfig and RcgConfig, in that
 order: the parser makes one flag per field, named after it (--sigma-sq for
 sigma_sq), with the field's default and type, and the config checks the
-range. A new config field is a new flag with no edit here. Both configs are
-built once, before any run, in both modes, and the summary echoes them
-under "config". The finite-difference step is objective.fd_step, not a
-setting.
+range. A new config field is a new flag with no edit here. The summary
+echoes both configs under "config". The finite-difference step
+(objective.fd_step) and the strong Wolfe constants (linesearch.C1, C2)
+are not settings.
 
 Exit codes: 0 on success (and for --help), 1 for an invalid run
-specification (also --dim with --dims, an unknown flag or a value of the
-wrong type), 2 when a single run stops with numerical breakdown. In a
-sweep an invalid shared setting (a config value, the problem or a method
-name) exits 1 before any run, while an invalid dimension becomes an error
-row. Sweep failures are recorded per row and do not change the exit code.
+specification (a bad config value, problem, method or dimension, a missing
+--dim, an unknown flag or a value of the wrong type), 2 when the run stops
+with numerical breakdown.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 
@@ -41,15 +36,10 @@ import numpy as np
 from . import __version__
 from .baseline import run_euclidean_cg
 from .geometry import WarpConfig
-from .problems import (
-    PROBLEM_NAMES,
-    classify_rosenbrock_basin,
-    initial_point,
-    make_problem,
-)
+from .problems import PROBLEM_NAMES, classify_rosenbrock_basin, initial_point, make_problem
 from .rcg import IterationTrace, RcgConfig, RcgResult, StopReason, run_rcg
 
-__all__ = ["RunSpec", "run_single", "run_sweep", "main", "TRACE_COLUMNS"]
+__all__ = ["RunSpec", "run_single", "main", "TRACE_COLUMNS"]
 
 METHOD_NAMES = ("rcg", "euclid_cg")
 
@@ -147,32 +137,6 @@ def run_single(spec: RunSpec, trace_out: Path | None, summary_out: Path | None) 
     return 2 if result.stop_reason is StopReason.NUMERICAL_BREAKDOWN else 0
 
 
-def run_sweep(base: RunSpec, dims: list[int], methods: list[str],
-              trace_out: Path | None, summary_out: Path | None) -> int:
-    """One run of base per (method, dim) pair; failures become rows, not crashes."""
-    rows = []
-    for method in methods:
-        for dim in dims:
-            try:
-                result, summary = execute(replace(base, method=method, dim=dim))
-            except Exception as exc:  # recorded, not raised: keep other rows alive
-                rows.append({"problem": base.problem, "dim": dim, "method": method,
-                             "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            if trace_out is not None:
-                stem = trace_out.with_suffix("")
-                path = Path(f"{stem}_{method}_d{dim}{trace_out.suffix or '.csv'}")
-                _write_trace(path, result.trace)
-            rows.append(summary)
-
-    out = {"sweep": True, "rows": rows, "version": __version__}
-    text = json.dumps(out, indent=2)
-    if summary_out is not None:
-        Path(summary_out).write_text(text + "\n")
-    print(text)
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as ValueError, which main turns into exit 1,
     instead of argparse's exit 2, the code of a numerical breakdown."""
@@ -187,12 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Warped-manifold conjugate-gradient benchmark harness",
     )
     parser.add_argument("--problem", required=True, help=f"one of {', '.join(PROBLEM_NAMES)}")
-    parser.add_argument("--dim", type=int, help="problem dimension (single-run mode)")
-    parser.add_argument(
-        "--method",
-        default="rcg",
-        help="rcg or euclid_cg; comma list allowed with --dims",
-    )
+    parser.add_argument("--dim", type=int, required=True, help="problem dimension")
+    parser.add_argument("--method", default="rcg", help=f"one of {', '.join(METHOD_NAMES)}")
     for config in _CONFIGS:
         for f in fields(config):
             parser.add_argument(
@@ -203,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
     parser.add_argument("--trace-out", type=Path, help="write per-iteration CSV here")
     parser.add_argument("--summary-out", type=Path, help="write summary JSON here")
-    parser.add_argument(
-        "--dims",
-        help="comma-separated dimensions; presence switches to sweep mode",
-    )
     return parser
 
 
@@ -218,7 +174,7 @@ def _from_flags(config, args: argparse.Namespace):
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # Building the configs checks every shared setting before any run.
+        # Building the configs checks their ranges before the run.
         spec = RunSpec(
             problem=args.problem,
             dim=args.dim,
@@ -226,23 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg=_from_flags(RcgConfig, args),
             warp=_from_flags(WarpConfig, args),
         )
-        if args.dims is None:
-            if args.dim is None:
-                raise ValueError("either --dim (single run) or --dims (sweep) is required")
-            if "," in args.method:
-                raise ValueError("comma-separated --method needs sweep mode (--dims)")
-            return run_single(spec, args.trace_out, args.summary_out)
-        if args.dim is not None:
-            raise ValueError("--dim and --dims are exclusive: --dim is one run, --dims a sweep")
-        dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
-        if not dims:
-            raise ValueError("--dims is empty")
-        methods = [tok.strip() for tok in args.method.split(",") if tok.strip()]
-        if not methods:
-            raise ValueError("--method is empty")
-        for method in methods:
-            replace(spec, method=method).validate()
-        return run_sweep(spec, dims, methods, args.trace_out, args.summary_out)
+        return run_single(spec, args.trace_out, args.summary_out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -142,16 +142,6 @@ class GeodesicJet:
     v: np.ndarray
     curv: np.ndarray | None = None
 
-    @property
-    def q(self) -> np.ndarray | None:
-        """Second derivative of the curve at t = 0 (a row of curv)."""
-        return None if self.curv is None else self.curv[0]
-
-    @property
-    def k(self) -> np.ndarray | None:
-        """Third derivative of the curve at t = 0 (a row of curv)."""
-        return None if self.curv is None else self.curv[1]
-
 
 def taylor_coefficients(
     obj: Objective, warp: WarpConfig, cache: GeometryCache, v: np.ndarray

@@ -5,7 +5,8 @@ callable returning (value, slope, point, grad); it never sees the curve
 itself, so the same routine serves the curved retraction of the warped
 optimizer and the straight rays of the Euclidean baseline.
 
-Conditions, for initial slope g'(0) > 0 (maximization):
+Conditions, for initial slope g'(0) > 0 (maximization), with the fixed
+constants c1 = C1 and c2 = C2:
 
     sufficient increase:  g(t) >= g(0) + c1 t g'(0)
     curvature:            |g'(t)| <= c2 g'(0)
@@ -34,6 +35,12 @@ PhiFn = Callable[[float], tuple[float, float, np.ndarray, np.ndarray]]
 
 #: Evaluation budget of one search.
 MAX_EVALS = 60
+
+#: Strong Wolfe constants, 0 < C1 < C2 < 1: sufficient increase and
+#: curvature. Every run uses these; C2 = 0.1 is the tight curvature test
+#: usual for conjugate gradient.
+C1 = 1e-4
+C2 = 0.1
 
 
 # Not frozen: a frozen dataclass pays for object.__setattr__ on every field
@@ -77,13 +84,10 @@ def strong_wolfe(
     f0: float,
     slope0: float,
     *,
-    c1: float,
-    c2: float,
     t_init: float,
 ) -> WolfeResult:
-    """Find t > 0 satisfying the strong Wolfe conditions along phi, trying
-    t_init first. No argument has a default here: RcgConfig holds c1 and
-    c2, and the CG loop chooses the first trial step.
+    """Find t > 0 satisfying the strong Wolfe conditions along phi, with
+    the module's C1 and C2, trying t_init first; the CG loop chooses t_init.
 
     Raises ValueError on a bad argument, slope0 <= 0 included (there is
     nothing to search), and LineSearchFail when the MAX_EVALS budget runs
@@ -93,9 +97,8 @@ def strong_wolfe(
         raise ValueError(f"initial slope must be positive, got {slope0}")
     if not (t_init > 0.0):
         raise ValueError(f"t_init must be positive, got {t_init}")
-    if not (0.0 < c1 < c2 < 1.0):
-        raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
-
+    # Read at call time, so a patched constant takes effect.
+    c1, c2 = C1, C2
     evals = 0
 
     def ev(t: float) -> WolfeResult:

@@ -96,24 +96,19 @@ class RcgConfig:
     """Driver settings. Tolerances: tol_grad applies to the warped norm of
     the Riemannian gradient and is checked every iteration; tol_df applies
     to the objective increase of an accepted step (checked from the first
-    accepted step onward). Each line search has a budget of
+    accepted step onward). Each line search uses the fixed strong Wolfe
+    constants linesearch.C1 and linesearch.C2 and has a budget of
     linesearch.MAX_EVALS evaluations."""
 
     max_iters: int = 8000
     tol_df: float = 1e-5
     tol_grad: float = 1e-6
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.1
 
     def __post_init__(self):
         # Each check is written as not (range) so that NaN, which no stop
         # test can meet, fails too.
         if not (self.max_iters >= 0):
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError(
-                f"need 0 < c1 < c2 < 1, got c1={self.wolfe_c1}, c2={self.wolfe_c2}"
-            )
         if not (self.tol_df >= 0 and self.tol_grad >= 0):
             raise ValueError(
                 f"tolerances must be >= 0, got tol_df={self.tol_df}, tol_grad={self.tol_grad}"
@@ -282,8 +277,6 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                         lambda t: directional_value_and_slope(counting, jet, t),
                         f0=cache.value,
                         slope0=slope0,
-                        c1=cfg.wolfe_c1,
-                        c2=cfg.wolfe_c2,
                         t_init=t_init,
                     )
                 except LineSearchFail:

@@ -191,7 +191,7 @@ def test_c03_retraction_order(capsys):
             jet = taylor_coefficients(problem, warp, cache, v0)
             truncated = {
                 1: GeodesicJet(jet.theta, jet.v),
-                2: GeodesicJet(jet.theta, jet.v, np.stack([jet.q, np.zeros_like(jet.q)])),
+                2: GeodesicJet(jet.theta, jet.v, np.stack([jet.curv[0], np.zeros_like(jet.v)])),
                 3: jet,
             }
             refs = [

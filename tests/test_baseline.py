@@ -15,6 +15,7 @@ from warpcg import (
     run_euclidean_cg,
 )
 from warpcg.geometry import GeometryCache
+from warpcg.linesearch import C1, C2
 from warpcg.retraction import directional_value_and_slope, retract
 from recording import recorded
 
@@ -136,10 +137,10 @@ class TestWolfeCertification:
         jets = recording.accepted_jets()
         assert len(jets) == res.iterations
         for jet, row in zip(jets, res.trace):
-            assert jet.q is None and jet.k is None
+            assert jet.curv is None
             assert retract(jet, row.t).tobytes() == (jet.theta + row.t * jet.v).tobytes(), row.k
             f0 = problem.value(jet.theta)
             slope0 = float(np.asarray(problem.grad(jet.theta), dtype=float) @ jet.v)
             value, slope, _, _ = directional_value_and_slope(problem, jet, row.t)
-            assert value >= f0 + cfg.wolfe_c1 * row.t * slope0, row.k
-            assert abs(slope) <= cfg.wolfe_c2 * slope0, row.k
+            assert value >= f0 + C1 * row.t * slope0, row.k
+            assert abs(slope) <= C2 * slope0, row.k

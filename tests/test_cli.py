@@ -1,5 +1,5 @@
-"""Command-line harness: argument handling, artifacts, exit codes, and
-sweep mode. Runs go through main(argv) in-process."""
+"""Command-line harness: argument handling, artifacts and exit codes.
+Runs go through main(argv) in-process."""
 
 import csv
 import json
@@ -136,7 +136,7 @@ class TestTraceCsv:
 
 class TestFlagsFollowConfigs:
     FIELDS = [*fields(WarpConfig), *fields(RcgConfig)]
-    OTHER_DESTS = {"help", "problem", "dim", "method", "trace_out", "summary_out", "dims"}
+    OTHER_DESTS = {"help", "problem", "dim", "method", "trace_out", "summary_out"}
 
     def test_flags_defaults_and_echo_are_the_config_fields(self):
         settings = [a for a in build_parser()._actions if a.dest not in self.OTHER_DESTS]
@@ -151,7 +151,7 @@ class TestFlagsFollowConfigs:
 
     def test_each_flag_reaches_its_config(self, capsys):
         values = {"sigma_sq": 2.5, "max_iters": 0, "tol_df": 0.25,
-                  "tol_grad": 0.125, "wolfe_c1": 0.01, "wolfe_c2": 0.5}
+                  "tol_grad": 0.125}
         assert set(values) == {f.name for f in self.FIELDS}
         argv = ["--problem", "quadratic", "--dim", "2"]
         for name, value in values.items():
@@ -159,6 +159,14 @@ class TestFlagsFollowConfigs:
         code, out, _ = run_main(capsys, argv)
         assert code == 0
         assert json.loads(out)["config"] == values
+
+
+# Flags of settings that are gone: each must fail as an unknown flag.
+REMOVED_FLAGS = [
+    ["--problem", "quadratic", "--dim", "3", "--dims", "2,3"],
+    ["--problem", "quadratic", "--dim", "3", "--wolfe-c1", "0.01"],
+    ["--problem", "quadratic", "--dim", "3", "--wolfe-c2", "0.5"],
+]
 
 
 class TestArgumentErrors:
@@ -170,15 +178,13 @@ class TestArgumentErrors:
         ["--problem", "rosenbrock", "--dim", "1"],
         ["--problem", "quadratic", "--dim", "3", "--sigma-sq", "0"],
         ["--problem", "quadratic", "--dim", "3", "--sigma-sq", "-1"],
-        ["--problem", "quadratic", "--dim", "3", "--wolfe-c1", "0.5"],
+        ["--problem", "quadratic", "--dim", "3", "--tol-df", "-1"],
         ["--problem", "quadratic", "--dim", "3", "--max-iters", "-1"],
         ["--problem", "quadratic", "--dim", "3", "--method", "rcg,euclid_cg"],
-        ["--problem", "quadratic", "--dims", ""],
-        ["--problem", "quadratic", "--dims", "2,3", "--sigma-sq", "inf"],
         ["--problem", "quadratic", "--dim", "3", "--tol-grad", "nan"],
-        ["--problem", "quadratic", "--dim", "50", "--dims", "2"],
         ["--problem", "quadratic", "--dim", "3", "--max-iters", "1e3"],
         ["--problem", "quadratic", "--dim", "3", "--no-such-flag"],
+        *REMOVED_FLAGS,
     ])
     def test_exit_one_with_stderr(self, capsys, argv):
         code, out, err = run_main(capsys, argv)
@@ -186,58 +192,25 @@ class TestArgumentErrors:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("argv", REMOVED_FLAGS)
+    def test_removed_flags_are_unknown(self, capsys, argv):
+        # Sweeps and Wolfe constants are no longer run settings.
+        code, _, err = run_main(capsys, argv)
+        assert code == 1
+        assert err.startswith(f"error: unrecognized arguments: {argv[-2]}")
+
+    def test_comma_list_method_is_an_unknown_method(self, capsys):
+        code, _, err = run_main(capsys, [
+            "--problem", "quadratic", "--dim", "3", "--method", "rcg,euclid_cg",
+        ])
+        assert code == 1
+        assert err.startswith("error: unknown method 'rcg,euclid_cg'")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--help"])
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage:")
-
-
-class TestSweep:
-    def test_rows_per_method_and_dim(self, tmp_path, capsys):
-        summary = tmp_path / "sweep.json"
-        code, out, _ = run_main(capsys, [
-            "--problem", "quadratic", "--dims", "2,3",
-            "--method", "rcg,euclid_cg",
-            "--summary-out", str(summary), *FAST,
-        ])
-        assert code == 0
-        data = json.loads(out)
-        assert data["sweep"] is True
-        assert len(data["rows"]) == 4
-        combos = {(r["method"], r["dim"]) for r in data["rows"]}
-        assert combos == {("rcg", 2), ("rcg", 3), ("euclid_cg", 2), ("euclid_cg", 3)}
-        assert json.loads(summary.read_text()) == data
-
-    def test_per_run_trace_files(self, tmp_path, capsys):
-        trace = tmp_path / "sw.csv"
-        code, _, _ = run_main(capsys, [
-            "--problem", "quadratic", "--dims", "2,3", "--method", "rcg,euclid_cg",
-            "--trace-out", str(trace), *FAST,
-        ])
-        assert code == 0
-        for method in ("rcg", "euclid_cg"):
-            for dim in (2, 3):
-                path = tmp_path / f"sw_{method}_d{dim}.csv"
-                assert path.exists()
-                with open(path, newline="") as fh:
-                    rows = list(csv.reader(fh))
-                assert tuple(rows[0]) == TRACE_COLUMNS
-                assert len(rows) > 1
-
-    def test_bad_combo_recorded_as_error_row(self, capsys):
-        # rosenbrock at dim 1 is invalid; the sweep keeps going and reports
-        # the failure inline.
-        code, out, _ = run_main(capsys, [
-            "--problem", "rosenbrock", "--dims", "1,2", "--method", "rcg",
-            "--max-iters", "2000", "--tol-df", "0", "--tol-grad", "1e-4",
-        ])
-        assert code == 0
-        rows = json.loads(out)["rows"]
-        assert len(rows) == 2
-        by_dim = {r["dim"]: r for r in rows}
-        assert "error" in by_dim[1]
-        assert "error" not in by_dim[2]
 
 
 class TestRunSpecApi:
@@ -260,4 +233,4 @@ class TestRunSpecApi:
 
     def test_validate_rejects_without_running(self):
         with pytest.raises(ValueError):
-            RunSpec(problem="quadratic", dim=3, cfg=RcgConfig(wolfe_c2=2.0)).validate()
+            RunSpec(problem="quadratic", dim=3, cfg=RcgConfig(max_iters=-1)).validate()

@@ -300,8 +300,8 @@ class TestTaylorCoefficients:
     def test_worked_example(self):
         c = bowl_cache()
         jet = taylor_coefficients(Bowl(), WarpConfig(1.0), c, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(jet.q, [-1.0 / 3.0, 0.0], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(jet.k, [0.0, -1.0 / 3.0], rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(jet.curv[0], [-1.0 / 3.0, 0.0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(jet.curv[1], [0.0, -1.0 / 3.0], rtol=1e-6, atol=1e-9)
 
     def test_q_equals_geodesic_acceleration(self):
         # The jet takes H v and H g at theta as the means of its probe pair
@@ -325,7 +325,7 @@ class TestTaylorCoefficients:
             acc = geodesic_acceleration(
                 sq, WarpConfig(1.0), c, v, hess_v=hess_v, hess_grad=hess_grad
             )
-            np.testing.assert_array_equal(jet.q, acc.v_dot)
+            np.testing.assert_array_equal(jet.curv[0], acc.v_dot)
 
     @pytest.mark.parametrize("sigma_sq", [1.0, 1e4])
     @pytest.mark.parametrize("dim", [2, 10, 100])
@@ -344,21 +344,20 @@ class TestTaylorCoefficients:
             v = rng.standard_normal(dim)
             jet = taylor_coefficients(problem, warp, c, v)
             q, k = exact_hessian_jet(problem, warp, c, v)
-            assert np.linalg.norm(jet.q - q) <= 1e-6 * np.linalg.norm(q)
-            assert np.linalg.norm(jet.k - k) <= 1e-6 * np.linalg.norm(k)
+            assert np.linalg.norm(jet.curv[0] - q) <= 1e-6 * np.linalg.norm(q)
+            assert np.linalg.norm(jet.curv[1] - k) <= 1e-6 * np.linalg.norm(k)
 
     def test_critical_point_gives_straight_line(self):
         c = cache_at(Bowl(), WarpConfig(1.0), np.zeros(2))
         jet = taylor_coefficients(Bowl(), WarpConfig(1.0), c, np.array([0.3, 0.8]))
-        np.testing.assert_array_equal(jet.q, np.zeros(2))
-        np.testing.assert_array_equal(jet.k, np.zeros(2))
+        np.testing.assert_array_equal(jet.curv, np.zeros((2, 2)))
 
     def test_zero_direction_short_circuits(self):
         counted = CountingObjective(Bowl())
         c = cache_at(counted, WarpConfig(1.0), np.array([1.0, 0.0]))
         before = counted.counts.snapshot()
         jet = taylor_coefficients(counted, WarpConfig(1.0), c, np.zeros(2))
-        assert jet.q is None and jet.k is None
+        assert jet.curv is None
         assert counted.counts.n_hvp == before.n_hvp
         assert counted.counts.n_grad == before.n_grad
         np.testing.assert_array_equal(retract(jet, 0.7), c.theta)
@@ -397,5 +396,5 @@ class TestTaylorCoefficients:
         quad = QuadraticProblem(3, curvatures=np.ones(3))
         c = cache_at(quad, WarpConfig(1.0), np.array([1.0, 0.0, 0.0]))
         jet = taylor_coefficients(quad, WarpConfig(1.0), c, np.array([0.0, 1.0, 0.0]))
-        assert jet.q[2] == pytest.approx(0.0, abs=1e-12)
-        assert jet.k[2] == pytest.approx(0.0, abs=1e-9)
+        assert jet.curv[0, 2] == pytest.approx(0.0, abs=1e-12)
+        assert jet.curv[1, 2] == pytest.approx(0.0, abs=1e-9)

@@ -4,17 +4,12 @@ failure modes, exercised through scalar test paths."""
 import numpy as np
 import pytest
 
-from warpcg import RcgConfig, SquiggleProblem, WarpConfig
+from warpcg import SquiggleProblem, WarpConfig, linesearch
 from warpcg.errors import LineSearchFail
 from warpcg.geometry import taylor_coefficients
-from warpcg.linesearch import WolfeResult, strong_wolfe
+from warpcg.linesearch import C1, C2, WolfeResult, strong_wolfe
 from oracle import cache_at
 from warpcg.retraction import directional_value_and_slope, retract
-
-
-# The search takes its constants from its caller, as the driver passes
-# RcgConfig's.
-C1, C2 = RcgConfig.wolfe_c1, RcgConfig.wolfe_c2
 
 
 def scalar_phi(f, fprime):
@@ -39,7 +34,7 @@ class TestParabola:
         self.phi = scalar_phi(lambda t: t - 0.5 * t * t, lambda t: 1.0 - t)
 
     def test_finds_crest(self):
-        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=C2)
+        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1.0)
         assert isinstance(res, WolfeResult)
         assert wolfe_ok(res, 0.0, 1.0)
         assert res.t == pytest.approx(1.0, abs=0.11)
@@ -48,16 +43,16 @@ class TestParabola:
     def test_unit_first_trial_can_be_accepted_directly(self):
         # t = 1 is the exact crest: slope 0 there satisfies the curvature
         # condition immediately, so a single evaluation suffices.
-        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=C2)
+        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1.0)
         assert res.evals == 1
         assert res.t == 1.0
 
     def test_tiny_initial_step_grows(self):
-        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1e-4, c1=C1, c2=C2)
+        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=1e-4)
         assert wolfe_ok(res, 0.0, 1.0)
 
     def test_overshoot_zooms_back(self):
-        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=64.0, c1=C1, c2=C2)
+        res = strong_wolfe(self.phi, f0=0.0, slope0=1.0, t_init=64.0)
         assert wolfe_ok(res, 0.0, 1.0)
 
 
@@ -65,22 +60,21 @@ class TestValidation:
     def test_nonascent_rejected(self):
         phi = scalar_phi(lambda t: -t, lambda t: -1.0)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=-1.0, t_init=1.0, c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=-1.0, t_init=1.0)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=0.0, t_init=1.0, c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=0.0, t_init=1.0)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=float("nan"), t_init=1.0, c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=float("nan"), t_init=1.0)
 
     def test_bad_constants_rejected(self):
+        # The Wolfe constants are fixed in the module, so their range is
+        # checked here once rather than on every call.
+        assert 0.0 < C1 < C2 < 1.0
         phi = scalar_phi(lambda t: t, lambda t: 1.0)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0, c1=0.5, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=0.0)
         with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=1.5)
-        with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=0.0, c1=C1, c2=C2)
-        with pytest.raises(ValueError):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=-2.0, c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=-2.0)
 
 
 class TestFailureModes:
@@ -89,7 +83,7 @@ class TestFailureModes:
         # phase grows until the evaluation budget runs out.
         phi = scalar_phi(lambda t: t, lambda t: 1.0)
         with pytest.raises(LineSearchFail):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0)
 
     def test_budget_counts_every_call(self):
         calls = []
@@ -100,7 +94,7 @@ class TestFailureModes:
             return inner(t)
 
         with pytest.raises(LineSearchFail):
-            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=C2)
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0)
         assert len(calls) == 60
 
 
@@ -113,7 +107,7 @@ class TestNonFiniteRecovery:
         def fp(t):
             return 1.0 - t if t <= 2.0 else float("nan")
 
-        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=8.0, c1=C1, c2=C2)
+        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=8.0)
         assert wolfe_ok(res, 0.0, 1.0)
         assert res.t <= 2.0
 
@@ -124,7 +118,7 @@ class TestNonFiniteRecovery:
         def fp(t):
             return 1.0 - t if t <= 1.5 else float("inf")
 
-        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=4.0, c1=C1, c2=C2)
+        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=4.0)
         assert wolfe_ok(res, 0.0, 1.0)
 
 
@@ -146,19 +140,20 @@ class TestOnCurvedPath:
         def phi(t):
             return directional_value_and_slope(sq, jet, t)
 
-        res = strong_wolfe(phi, f0=cache.value, slope0=slope0, t_init=1.0, c1=C1, c2=C2)
+        res = strong_wolfe(phi, f0=cache.value, slope0=slope0, t_init=1.0)
         assert wolfe_ok(res, cache.value, slope0)
         assert res.value > cache.value
         # The accepted point is the retraction's own, to the bit;
         # test_retraction.py checks the retraction against its per-term sum.
         np.testing.assert_array_equal(res.point, retract(jet, res.t))
 
-    def test_asymmetric_crest(self):
+    def test_asymmetric_crest(self, monkeypatch):
         # Sharply skewed smooth bump: max of t * exp(-3 t) at t = 1/3. A
         # tight curvature constant forces the zoom phase to land close to
         # the true crest rather than accepting a far shoulder.
         f = lambda t: t * np.exp(-3.0 * t)
         fp = lambda t: (1.0 - 3.0 * t) * np.exp(-3.0 * t)
-        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=1.0, c1=C1, c2=0.01)
+        monkeypatch.setattr(linesearch, "C2", 0.01)
+        res = strong_wolfe(scalar_phi(f, fp), f0=0.0, slope0=1.0, t_init=1.0)
         assert wolfe_ok(res, 0.0, 1.0, c2=0.01)
         assert res.t == pytest.approx(1.0 / 3.0, abs=0.01)

@@ -50,10 +50,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RcgConfig(max_iters=float("nan"))
         with pytest.raises(ValueError):
-            RcgConfig(wolfe_c1=0.5, wolfe_c2=0.1)
-        with pytest.raises(ValueError):
-            RcgConfig(wolfe_c2=1.5)
-        with pytest.raises(ValueError):
             RcgConfig(tol_df=-1.0)
         with pytest.raises(ValueError):
             RcgConfig(tol_grad=-1.0)

@@ -130,3 +130,24 @@ def test_solves_adds_one_line_per_solve_under_the_batch_line(capsys, monkeypatch
         rows, hexdigest = trace_digest.digest([result])
         expected.append(f"  {label} rows={rows} sha256={hexdigest}")
     assert solves == expected
+
+
+def test_all_expands_in_place_inside_a_comma_list(capsys, monkeypatch):
+    # Stub workloads that build no solves, so each batch line is cheap.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+
+    built = []
+
+    def build(name, seed):
+        built.append((name, seed))
+        return []
+
+    monkeypatch.setattr(workloads, "WORKLOADS", ("one", "two"))
+    monkeypatch.setattr(workloads, "build", build)
+    monkeypatch.setattr(trace_digest, "acceptance_results", lambda warpcg: [])
+    assert trace_digest.main([str(ROOT), "two,all,acceptance", "0"]) == 0
+    assert built == [("two", 0), ("one", 0), ("two", 0)]
+    batches = [line.split(" rows=")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert batches == ["two seed=0", "one seed=0", "two seed=0", "acceptance"]

@@ -7,14 +7,14 @@ Usage:
 
 <src-tree> is the root of a warpcg checkout (it holds ``src/`` and
 ``perfbench/``); <workloads> is a comma-separated list of
-``perfbench.workloads.WORKLOADS`` names, ``all`` for every one of them, and
-``acceptance``; <seeds> is a comma-separated list of integers. For each
-(workload, seed) it runs every solve of
-``perfbench.workloads.build(workload, seed)`` and prints the trace row count
-and a sha256 over every ``RcgResult`` field, every ``IterationTrace`` field
-except ``wall_ns``, and the ``theta`` bytes. Floats and arrays enter the
-hash as their raw IEEE bytes, so signed zeros count. Run it once on each of
-two trees and compare the lines.
+``perfbench.workloads.WORKLOADS`` names, ``all`` (every one of them, in
+that order, at its place in the list) and ``acceptance``; <seeds> is a
+comma-separated list of integers. For each (workload, seed) it runs every
+solve of ``perfbench.workloads.build(workload, seed)`` and prints the
+trace row count and a sha256 over every ``RcgResult`` field, every
+``IterationTrace`` field except ``wall_ns``, and the ``theta`` bytes.
+Floats and arrays enter the hash as their raw IEEE bytes, so signed zeros
+count. Run it once on each of two trees and compare the lines.
 
 ``--solves`` adds, under each batch line, one indented line per solve: its
 label (``perfbench.workloads.Solve.label``), its row count and the sha256
@@ -124,7 +124,11 @@ def main(argv: list[str]) -> int:
     from perfbench import workloads
 
     print(f"# warpcg from {Path(warpcg.__file__).parent}, workloads from {workloads.__file__}")
-    names = workloads.WORKLOADS if argv[1] == "all" else argv[1].split(",")
+    names = [
+        name
+        for token in argv[1].split(",")
+        for name in (workloads.WORKLOADS if token == "all" else (token,))
+    ]
     seeds = [int(s) for s in argv[2].split(",")]
 
     def report(batch: str, labels: list[str], results: list) -> None:

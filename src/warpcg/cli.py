@@ -4,8 +4,10 @@ start (problems.initial_point).
     warpcg --problem squiggle --dim 10 --method rcg --sigma-sq 1.0 \\
            --trace-out trace.csv --summary-out run.json
 
-For one trace per dimension, loop over --dim in the shell; tools/cells.py
-builds (method x dimension) grids from seeded starts.
+From Python, execute(problem, dim, method, warp, cfg) runs the same solve
+and returns the result with the summary dict that main prints. For one
+trace per dimension, loop over --dim in the shell; tools/cells.py builds
+(method x dimension) grids from seeded starts.
 
 The numeric flags are the fields of WarpConfig and RcgConfig, in that
 order: the parser makes one flag per field, named after it (--sigma-sq for
@@ -27,7 +29,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 from operator import attrgetter
 from pathlib import Path
 
@@ -39,7 +41,7 @@ from .geometry import WarpConfig
 from .problems import PROBLEM_NAMES, classify_rosenbrock_basin, initial_point, make_problem
 from .rcg import IterationTrace, RcgConfig, RcgResult, StopReason, run_rcg
 
-__all__ = ["RunSpec", "run_single", "main", "TRACE_COLUMNS"]
+__all__ = ["execute", "main", "TRACE_COLUMNS"]
 
 METHOD_NAMES = ("rcg", "euclid_cg")
 
@@ -63,28 +65,6 @@ _TRACE_FIELDS = {
 TRACE_COLUMNS = tuple(_TRACE_FIELDS)
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """A fully-specified single optimization run. The numeric settings live
-    in the library's configs, which check their ranges on construction."""
-
-    problem: str
-    dim: int
-    method: str = "rcg"
-    cfg: RcgConfig = field(default_factory=RcgConfig)
-    warp: WarpConfig = field(default_factory=WarpConfig)
-
-    def validate(self) -> None:
-        """Check the names; the problem constructors check the dimension."""
-        if self.problem not in PROBLEM_NAMES:
-            raise ValueError(f"unknown problem {self.problem!r}; choose from {PROBLEM_NAMES}")
-        if self.method not in METHOD_NAMES:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHOD_NAMES}")
-
-    def config_echo(self) -> dict:
-        return {**asdict(self.warp), **asdict(self.cfg)}
-
-
 def _write_trace(path: Path, trace: list[IterationTrace]) -> None:
     # csv writes a float as str(), which is repr() in Python 3: round-trip exact.
     with open(path, "w", newline="") as fh:
@@ -93,20 +73,31 @@ def _write_trace(path: Path, trace: list[IterationTrace]) -> None:
         writer.writerows(map(attrgetter(*_TRACE_FIELDS.values()), trace))
 
 
-def execute(spec: RunSpec) -> tuple[RcgResult, dict]:
-    """Run one spec and build its summary dict."""
-    spec.validate()
-    problem = make_problem(spec.problem, spec.dim)
-    theta0 = initial_point(spec.problem, spec.dim)
-    if spec.method == "rcg":
-        result = run_rcg(problem, theta0, warp=spec.warp, cfg=spec.cfg)
+def execute(
+    problem: str,
+    dim: int,
+    method: str = "rcg",
+    warp: WarpConfig | None = None,
+    cfg: RcgConfig | None = None,
+) -> tuple[RcgResult, dict]:
+    """Run one solve from the problem's default start and build its summary
+    dict. An unknown method, problem or dimension raises ValueError before
+    any evaluation; make_problem checks the problem and the dimension."""
+    if method not in METHOD_NAMES:
+        raise ValueError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
+    warp = warp or WarpConfig()
+    cfg = cfg or RcgConfig()
+    objective = make_problem(problem, dim)
+    theta0 = initial_point(problem, dim)
+    if method == "rcg":
+        result = run_rcg(objective, theta0, warp=warp, cfg=cfg)
     else:
-        result = run_euclidean_cg(problem, theta0, cfg=spec.cfg)
+        result = run_euclidean_cg(objective, theta0, cfg=cfg)
 
     summary = {
-        "problem": spec.problem,
-        "dim": spec.dim,
-        "method": spec.method,
+        "problem": problem,
+        "dim": dim,
+        "method": method,
         "stop_reason": result.stop_reason.value,
         "iterations": result.iterations,
         "final_f": result.value,
@@ -116,25 +107,12 @@ def execute(spec: RunSpec) -> tuple[RcgResult, dict]:
         "n_grad": result.n_grad,
         "n_hvp": result.n_hvp,
         "failed_attempts": result.failed_attempts,
-        "distance_to_maximizer": float(np.linalg.norm(result.theta - problem.maximizer())),
-        "basin": (
-            classify_rosenbrock_basin(result.theta) if spec.problem == "rosenbrock" else None
-        ),
-        "config": spec.config_echo(),
+        "distance_to_maximizer": float(np.linalg.norm(result.theta - objective.maximizer())),
+        "basin": classify_rosenbrock_basin(result.theta) if problem == "rosenbrock" else None,
+        "config": {**asdict(warp), **asdict(cfg)},
         "version": __version__,
     }
     return result, summary
-
-
-def run_single(spec: RunSpec, trace_out: Path | None, summary_out: Path | None) -> int:
-    result, summary = execute(spec)
-    if trace_out is not None:
-        _write_trace(trace_out, result.trace)
-    text = json.dumps(summary, indent=2)
-    if summary_out is not None:
-        Path(summary_out).write_text(text + "\n")
-    print(text)
-    return 2 if result.stop_reason is StopReason.NUMERICAL_BREAKDOWN else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,17 +153,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # Building the configs checks their ranges before the run.
-        spec = RunSpec(
-            problem=args.problem,
-            dim=args.dim,
-            method=args.method,
-            cfg=_from_flags(RcgConfig, args),
+        result, summary = execute(
+            args.problem,
+            args.dim,
+            args.method,
             warp=_from_flags(WarpConfig, args),
+            cfg=_from_flags(RcgConfig, args),
         )
-        return run_single(spec, args.trace_out, args.summary_out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.trace_out is not None:
+        _write_trace(args.trace_out, result.trace)
+    text = json.dumps(summary, indent=2)
+    if args.summary_out is not None:
+        args.summary_out.write_text(text + "\n")
+    print(text)
+    return 2 if result.stop_reason is StopReason.NUMERICAL_BREAKDOWN else 0
 
 
 if __name__ == "__main__":

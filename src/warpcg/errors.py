@@ -1,7 +1,8 @@
 """Exception types raised by warpcg.
 
-Every failure mode that callers are expected to catch gets its own class so
-that drivers can distinguish "restart and retry" conditions from hard stops.
+Every outcome that callers are expected to catch gets its own class so that
+drivers can distinguish "restart and retry" conditions from hard stops: one
+class per outcome, not per place that detects it.
 Reference code outside the package, such as the tests' geometry oracle,
 derives its own failure types from WarpcgError.
 """
@@ -29,12 +30,9 @@ class NumericalBreakdown(WarpcgError):
 
 
 class DegenerateStep(WarpcgError):
-    """Transport was requested across a zero-length step (t <= 0 or
-    identical endpoints)."""
-
-
-class DegenerateBeta(WarpcgError):
-    """The conjugacy-coefficient denominator vanished."""
+    """A step admits no conjugacy update: t <= 0, identical endpoints, a
+    zero transported vector, or a vanishing conjugacy-coefficient
+    denominator. The driver restarts along steepest ascent."""
 
 
 class LineSearchFail(WarpcgError):

@@ -16,7 +16,8 @@ immutable :class:`GeometryCache`, built once per visited point from the
 value and gradient its caller already holds (a driver's start, or an
 accepted line-search trial) and no Hessian-vector product. The Hessian terms
 and sigma^2 enter only the geodesic jet, which takes the Hessian terms from
-its own probe pair and sigma^2 from its caller's WarpConfig. The Euclidean
+its own probe pair and sigma^2 from its caller's WarpConfig; where the warp
+is below rounding (FLAT_WARP) the jet is the straight ray. The Euclidean
 limit is a cache of the identity metric (psi^2 = 0, W^2 = 1), which is what
 the flat-space baseline's points are.
 """
@@ -39,6 +40,15 @@ __all__ = [
     "riemannian_gradient",
     "taylor_coefficients",
 ]
+
+
+#: Below this psi^2 ||grad||^2 = W^2 - 1 the metric is the identity to
+#: rounding, and a jet is the straight ray. Just below it, at random points
+#: of the shipped problems (d = 2, 10, 100), the curved part dropped at the
+#: step t where ||t H v|| = ||grad|| was at most 5.4e-19 of the straight
+#: part t ||v||, against 5.4e-9 at psi^2 ||grad||^2 = 1e-10. psi^2 alone
+#: bounds nothing, since a large gradient scales the curve up.
+FLAT_WARP = 1e-20
 
 
 @dataclass(frozen=True)
@@ -174,14 +184,15 @@ def taylor_coefficients(
     a combination of g, both sums and the difference, into the second, in
     22 elementwise passes over dim-vectors.
 
-    A zero direction short-circuits to the straight ray GeodesicJet(theta,
-    v), with no curv and no evaluations. A caller may skip this function and
-    take that straight ray itself where the warp is below rounding: the
-    warped driver does so when psi^2 ||grad||^2 < rcg.FLAT_WARP.
+    Where the warp is below rounding (psi^2 ||grad||^2 < FLAT_WARP) or the
+    direction is zero, the jet is the straight ray GeodesicJet(theta, v),
+    with no curv and no evaluations.
     """
     v = np.asarray(v, dtype=float)
     theta = cache.theta
-    if not v.any():
+    # The product, not w_sq - 1.0, which cancels to 0 far above rounding;
+    # a NaN product fails the test and takes the full jet.
+    if cache.psi_sq * cache.grad_sq < FLAT_WARP or not v.any():
         return GeodesicJet(theta=theta, v=v)
 
     # The jet never writes into an array it has handed to the objective,

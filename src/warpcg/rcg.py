@@ -5,8 +5,8 @@ One iteration of the driver:
   1. start from the cached geometry at the current point and a search
      direction in chart coordinates;
   2. build the cubic geodesic jet along the direction (four hvps, no
-     value or gradient), or, where the warp is below rounding
-     (psi^2 ||grad||^2 < FLAT_WARP), the straight ray, with no hvp;
+     value or gradient), which is the straight ray, with no hvp, where the
+     warp is below rounding (psi^2 ||grad||^2 < geometry.FLAT_WARP);
   3. strong-Wolfe search along the jet's path;
   4. build the geometry cache at the accepted point from the value and
      gradient the search already evaluated there;
@@ -15,10 +15,11 @@ One iteration of the driver:
 
 The per-iteration budget is therefore one cache build and four
 Hessian-vector products when the row's start point has psi^2 ||grad||^2 >=
-FLAT_WARP, none below it, independent of dimension and of the line-search
-history; a failed search costs its jet's hvps more by the same rule, and
-the start's cache one value and one gradient. The trace records the actual
-evaluation counts so tests can assert this rather than trust the comment.
+geometry.FLAT_WARP, none below it, independent of dimension and of the
+line-search history; a failed search costs its jet's hvps more by the same
+rule, and the start's cache one value and one gradient. The trace records
+the actual evaluation counts so tests can assert this rather than trust the
+comment.
 
 The conjugacy coefficient follows the Dai-Yuan quotient: new squared
 Riemannian gradient norm over the slope gain along the (transported)
@@ -46,12 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateBeta,
-    DegenerateStep,
-    LineSearchFail,
-    NumericalBreakdown,
-)
+from .errors import DegenerateStep, LineSearchFail, NumericalBreakdown
 from .geometry import (
     GeodesicJet,
     GeometryCache,
@@ -72,15 +68,6 @@ __all__ = [
     "dy_beta",
     "run_rcg",
 ]
-
-
-#: Below this psi^2 ||grad||^2 = W^2 - 1 the metric is the identity to
-#: rounding, and a jet is the straight ray. Just below it, at random points
-#: of the shipped problems (d = 2, 10, 100), the curved part dropped at the
-#: step t where ||t H v|| = ||grad|| was at most 5.4e-19 of the straight
-#: part t ||v||, against 5.4e-9 at psi^2 ||grad||^2 = 1e-10. psi^2 alone
-#: bounds nothing, since a large gradient scales the curve up.
-FLAT_WARP = 1e-20
 
 
 class StopReason(str, Enum):
@@ -174,12 +161,12 @@ def dy_beta(dst: GeometryCache, transported: TransportResult, slope: float) -> f
     product with the objective gradient).
 
     Returns the raw quotient; sign handling is the caller's policy. Raises
-    DegenerateBeta when the denominator vanishes to below 1e-300.
+    DegenerateStep when the denominator vanishes to below 1e-300.
     """
     num = dst.grad_sq / dst.w_sq
     den = transported.scale * transported.dst_slope - slope
     if not math.isfinite(den) or abs(den) < 1e-300:
-        raise DegenerateBeta(f"conjugacy denominator degenerate: {den}")
+        raise DegenerateStep(f"conjugacy denominator degenerate: {den}")
     return num / den
 
 
@@ -196,10 +183,6 @@ class _WarpedGeometry:
         return build_cache(self.warp, theta, value, grad)
 
     def jet(self, point: GeometryCache, v: np.ndarray) -> GeodesicJet:
-        # The product, not w_sq - 1.0, which cancels to 0 far above rounding;
-        # a NaN product fails the test and takes the full jet.
-        if point.psi_sq * point.grad_sq < FLAT_WARP:
-            return GeodesicJet(theta=point.theta, v=v)
         return taylor_coefficients(self.obj, self.warp, point, v)
 
     def transport(
@@ -303,7 +286,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
             try:
                 transported = geometry.transport(cache, dst, v, ls.t, slope0)
                 beta = dy_beta(dst, transported, slope0)
-            except (DegenerateStep, DegenerateBeta):
+            except DegenerateStep:
                 beta = 0.0
                 transported = None
                 restarted = 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warpcg.baseline
 import warpcg.rcg
-from warpcg.rcg import FLAT_WARP
+from warpcg.geometry import FLAT_WARP
 
 
 def jet_hvps(point) -> int:

@@ -39,6 +39,7 @@ from oracle import (
     build_dense_geometry,
     cache_at,
     central_diff_grad,
+    exact_hessian_jet,
     fit_loglog_slope,
     geodesic_acceleration,
     integrate_geodesic,
@@ -395,9 +396,10 @@ def test_c09_budget(capsys, squiggle_runs, rosenbrock_runs):
 
 def test_straight_rows_drop_curvature_below_rounding(squiggle_runs, rosenbrock_runs):
     """Each accepted row whose start point had psi^2 ||grad||^2 below
-    FLAT_WARP searched the straight ray. The full jet rebuilt at the logged
-    point along the row's direction has a curved part, at the row's t,
-    below the unit roundoff 2^-53 of the straight part ||t v||."""
+    FLAT_WARP searched the straight ray. The full jet that the oracle's
+    exact_hessian_jet builds at the logged point along the row's direction
+    has a curved part, at the row's t, below the unit roundoff 2^-53 of the
+    straight part ||t v||."""
     straight = 0
     for (runs, _), warp in ((squiggle_runs, SQUIGGLE_WARP), (rosenbrock_runs, ROSENBROCK_WARP)):
         for problem, res, recording in runs.values():
@@ -406,8 +408,8 @@ def test_straight_rows_drop_curvature_below_rounding(squiggle_runs, rosenbrock_r
                 if jet_hvps(start):
                     continue
                 assert jet.curv is None, row.k
-                full = taylor_coefficients(problem, warp, start, jet.v)
-                curved = np.array([0.5 * row.t * row.t, row.t ** 3 / 6.0]) @ full.curv
+                q, k = exact_hessian_jet(problem, warp, start, jet.v)
+                curved = 0.5 * row.t * row.t * q + row.t ** 3 / 6.0 * k
                 assert np.linalg.norm(curved) < 2.0 ** -53 * row.t * np.linalg.norm(jet.v), row.k
                 straight += 1
     assert straight > 0

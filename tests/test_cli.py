@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from warpcg import QuadraticProblem, RcgConfig, WarpConfig, run_rcg
-from warpcg.cli import TRACE_COLUMNS, RunSpec, _write_trace, build_parser, execute, main
+import warpcg.cli as cli_mod
+from warpcg.cli import TRACE_COLUMNS, _write_trace, build_parser, execute, main
 from warpcg.rcg import IterationTrace
 
 FAST = [
@@ -51,8 +52,7 @@ class TestSingleRun:
         assert tuple(rows[0]) == TRACE_COLUMNS
         assert len(rows) - 1 == printed["iterations"]
         # Float columns round-trip exactly through repr.
-        spec = RunSpec(problem="quadratic", dim=4, cfg=RcgConfig(max_iters=40, tol_df=0.0))
-        result, _ = execute(spec)
+        result, _ = execute("quadratic", 4, cfg=RcgConfig(max_iters=40, tol_df=0.0))
         assert float(rows[1][1]) == result.trace[0].f
 
     def test_rosenbrock_reports_basin(self, capsys):
@@ -85,14 +85,12 @@ class TestSingleRun:
                     return np.full(2, np.nan)
                 return super().hvp(theta, v)
 
-        import warpcg.cli as cli_mod
-
         real_execute = cli_mod.execute
 
-        def fragile_execute(spec):
+        def fragile_execute(*args, **kwargs):
             result = run_rcg(Fragile(), np.array([3.0, -2.0]),
                              cfg=RcgConfig(tol_df=0.0, tol_grad=1e-12))
-            _, summary = real_execute(spec)
+            _, summary = real_execute(*args, **kwargs)
             summary["stop_reason"] = result.stop_reason.value
             return result, summary
 
@@ -145,7 +143,7 @@ class TestFlagsFollowConfigs:
         ]
         assert [a.default for a in settings] == [f.default for f in self.FIELDS]
         assert [a.type for a in settings] == [type(f.default) for f in self.FIELDS]
-        echo = RunSpec(problem="quadratic", dim=2).config_echo()
+        echo = execute("quadratic", 2)[1]["config"]
         assert list(echo) == [f.name for f in self.FIELDS]
         assert list(echo.values()) == [f.default for f in self.FIELDS]
 
@@ -214,23 +212,33 @@ class TestArgumentErrors:
 
 
 class TestRunSpecApi:
+    """execute(problem, dim, method, warp, cfg), the CLI's solve from Python."""
+
     def test_execute_returns_result_and_summary(self):
-        spec = RunSpec(problem="quadratic", dim=3, cfg=RcgConfig(max_iters=30, tol_df=0.0))
-        result, summary = execute(spec)
+        result, summary = execute("quadratic", 3, cfg=RcgConfig(max_iters=30, tol_df=0.0))
         assert summary["iterations"] == result.iterations
         assert summary["final_f"] == result.value
         assert summary["version"]
 
     @pytest.mark.parametrize("method", ["rcg", "euclid_cg"])
     def test_summary_carries_the_evaluation_totals(self, method):
-        spec = RunSpec(problem="rosenbrock", dim=4, method=method,
-                       cfg=RcgConfig(max_iters=30, tol_df=0.0))
-        result, summary = execute(spec)
+        result, summary = execute("rosenbrock", 4, method,
+                                  cfg=RcgConfig(max_iters=30, tol_df=0.0))
         for key in ("n_value", "n_grad", "n_hvp", "failed_attempts"):
             assert summary[key] == getattr(result, key)
         assert summary["n_grad"] > 0
         assert (summary["n_hvp"] > 0) == (method == "rcg")
 
-    def test_validate_rejects_without_running(self):
+    @pytest.mark.parametrize("problem, dim, method", [
+        ("banana", 3, "rcg"),
+        ("quadratic", 3, "sgd"),
+        ("rosenbrock", 1, "rcg"),
+    ])
+    def test_execute_rejects_before_evaluating(self, monkeypatch, problem, dim, method):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a rejected solve must not run")
+
+        monkeypatch.setattr(cli_mod, "run_rcg", no_run)
+        monkeypatch.setattr(cli_mod, "run_euclidean_cg", no_run)
         with pytest.raises(ValueError):
-            RunSpec(problem="quadratic", dim=3, cfg=RcgConfig(max_iters=-1)).validate()
+            execute(problem, dim, method)

@@ -348,9 +348,10 @@ class TestTaylorCoefficients:
             assert np.linalg.norm(jet.curv[1] - k) <= 1e-6 * np.linalg.norm(k)
 
     def test_critical_point_gives_straight_line(self):
+        # At g = 0 the warp psi^2 ||g||^2 is 0, so the jet is the straight ray.
         c = cache_at(Bowl(), WarpConfig(1.0), np.zeros(2))
         jet = taylor_coefficients(Bowl(), WarpConfig(1.0), c, np.array([0.3, 0.8]))
-        np.testing.assert_array_equal(jet.curv, np.zeros((2, 2)))
+        assert jet.curv is None
 
     def test_zero_direction_short_circuits(self):
         counted = CountingObjective(Bowl())

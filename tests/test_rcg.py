@@ -23,10 +23,10 @@ from warpcg import (
     run_rcg,
 )
 import warpcg.rcg
-from warpcg.errors import DegenerateBeta, DegenerateStep, LineSearchFail, NumericalBreakdown
-from warpcg.geometry import GeometryCache, riemannian_gradient
+from warpcg.errors import DegenerateStep, LineSearchFail, NumericalBreakdown
+from warpcg.geometry import FLAT_WARP, GeometryCache, riemannian_gradient
 from warpcg.objective import CountingObjective
-from warpcg.rcg import FLAT_WARP, dy_beta
+from warpcg.rcg import dy_beta
 from warpcg.retraction import TransportResult
 from recording import jet_hvps, recorded
 
@@ -190,7 +190,7 @@ class TestBetaPolicy:
         src, dst = self.synthetic_pair()
         transported = self.transported(dst, np.array([0.2, 0.0]), 1.0)
         # 1 * <(5,0), (0.2,0)> - <(1,0), (1,0)> = 1 - 1 = 0.
-        with pytest.raises(DegenerateBeta):
+        with pytest.raises(DegenerateStep):
             dy_beta(dst, transported, float(src.grad @ np.array([1.0, 0.0])))
 
     def test_driver_never_uses_positive_beta(self):
@@ -536,7 +536,7 @@ class TestFailureHandling:
 
     @pytest.mark.parametrize(
         "name, error",
-        [("vector_transport", DegenerateStep), ("dy_beta", DegenerateBeta)],
+        [("vector_transport", DegenerateStep), ("dy_beta", DegenerateStep)],
     )
     def test_degenerate_transport_or_beta_restarts(self, name, error, monkeypatch):
         def degenerate(*args):

@@ -11,10 +11,11 @@ a rank-one perturbation of the identity, so every metric operation here is
 O(dim) via the Sherman-Morrison form of G^{-1}. Nothing in this module
 builds a dense matrix.
 
-All per-point quantities that the optimizer reuses are bundled into an
-immutable :class:`GeometryCache`, built once per visited point from the
-value and gradient its caller already holds (a driver's start, or an
-accepted line-search trial) and no Hessian-vector product. The Hessian terms
+All per-point quantities that the optimizer reuses are bundled into a
+:class:`GeometryCache`, a slots record that no code writes once built. It
+is built once per visited point from the value and gradient its caller
+already holds (a driver's start, or an accepted line-search trial) and no
+Hessian-vector product. The Hessian terms
 and sigma^2 enter only the geodesic jet, which takes the Hessian terms from
 its own probe pair and sigma^2 from its caller's WarpConfig; where the warp
 is below rounding (FLAT_WARP) the jet is the straight ray. The Euclidean
@@ -67,7 +68,7 @@ class WarpConfig:
             raise ValueError(f"sigma_sq must be finite and > 0, got {self.sigma_sq}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class GeometryCache:
     """The first-order geometry at one point, computed once: all that the
     metric, the transport, the conjugacy coefficient and the stop tests
@@ -140,7 +141,7 @@ def riemannian_gradient(cache: GeometryCache) -> np.ndarray:
     return cache.grad / cache.w_sq
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class GeodesicJet:
     """Taylor data of a search curve leaving theta with velocity v:
     position ~ theta + t v + t^2/2 q + t^3/6 k. curv holds q and k as the

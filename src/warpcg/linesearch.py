@@ -44,7 +44,10 @@ C2 = 0.1
 
 
 # Not frozen: a frozen dataclass pays for object.__setattr__ on every field
-# at construction, and a line search builds a few trials per iteration.
+# at construction. A search builds a few trials per iteration and the CG
+# loop one GeometryCache, GeodesicJet, TransportResult and IterationTrace
+# per row, so each of these is a slots dataclass; of their fields only an
+# endpoint's point and grad (below) are written once built.
 @dataclass(eq=False, slots=True)
 class WolfeResult:
     """One trial of the search: parameter t, the path data there, and evals,

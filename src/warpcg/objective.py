@@ -109,16 +109,13 @@ def hvp_or_fallback(obj: Objective, theta: np.ndarray, v: np.ndarray) -> np.ndar
     return _check_finite(np.asarray(out, dtype=float), "hessian-vector product")
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalCounts:
     """Cumulative call counts observed by a CountingObjective."""
 
     n_value: int = 0
     n_grad: int = 0
     n_hvp: int = 0
-
-    def snapshot(self) -> "EvalCounts":
-        return EvalCounts(self.n_value, self.n_grad, self.n_hvp)
 
 
 class CountingObjective(Objective):

@@ -5,6 +5,9 @@ and Hessian-vector product, both O(dim) per call, plus its closed-form
 ground truth (maximizer, maximum value) for tests and run summaries. The
 shapes are fixed: a problem is set by its dimension alone, and the
 quadratic also by its curvatures and center.
+
+Every per-call sum calls np.add.reduce directly: it gives the same bits as
+ndarray.sum(), without that method's Python _sum wrapper on each call.
 """
 
 from __future__ import annotations
@@ -64,8 +67,7 @@ class SquiggleProblem(Objective):
         )
 
     # Fixed costs dominate at small dim, so the scalar work on theta_0 runs
-    # on Python floats with math and sums call np.add.reduce directly:
-    # numpy's ufuncs on numpy scalars and the ndarray.sum wrapper give the
+    # on Python floats with math: numpy's ufuncs on numpy scalars give the
     # same bits at a higher cost per call.
 
     def _bent(self, theta: np.ndarray) -> np.ndarray:
@@ -142,7 +144,7 @@ class RosenbrockProblem(Objective):
         pull = 1.0 - x
         pull *= pull
         terms += pull
-        return -float(terms.sum())
+        return -float(np.add.reduce(terms))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         # out[:-1] = (y - x x) (400 x) + 2 (1 - x), then out[1:] += -200 (y - x x)
@@ -211,7 +213,7 @@ class QuadraticProblem(Objective):
 
     def value(self, theta: np.ndarray) -> float:
         d = theta - self.center
-        return -0.5 * float((self.curvatures * d * d).sum())
+        return -0.5 * float(np.add.reduce(self.curvatures * d * d))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return -self.curvatures * (theta - self.center)

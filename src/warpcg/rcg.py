@@ -102,7 +102,7 @@ class RcgConfig:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class IterationTrace:
     """One accepted iteration, held as scalars so a trace costs O(1) memory
     per row. The n_* fields count objective calls made by this iteration,
@@ -223,6 +223,8 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
     )
     v = riemannian_gradient(cache)
     trace: list[IterationTrace] = []
+    # A row's counts are the differences of these three ints across it.
+    counts = counting.counts
     stop: StopReason | None = None
     prev_t: float | None = None
     prev_slope: float | None = None
@@ -241,7 +243,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
             stop = StopReason.MAX_ITERS
             break
         wall_start = time.perf_counter_ns()
-        counts_before = counting.counts.snapshot()
+        value_before, grad_before, hvp_before = counts.n_value, counts.n_grad, counts.n_hvp
 
         try:
             slope0 = float(cache.grad.dot(v))
@@ -308,7 +310,6 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
             stop = StopReason.NUMERICAL_BREAKDOWN
             break
 
-        counts_after = counting.counts
         trace.append(
             IterationTrace(
                 k=k,
@@ -321,9 +322,9 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 ls_evals=ls.evals,
                 wall_ns=time.perf_counter_ns() - wall_start,
                 restart=restarted,
-                n_value=counts_after.n_value - counts_before.n_value,
-                n_grad=counts_after.n_grad - counts_before.n_grad,
-                n_hvp=counts_after.n_hvp - counts_before.n_hvp,
+                n_value=counts.n_value - value_before,
+                n_grad=counts.n_grad - grad_before,
+                n_hvp=counts.n_hvp - hvp_before,
             )
         )
         restarted = 0
@@ -342,7 +343,6 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
             stop = StopReason.SMALL_DELTA_F
             break
 
-    counts = counting.counts
     return RcgResult(
         theta=cache.theta,
         value=cache.value,

@@ -72,7 +72,7 @@ def directional_value_and_slope(
     return value, slope, point, grad
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class TransportResult:
     """A transported tangent vector, its norm-safeguard scale and its slope.
 

@@ -1,7 +1,9 @@
 """tools/bench_pairs.py: the summary of paired benchmark runs, on canned
-numbers."""
+numbers, and where each run starts."""
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,3 +87,47 @@ def test_format_names_the_bound_breach():
     assert "change better in 0/10 pairs" in text
     assert "+30.0% (worse than the bound)" in text
     assert text.endswith("does not hold")
+
+
+def _tree(root, side):
+    """A checkout whose staged files each name side, plus a bytecode cache
+    and a file no run reads."""
+    (root / "src" / "warpcg" / "__pycache__").mkdir(parents=True)
+    (root / "src" / "warpcg" / "__init__.py").write_text(side)
+    (root / "src" / "warpcg" / "__pycache__" / "cached.pyc").write_text(side)
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(side)
+    (root / "README.md").write_text(side)
+    bench = {
+        "command": ["python3", "perfbench/run.py"],
+        "run_seconds": 1,
+        "end_to_end": [{"name": "iter_ms", "unit": "ms", "better": "lower", "bound": 0.25}],
+        "side": side,
+    }
+    (root / "BENCHMARK.json").write_text(json.dumps(bench))
+    return root
+
+
+def test_both_sides_run_from_one_path_holding_their_own_files(tmp_path, monkeypatch, capsys):
+    parent = _tree(tmp_path / "parent", "parent")
+    change = _tree(tmp_path / "some" / "longer" / "change", "change")
+    runs = []
+
+    def fake_run(args, cwd, **kwargs):
+        cwd = Path(cwd)
+        side = (cwd / "perfbench" / "run.py").read_text()
+        assert (cwd / "src" / "warpcg" / "__init__.py").read_text() == side
+        assert json.loads((cwd / "BENCHMARK.json").read_text())["side"] == side
+        assert sorted(p.name for p in cwd.iterdir()) == ["BENCHMARK.json", "perfbench", "src"]
+        assert not (cwd / "src" / "warpcg" / "__pycache__").exists()
+        runs.append((cwd, side))
+        report = {"correct": True, "failed": 0,
+                  "metrics": {"iter_ms": {"value": 1.0 if side == "change" else 2.0}}}
+        return subprocess.CompletedProcess(args, 0, stdout=json.dumps(report) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main([str(parent), str(change), "flat", "0", "2"]) == 0
+    assert [side for _, side in runs] == ["parent", "change", "change", "parent"]
+    assert len({cwd for cwd, _ in runs}) == 1
+    assert not runs[0][0].exists()  # the stage goes with the series
+    assert "change better in 2/2 pairs" in capsys.readouterr().out

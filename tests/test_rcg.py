@@ -24,9 +24,10 @@ from warpcg import (
 )
 import warpcg.rcg
 from warpcg.errors import DegenerateStep, LineSearchFail, NumericalBreakdown
-from warpcg.geometry import FLAT_WARP, GeometryCache, riemannian_gradient
-from warpcg.objective import CountingObjective
-from warpcg.rcg import dy_beta
+from warpcg.geometry import FLAT_WARP, GeodesicJet, GeometryCache, riemannian_gradient
+from warpcg.linesearch import WolfeResult
+from warpcg.objective import CountingObjective, EvalCounts
+from warpcg.rcg import IterationTrace, dy_beta
 from warpcg.retraction import TransportResult
 from recording import jet_hvps, recorded
 
@@ -208,6 +209,19 @@ class TestBetaPolicy:
         for row in res.trace:
             if row.beta == 0.0:
                 assert row.restart == 1
+
+
+@pytest.mark.parametrize(
+    "record",
+    [GeometryCache, GeodesicJet, TransportResult, IterationTrace, WolfeResult, EvalCounts],
+    ids=lambda record: record.__name__,
+)
+def test_per_row_records_are_slots_dataclasses(record):
+    # The loop builds or updates these on every row or trial: a frozen
+    # dataclass pays object.__setattr__ per field as it is built, and a
+    # slots one skips the instance dict.
+    assert "__slots__" in vars(record)
+    assert not record.__dataclass_params__.frozen
 
 
 class TestTraceAccounting:

@@ -107,15 +107,17 @@ def build_cache(
     identity metric, with psi_sq = 0 and w_sq = 1 whatever the gradient.
 
     It evaluates nothing. Raises NumericalBreakdown when the value or a
-    gradient entry is not finite.
+    gradient entry is not finite, or when the gradient's squared norm
+    overflows, which would leave psi_sq and w_sq NaN.
     """
     if not math.isfinite(value):
         raise NumericalBreakdown("non-finite objective value")
     # A NaN or inf entry makes the self-dot non-finite, so the full check
-    # runs only when it is.
+    # runs only when it is, to name the first such entry.
     grad_sq = float(grad.dot(grad))
     if not math.isfinite(grad_sq):
         _check_finite(grad, "gradient")
+        raise NumericalBreakdown("non-finite squared gradient norm")
     if warp is None:
         psi_sq = 0.0
         w_sq = 1.0
@@ -193,7 +195,7 @@ def taylor_coefficients(
     theta = cache.theta
     # The product, not w_sq - 1.0, which cancels to 0 far above rounding;
     # a NaN product fails the test and takes the full jet.
-    if cache.psi_sq * cache.grad_sq < FLAT_WARP or not v.any():
+    if cache.psi_sq * cache.grad_sq < FLAT_WARP or not np.count_nonzero(v):
         return GeodesicJet(theta=theta, v=v)
 
     # The jet never writes into an array it has handed to the objective,
@@ -244,7 +246,8 @@ def taylor_coefficients(
     u2 = 0.5 * b * b
 
     curv = np.empty((2, v.size))
-    q, k = curv
+    q = curv[0]
+    k = curv[1]
     # q = -u1 g + u2 p, with k's row holding u2 p until k is built.
     np.multiply(p, u2, out=k)
     np.multiply(g, -u1, out=q)

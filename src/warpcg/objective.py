@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,17 +108,9 @@ def hvp_or_fallback(obj: Objective, theta: np.ndarray, v: np.ndarray) -> np.ndar
     return _check_finite(np.asarray(out, dtype=float), "hessian-vector product")
 
 
-@dataclass(slots=True)
-class EvalCounts:
-    """Cumulative call counts observed by a CountingObjective."""
-
-    n_value: int = 0
-    n_grad: int = 0
-    n_hvp: int = 0
-
-
 class CountingObjective(Objective):
-    """Transparent wrapper that counts value/grad/hvp calls.
+    """Transparent wrapper that counts value/grad/hvp calls in its three
+    ints n_value, n_grad and n_hvp.
 
     The optimizer drivers wrap their objective in one of these so per
     iteration call budgets can be recorded in the trace and asserted in
@@ -129,19 +120,21 @@ class CountingObjective(Objective):
     def __init__(self, inner: Objective):
         super().__init__(inner.dim)
         self.inner = inner
-        self.counts = EvalCounts()
+        self.n_value = 0
+        self.n_grad = 0
+        self.n_hvp = 0
 
     def value(self, theta: np.ndarray) -> float:
-        self.counts.n_value += 1
+        self.n_value += 1
         return self.inner.value(theta)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        self.counts.n_grad += 1
+        self.n_grad += 1
         return self.inner.grad(theta)
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         # Counted only once it returns: an attempt that raises
         # NotImplementedError is the fallback's, whose gradients count.
         out = self.inner.hvp(theta, v)
-        self.counts.n_hvp += 1
+        self.n_hvp += 1
         return out

@@ -149,7 +149,7 @@ class RosenbrockProblem(Objective):
     def grad(self, theta: np.ndarray) -> np.ndarray:
         # out[:-1] = (y - x x) (400 x) + 2 (1 - x), then out[1:] += -200 (y - x x)
         x, y = theta[:-1], theta[1:]
-        out = np.empty(np.shape(theta))
+        out = np.empty(theta.shape)
         head = out[:-1]
         band = x * x
         np.subtract(y, band, out=band)
@@ -169,7 +169,7 @@ class RosenbrockProblem(Objective):
         # diag = [400 (y - 3 x x) - 2, 0] + [0, -200]; out = diag v plus the
         # coupling 400 x between j and j+1 in both directions.
         x, y = theta[:-1], theta[1:]
-        out = np.empty(np.shape(theta))
+        out = np.empty(theta.shape)
         head, tail = out[:-1], out[1:]
         np.multiply(3.0, x, out=head)
         head *= x

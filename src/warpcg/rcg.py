@@ -30,8 +30,9 @@ direction to steepest ascent. A search may spend linesearch.MAX_EVALS
 evaluations. A direction that lost ascent (a slope that is not finite or
 not positive) or whose search failed restarts to steepest ascent. Along
 steepest ascent that stops the run, since repeating that deterministic
-search would fail the same way: a failed search on LINE_SEARCH_FAIL, a
-slope <= 0 on SMALL_GRAD and a non-finite slope on NUMERICAL_BREAKDOWN.
+search would fail the same way: a failed search on LINE_SEARCH_FAIL and a
+slope <= 0 on SMALL_GRAD. The steepest slope ||grad||^2 / W^2 is finite,
+since geometry.build_cache raises for a point whose ||grad||^2 is not.
 
 The loop itself only asks its geometry for points, search curves and
 transport; run_euclidean_cg in baseline.py runs the same loop over the
@@ -223,8 +224,6 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
     )
     v = riemannian_gradient(cache)
     trace: list[IterationTrace] = []
-    # A row's counts are the differences of these three ints across it.
-    counts = counting.counts
     stop: StopReason | None = None
     prev_t: float | None = None
     prev_slope: float | None = None
@@ -243,7 +242,8 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
             stop = StopReason.MAX_ITERS
             break
         wall_start = time.perf_counter_ns()
-        value_before, grad_before, hvp_before = counts.n_value, counts.n_grad, counts.n_hvp
+        # A row's counts are the differences of the counter's ints across it.
+        value_before, grad_before, hvp_before = counting.n_value, counting.n_grad, counting.n_hvp
 
         try:
             slope0 = float(cache.grad.dot(v))
@@ -272,12 +272,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 # steepest ascent nothing is left to try; otherwise the row
                 # restarts from steepest ascent.
                 if steepest:
-                    if not math.isfinite(slope0):
-                        stop = StopReason.NUMERICAL_BREAKDOWN
-                    elif slope0 <= 0.0:
-                        stop = StopReason.SMALL_GRAD
-                    else:
-                        stop = StopReason.LINE_SEARCH_FAIL
+                    stop = StopReason.SMALL_GRAD if slope0 <= 0.0 else StopReason.LINE_SEARCH_FAIL
                     break
                 v = riemannian_gradient(cache)
                 steepest = True
@@ -322,9 +317,9 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 ls_evals=ls.evals,
                 wall_ns=time.perf_counter_ns() - wall_start,
                 restart=restarted,
-                n_value=counts.n_value - value_before,
-                n_grad=counts.n_grad - grad_before,
-                n_hvp=counts.n_hvp - hvp_before,
+                n_value=counting.n_value - value_before,
+                n_grad=counting.n_grad - grad_before,
+                n_hvp=counting.n_hvp - hvp_before,
             )
         )
         restarted = 0
@@ -351,8 +346,8 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         grad_norm_riem=cache.grad_norm_riem,
         grad_norm_eucl=math.sqrt(cache.grad_sq),
         trace=trace,
-        n_value=counts.n_value,
-        n_grad=counts.n_grad,
-        n_hvp=counts.n_hvp,
+        n_value=counting.n_value,
+        n_grad=counting.n_grad,
+        n_hvp=counting.n_hvp,
         failed_attempts=failed_attempts,
     )

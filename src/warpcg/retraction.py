@@ -36,7 +36,7 @@ def retract(jet: GeodesicJet, t: float) -> np.ndarray:
     out = t * jet.v
     out += jet.theta
     if jet.curv is not None:
-        out += np.array([0.5 * t * t, t * t * t / 6.0]) @ jet.curv
+        out += np.array([0.5 * t * t, t * t * t / 6.0]).dot(jet.curv)
     return out
 
 
@@ -67,7 +67,7 @@ def directional_value_and_slope(
     grad = np.asarray(obj.grad(point), dtype=float)
     slope = float(grad.dot(jet.v))
     if jet.curv is not None:
-        s = jet.curv @ grad
+        s = jet.curv.dot(grad)
         slope += t * float(s[0]) + 0.5 * t * t * float(s[1])
     return value, slope, point, grad
 
@@ -115,7 +115,7 @@ def vector_transport(
     if not (t > 0.0):
         raise DegenerateStep(f"transport needs t > 0, got {t}")
     delta = src.theta - dst.theta
-    if not delta.any():
+    if not np.count_nonzero(delta):
         raise DegenerateStep("transport endpoints coincide")
     delta_f = src.value - dst.value
     corr = (float(delta.dot(dst.grad)) - delta_f) * (dst.psi_sq / dst.w_sq)

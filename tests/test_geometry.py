@@ -4,8 +4,18 @@ curvature scalars, and the geodesic jet."""
 import numpy as np
 import pytest
 
-from warpcg import Objective, QuadraticProblem, SquiggleProblem, WarpConfig, make_problem
-from warpcg.geometry import riemannian_gradient, taylor_coefficients
+from warpcg import (
+    Objective,
+    QuadraticProblem,
+    SquiggleProblem,
+    StopReason,
+    WarpConfig,
+    make_problem,
+    run_euclidean_cg,
+    run_rcg,
+)
+from warpcg.errors import NumericalBreakdown
+from warpcg.geometry import build_cache, riemannian_gradient, taylor_coefficients
 from warpcg.objective import CountingObjective, fd_step
 from oracle import (
     Bowl,
@@ -70,6 +80,56 @@ class TestCacheValues:
         assert c.psi_sq == pytest.approx(1e-12, rel=1e-6)
         x, y = np.array([0.3, -0.7]), np.array([1.5, 0.2])
         assert metric_inner(c, x, y) == pytest.approx(float(x @ y), rel=1e-11)
+
+
+class TestOverflowingGradient:
+    """A gradient such as (1e200, 1e200) has finite entries, but its squared
+    norm overflows, which would leave psi^2, W^2 and the Riemannian norm
+    NaN. Both metrics refuse such a point, as they refuse a NaN gradient."""
+
+    def test_both_point_builders_raise(self):
+        for warp in (WarpConfig(1.0), None):
+            with np.errstate(over="ignore"), pytest.raises(NumericalBreakdown) as info:
+                build_cache(warp, np.zeros(2), 0.0, np.array([1e200, 1e200]))
+            assert str(info.value) == "non-finite squared gradient norm"
+            assert info.value.component is None
+
+    @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+    def test_start_raises_from_both_drivers(self, run):
+        # As a start whose value is not finite does: the start's point is
+        # built before the loop that reports breakdowns.
+        problem = QuadraticProblem(2, curvatures=np.array([1e200, 1e200]))
+        with np.errstate(over="ignore"), pytest.raises(NumericalBreakdown):
+            run(problem, np.ones(2))
+
+    @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+    def test_mid_run_point_stops_the_run(self, run):
+        # Every gradient off the origin is (2^665, -2^665), about 1e200: the
+        # first trial along the ray (1, 1) has slope 0, a Wolfe point, and
+        # its squared gradient norm overflows. The run stops on
+        # NUMERICAL_BREAKDOWN at the start, the last good iterate. A power
+        # of two makes each product with the direction exact, so the slope
+        # is 0 however the dot product is fused.
+        class Cliff(Objective):
+            def __init__(self):
+                super().__init__(2)
+
+            def value(self, theta):
+                return float(theta.sum())
+
+            def grad(self, theta):
+                return np.array([2.0**665, -(2.0**665)]) if theta.any() else np.ones(2)
+
+            def hvp(self, theta, v):
+                return np.zeros(2)
+
+        with np.errstate(over="ignore"):
+            res = run(Cliff(), np.zeros(2))
+        assert res.stop_reason == StopReason.NUMERICAL_BREAKDOWN
+        assert res.iterations == 0
+        assert (res.n_value, res.n_grad) == (2, 2)
+        np.testing.assert_array_equal(res.theta, np.zeros(2))
+        assert res.grad_norm_eucl == np.sqrt(2.0)
 
 
 class TestMetricIdentities:
@@ -356,21 +416,19 @@ class TestTaylorCoefficients:
     def test_zero_direction_short_circuits(self):
         counted = CountingObjective(Bowl())
         c = cache_at(counted, WarpConfig(1.0), np.array([1.0, 0.0]))
-        counts = counted.counts
-        n_hvp, n_grad = counts.n_hvp, counts.n_grad
+        n_hvp, n_grad = counted.n_hvp, counted.n_grad
         jet = taylor_coefficients(counted, WarpConfig(1.0), c, np.zeros(2))
         assert jet.curv is None
-        assert (counts.n_hvp, counts.n_grad) == (n_hvp, n_grad)
+        assert (counted.n_hvp, counted.n_grad) == (n_hvp, n_grad)
         np.testing.assert_array_equal(retract(jet, 0.7), c.theta)
 
     def test_budget_is_four_hvps_no_grads(self):
         counted = CountingObjective(SquiggleProblem(4))
         c = cache_at(counted, WarpConfig(1.0), np.array([1.0, -2.0, 0.5, 0.3]))
-        assert counted.counts.n_hvp == 0
-        counts = counted.counts
-        n_value, n_grad, n_hvp = counts.n_value, counts.n_grad, counts.n_hvp
+        assert counted.n_hvp == 0
+        n_value, n_grad = counted.n_value, counted.n_grad
         taylor_coefficients(counted, WarpConfig(1.0), c, np.array([0.2, 1.0, -0.4, 0.1]))
-        assert (counts.n_value, counts.n_grad, counts.n_hvp) == (n_value, n_grad, n_hvp + 4)
+        assert (counted.n_value, counted.n_grad, counted.n_hvp) == (n_value, n_grad, 4)
 
     @pytest.mark.parametrize("without_hvp", [False, True], ids=["hvp", "grad_only"])
     @pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])

@@ -7,7 +7,7 @@ import pytest
 from warpcg import SquiggleProblem, WarpConfig, linesearch
 from warpcg.errors import LineSearchFail
 from warpcg.geometry import taylor_coefficients
-from warpcg.linesearch import C1, C2, WolfeResult, strong_wolfe
+from warpcg.linesearch import C1, C2, WolfeResult, _cubic_min, strong_wolfe
 from oracle import cache_at
 from warpcg.retraction import directional_value_and_slope, retract
 
@@ -96,6 +96,43 @@ class TestFailureModes:
         with pytest.raises(LineSearchFail):
             strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1.0)
         assert len(calls) == 60
+
+    def test_collapsed_zoom_interval_fails(self):
+        # The first trial, at t = 1e-15, falls below the start, so the zoom
+        # brackets [0, 1e-15], already narrower than its 1e-14 floor.
+        calls = []
+        inner = scalar_phi(lambda t: -t, lambda t: 1.0)
+
+        def phi(t):
+            calls.append(t)
+            return inner(t)
+
+        with pytest.raises(LineSearchFail, match="zoom interval collapsed"):
+            strong_wolfe(phi, f0=0.0, slope0=1.0, t_init=1e-15)
+        assert calls == [1e-15]
+
+
+class TestCubicMin:
+    """The zoom's cubic Hermite step returns None, and the zoom bisects,
+    whenever the interpolant has no usable minimizer."""
+
+    def test_parabola_gives_its_minimizer(self):
+        # (t - 1)^2 on [0, 3]: the cubic term vanishes and the step is exact.
+        assert _cubic_min(0.0, 1.0, -2.0, 3.0, 4.0, 4.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, 0.0, 1.0, 1.0, 0.0, 1.0),
+            (0.0, 0.0, 2.0, 1.0, 1.0, 2.0),
+            (0.0, 0.0, 1e200, 1.0, 0.0, 1.0),
+            (0.0, 0.0, 2.0, 1.0, 1.0, 0.0),
+        ],
+        ids=["equal_ends", "negative_discriminant", "overflowing_discriminant",
+             "zero_denominator"],
+    )
+    def test_degenerate_interpolant_gives_none(self, args):
+        assert _cubic_min(*args) is None
 
 
 class TestNonFiniteRecovery:

@@ -26,7 +26,7 @@ import warpcg.rcg
 from warpcg.errors import DegenerateStep, LineSearchFail, NumericalBreakdown
 from warpcg.geometry import FLAT_WARP, GeodesicJet, GeometryCache, riemannian_gradient
 from warpcg.linesearch import WolfeResult
-from warpcg.objective import CountingObjective, EvalCounts
+from warpcg.objective import CountingObjective
 from warpcg.rcg import IterationTrace, dy_beta
 from warpcg.retraction import TransportResult
 from recording import jet_hvps, recorded
@@ -213,7 +213,7 @@ class TestBetaPolicy:
 
 @pytest.mark.parametrize(
     "record",
-    [GeometryCache, GeodesicJet, TransportResult, IterationTrace, WolfeResult, EvalCounts],
+    [GeometryCache, GeodesicJet, TransportResult, IterationTrace, WolfeResult],
     ids=lambda record: record.__name__,
 )
 def test_per_row_records_are_slots_dataclasses(record):
@@ -334,14 +334,14 @@ class TestFlatWarpGate:
         point = self.point(np.nextafter(FLAT_WARP, 0.0), 1.0)
         v = riemannian_gradient(point)
         jet = geometry.jet(point, v)
-        assert jet.curv is None and geometry.obj.counts.n_hvp == 0
+        assert jet.curv is None and geometry.obj.n_hvp == 0
         assert jet.theta is point.theta and jet.v is v
 
     def test_warp_at_the_threshold_gets_the_full_jet(self):
         geometry = self.geometry(QuadraticProblem(3), WarpConfig())
         point = self.point(FLAT_WARP, 1.0)
         jet = geometry.jet(point, riemannian_gradient(point))
-        assert jet.curv is not None and geometry.obj.counts.n_hvp == 4
+        assert jet.curv is not None and geometry.obj.n_hvp == 4
 
     def test_small_psi_sq_with_a_large_gradient_keeps_its_curvature(self):
         # psi^2 is below 1e-10, but with ||grad||^2 near 7e8 the warp
@@ -355,7 +355,7 @@ class TestFlatWarpGate:
         assert point.psi_sq < 1e-10 and point.psi_sq * point.grad_sq > 1e-3
         v = riemannian_gradient(point)
         jet = geometry.jet(point, v)
-        assert jet.curv is not None and geometry.obj.counts.n_hvp == 4
+        assert jet.curv is not None and geometry.obj.n_hvp == 4
         curved = np.array([0.5, 1.0 / 6.0]) @ jet.curv
         assert np.linalg.norm(curved) > 1e-3 * np.linalg.norm(v)
 
@@ -365,7 +365,7 @@ class TestFlatWarpGate:
         geometry = self.geometry(QuadraticProblem(3), WarpConfig())
         with pytest.raises(NumericalBreakdown):
             geometry.jet(self.point(math.nan, 1.0), np.ones(3))
-        assert geometry.obj.counts.n_hvp == 4
+        assert geometry.obj.n_hvp == 4
 
 
 @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
@@ -593,30 +593,32 @@ class TestFailureHandling:
         assert np.isfinite(res.value)
 
     @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
-    def test_steepest_slope_that_overflows_is_reported_not_raised(self, run):
-        # Each gradient entry is finite but the self-dot overflows, so the
-        # steepest direction's slope is not finite. Both drivers stop on
-        # NUMERICAL_BREAKDOWN at the start, before any jet or search.
-        class Steep(Objective):
+    def test_start_with_infinite_value_raises(self, run):
+        # The start's point is built before the loop that reports
+        # breakdowns, so its non-finite value raises to the caller.
+        class Spike(Objective):
             def __init__(self):
                 super().__init__(2)
 
             def value(self, theta):
-                return 1e200 * float(np.sum(theta))
+                return math.inf
 
             def grad(self, theta):
-                return np.array([1e200, 1e200])
+                return np.ones(2)
 
-            def hvp(self, theta, v):
-                return np.zeros(2)
+        with pytest.raises(NumericalBreakdown, match="non-finite objective value"):
+            run(Spike(), np.zeros(2))
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = run(Steep(), np.zeros(2))
-        assert res.stop_reason == StopReason.NUMERICAL_BREAKDOWN
+    @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+    def test_steepest_slope_zero_stops_on_small_grad(self, run):
+        # At the maximizer with tol_grad = 0 the gradient test cannot stop
+        # the run, so the steepest slope 0 does, before any jet or search.
+        q = QuadraticProblem(3)
+        res = run(q, q.maximizer(), cfg=RcgConfig(tol_grad=0.0))
+        assert res.stop_reason == StopReason.SMALL_GRAD
         assert res.iterations == 0
         assert res.failed_attempts == 0
         assert (res.n_value, res.n_grad, res.n_hvp) == (1, 1, 0)
-        np.testing.assert_array_equal(res.theta, np.zeros(2))
 
     def test_shape_mismatch_raises(self):
         # Both drivers reject a start of the wrong length before running.

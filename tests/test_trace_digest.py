@@ -3,6 +3,8 @@ refactor leaves every solve unchanged."""
 
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -57,6 +59,22 @@ def test_same_solves_same_digest_and_one_ulp_changes_it():
     assert nudged_first != first
     assert nudged_jets != jets
 
+
+def test_blas_threads_are_pinned_whatever_the_environment():
+    # At d = 1e5 two BLAS threads round dot products and gemv differently
+    # from one, so on a host with two or more cores an unpinned run prints
+    # another large_warped line under OPENBLAS_NUM_THREADS=2.
+    lines = []
+    for threads in ("2", "1"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "trace_digest.py"), str(ROOT), "large_warped", "0"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        lines.append(out.splitlines()[1])
+    assert lines[0] == lines[1]
+    assert lines[0].startswith("large_warped seed=0 rows=")
 
 
 def test_acceptance_set_is_the_acceptance_fixtures_under_both_drivers():

@@ -25,6 +25,11 @@ moves.
 which take no seed, so it prints one line whatever <seeds> holds:
 
     python3 tools/trace_digest.py <src-tree> acceptance 0
+
+Run as a script, it pins BLAS to one thread before numpy is imported, as
+``perfbench/run.py`` does: at d = 1e5 threaded dot products and gemv round
+differently, so an unpinned run would fingerprint arithmetic the benchmark
+never runs, and its lines would depend on the host's core count.
 """
 
 from __future__ import annotations
@@ -32,11 +37,19 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import os
 import struct
 import sys
 from pathlib import Path
 
-import numpy as np
+#: The BLAS thread settings perfbench/run.py pins to 1.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+if __name__ == "__main__":
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"  # before numpy is first imported
+
+import numpy as np  # noqa: E402
 
 #: Wall-clock time differs between runs of the same arithmetic.
 SKIPPED_FIELDS = frozenset({"wall_ns"})

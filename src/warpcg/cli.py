@@ -19,8 +19,8 @@ are not settings.
 
 Exit codes: 0 on success (and for --help), 1 for an invalid run
 specification (a bad config value, problem, method or dimension, a missing
---dim, an unknown flag or a value of the wrong type), 2 when the run stops
-with numerical breakdown.
+--dim, an unknown flag or a value of the wrong type) or an output file that
+cannot be written, 2 when the run stops with numerical breakdown.
 """
 
 from __future__ import annotations
@@ -163,11 +163,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.trace_out is not None:
-        _write_trace(args.trace_out, result.trace)
     text = json.dumps(summary, indent=2)
-    if args.summary_out is not None:
-        args.summary_out.write_text(text + "\n")
+    try:
+        if args.trace_out is not None:
+            _write_trace(args.trace_out, result.trace)
+        if args.summary_out is not None:
+            args.summary_out.write_text(text + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(text)
     return 2 if result.stop_reason is StopReason.NUMERICAL_BREAKDOWN else 0
 

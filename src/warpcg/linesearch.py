@@ -12,10 +12,13 @@ constants c1 = C1 and c2 = C2:
     curvature:            |g'(t)| <= c2 g'(0)
 
 Structure is the classic bracket-then-zoom scheme (Nocedal & Wright's
-algorithms 3.5/3.6 mirrored through g -> -g), with cubic Hermite
-interpolation in the zoom phase and bisection as the safeguard. Non-finite
-trial values are treated as failing the sufficient-increase test, so the
-bracket shrinks away from them instead of propagating NaNs.
+algorithms 3.5/3.6 mirrored through g -> -g), run as one loop: t doubles
+until a trial brackets a Wolfe point, and the bracket then shrinks by cubic
+Hermite interpolation with bisection as the safeguard. The bracket's ends
+are (t, value, slope) triples; only the accepted trial's point and gradient
+outlive its pass. Non-finite trial values are treated as failing the
+sufficient-increase test, so the bracket shrinks away from them instead of
+propagating NaNs.
 """
 
 from __future__ import annotations
@@ -44,24 +47,20 @@ C2 = 0.1
 
 
 # Not frozen: a frozen dataclass pays for object.__setattr__ on every field
-# at construction. A search builds a few trials per iteration and the CG
-# loop one GeometryCache, GeodesicJet, TransportResult and IterationTrace
-# per row, so each of these is a slots dataclass; of their fields only an
-# endpoint's point and grad (below) are written once built.
+# at construction. A search builds one WolfeResult and the CG loop one
+# GeometryCache, GeodesicJet, TransportResult and IterationTrace per row, so
+# each of these is a slots dataclass.
 @dataclass(eq=False, slots=True)
 class WolfeResult:
-    """One trial of the search: parameter t, the path data there, and evals,
-    the phi evaluations spent up to and including this trial. The accepted
-    trial is the search's result, so its evals is the search's total. Only
-    the returned trial carries point and grad: a trial kept as a bracket
-    endpoint drops them, since an endpoint is never returned, and the t = 0
-    seed trial never has them."""
+    """The accepted trial of a search: parameter t, the path's value, slope,
+    point and gradient there, and evals, the phi evaluations the search
+    spent, this trial included."""
 
     t: float
     value: float
     slope: float
-    point: np.ndarray | None
-    grad: np.ndarray | None
+    point: np.ndarray
+    grad: np.ndarray
     evals: int
 
 
@@ -91,6 +90,7 @@ def strong_wolfe(
 ) -> WolfeResult:
     """Find t > 0 satisfying the strong Wolfe conditions along phi, with
     the module's C1 and C2, trying t_init first; the CG loop chooses t_init.
+    Returns the accepted trial, the one WolfeResult the search builds.
 
     Raises ValueError on a bad argument, slope0 <= 0 included (there is
     nothing to search), and LineSearchFail when the MAX_EVALS budget runs
@@ -102,62 +102,45 @@ def strong_wolfe(
         raise ValueError(f"t_init must be positive, got {t_init}")
     # Read at call time, so a patched constant takes effect.
     c1, c2 = C1, C2
+    # Bracket ends as (t, value, slope). lo is the best trial that meets
+    # sufficient increase, the start until one does; hi is None while t
+    # doubles and the bracket's other end once the search zooms.
+    lo = (0.0, f0, slope0)
+    hi = None
+    t = t_init
     evals = 0
-
-    def ev(t: float) -> WolfeResult:
-        nonlocal evals
+    while True:
+        if hi is not None:
+            (a, fa, sa), (b, fb, sb) = lo, hi
+            width = abs(b - a)
+            if width <= 1e-14 * max(1.0, abs(a)):
+                raise LineSearchFail("zoom interval collapsed without a Wolfe point")
+            t = None
+            if math.isfinite(fb) and math.isfinite(sb):
+                t = _cubic_min(a, -fa, -sa, b, -fb, -sb)
+            margin = 0.1 * width
+            if t is None or not (min(a, b) + margin <= t <= max(a, b) - margin):
+                t = 0.5 * (a + b)
         if evals >= MAX_EVALS:
             raise LineSearchFail(f"line search budget of {MAX_EVALS} evaluations exhausted")
         evals += 1
         value, slope, point, grad = phi(t)
-        return WolfeResult(t, value, slope, point, grad, evals)
-
-    def endpoint(tr: WolfeResult) -> WolfeResult:
-        # Only values and slopes of an endpoint are read again, so its
-        # dim-vectors are let go at once.
-        tr.point = tr.grad = None
-        return tr
-
-    def sufficient(tr: WolfeResult) -> bool:
-        return math.isfinite(tr.value) and tr.value >= f0 + c1 * tr.t * slope0
-
-    def zoom(lo: WolfeResult, hi: WolfeResult) -> WolfeResult:
-        # Invariants: lo satisfies the sufficient-increase condition, its
-        # value is the best so far, and the interval brackets a Wolfe point.
-        while True:
-            width = abs(hi.t - lo.t)
-            if width <= 1e-14 * max(1.0, abs(lo.t)):
-                raise LineSearchFail("zoom interval collapsed without a Wolfe point")
-            t = None
-            if math.isfinite(hi.value) and math.isfinite(hi.slope):
-                t = _cubic_min(lo.t, -lo.value, -lo.slope, hi.t, -hi.value, -hi.slope)
-            left, right = min(lo.t, hi.t), max(lo.t, hi.t)
-            margin = 0.1 * width
-            if t is None or not (left + margin <= t <= right - margin):
-                t = 0.5 * (lo.t + hi.t)
-            tr = ev(t)
-            if not sufficient(tr) or tr.value <= lo.value:
-                hi = endpoint(tr)
-            else:
-                if math.isfinite(tr.slope) and abs(tr.slope) <= c2 * slope0:
-                    return tr
-                if tr.slope * (hi.t - lo.t) <= 0.0:
-                    hi = lo
-                lo = endpoint(tr)
-
-    prev = WolfeResult(0.0, f0, slope0, None, None, 0)
-    t = t_init
-    first = True
-    while True:
-        tr = ev(t)
-        if not sufficient(tr) or (not first and tr.value <= prev.value):
-            return zoom(prev, endpoint(tr))
-        if math.isfinite(tr.slope) and abs(tr.slope) <= c2 * slope0:
-            return tr
-        if tr.slope <= 0.0:
-            # Crest passed: the maximum lies between the previous point and
-            # this one, with the current point the higher shoulder.
-            return zoom(endpoint(tr), prev)
-        prev = endpoint(tr)
-        t *= 2.0  # still climbing: double the step
-        first = False
+        # Non-finite values fail sufficient increase. The first trial is not
+        # held to the start's value; every later one must beat lo's.
+        if not (math.isfinite(value) and value >= f0 + c1 * t * slope0) or (
+            evals > 1 and value <= lo[1]
+        ):
+            hi = (t, value, slope)
+        elif math.isfinite(slope) and abs(slope) <= c2 * slope0:
+            return WolfeResult(t, value, slope, point, grad, evals)
+        else:
+            # A trial that rises toward lo, not toward hi (which lies beyond
+            # lo while t doubles), has passed the crest: lo becomes the
+            # other end.
+            if slope * (1.0 if hi is None else hi[0] - lo[0]) <= 0.0:
+                hi = lo
+            lo = (t, value, slope)
+            if hi is None:
+                t *= 2.0  # still climbing: double the step
+        # A trial not returned lets its vectors go before the next phi call.
+        del point, grad

@@ -17,6 +17,7 @@ magnitudes of both the point and the direction.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -37,6 +38,15 @@ def fd_step(theta: np.ndarray, v: np.ndarray) -> float:
     return FD_STEP * max(1.0, nt) / max(1.0, nv)
 
 
+def as_integer(name: str, value) -> int:
+    """value as an int, for a setting that must be an integer (numpy
+    integers pass); ValueError naming the setting otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class Objective(ABC):
     """A smooth function R^dim -> R to be maximized. To minimize a loss,
     implement its negation: value, grad and hvp all negated.
@@ -50,7 +60,7 @@ class Objective(ABC):
     """
 
     def __init__(self, dim: int):
-        dim = int(dim)
+        dim = as_integer("dim", dim)
         if dim < 1:
             raise ValueError(f"objective dimension must be >= 1, got {dim}")
         self.dim = dim

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .objective import Objective
+from .objective import Objective, as_integer
 
 __all__ = [
     "SquiggleProblem",
@@ -255,7 +255,7 @@ def initial_point(name: str, dim: int) -> np.ndarray:
     the maximizer (amplitude 10 for squiggle, 5 for rosenbrock, 1/2 for the
     quadratic)."""
     _, amplitude = _entry(name)
-    signs = np.where(np.arange(dim) % 2 == 0, -1.0, 1.0)
+    signs = np.where(np.arange(as_integer("dim", dim)) % 2 == 0, -1.0, 1.0)
     return amplitude * signs
 
 

@@ -58,7 +58,7 @@ from .geometry import (
     taylor_coefficients,
 )
 from .linesearch import strong_wolfe
-from .objective import CountingObjective, Objective
+from .objective import CountingObjective, Objective, as_integer
 from .retraction import TransportResult, directional_value_and_slope, vector_transport
 
 __all__ = [
@@ -95,6 +95,7 @@ class RcgConfig:
     def __post_init__(self):
         # Each check is written as not (range) so that NaN, which no stop
         # test can meet, fails too.
+        as_integer("max_iters", self.max_iters)
         if not (self.max_iters >= 0):
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not (self.tol_df >= 0 and self.tol_grad >= 0):

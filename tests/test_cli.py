@@ -204,6 +204,16 @@ class TestArgumentErrors:
         assert code == 1
         assert err.startswith("error: unknown method 'rcg,euclid_cg'")
 
+    @pytest.mark.parametrize("flag", ["--trace-out", "--summary-out"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, flag):
+        missing = tmp_path / "no_such_dir" / "out"
+        code, _, err = run_main(capsys, [
+            "--problem", "quadratic", "--dim", "3", flag, str(missing), *FAST,
+        ])
+        assert code == 1
+        assert err.startswith("error:") and str(missing) in err
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--help"])
@@ -233,6 +243,9 @@ class TestRunSpecApi:
         ("banana", 3, "rcg"),
         ("quadratic", 3, "sgd"),
         ("rosenbrock", 1, "rcg"),
+        ("squiggle", 2.5, "rcg"),
+        ("rosenbrock", 2.5, "rcg"),
+        ("quadratic", 2.5, "euclid_cg"),
     ])
     def test_execute_rejects_before_evaluating(self, monkeypatch, problem, dim, method):
         def no_run(*args, **kwargs):

@@ -278,6 +278,17 @@ class TestFactoryAndStarts:
         with pytest.raises(ValueError):
             initial_point("banana", 3)
 
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_non_integer_dim_rejected(self, name):
+        # Truncating would build a problem of another dimension than asked.
+        with pytest.raises(ValueError, match="dim must be an integer, got 2.5"):
+            make_problem(name, 2.5)
+        with pytest.raises(ValueError, match="dim must be an integer, got 2.5"):
+            initial_point(name, 2.5)
+        # numpy integers are integers.
+        assert make_problem(name, np.int64(3)).dim == 3
+        assert initial_point(name, np.int32(3)).shape == (3,)
+
     def test_starts_are_far_from_answers(self):
         for name in PROBLEM_NAMES:
             problem = make_problem(name, 6)

@@ -57,6 +57,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RcgConfig(tol_grad=float("nan"))
 
+    def test_max_iters_must_be_an_integer(self):
+        # 1.5 used to run two iterations.
+        with pytest.raises(ValueError, match="max_iters must be an integer, got 1.5"):
+            RcgConfig(max_iters=1.5)
+        assert RcgConfig(max_iters=np.int64(2)).max_iters == 2
+
 
 class TestTermination:
     def test_immediate_small_grad_at_maximizer(self):

@@ -187,15 +187,15 @@ def taylor_coefficients(
     a combination of g, both sums and the difference, into the second, in
     22 elementwise passes over dim-vectors.
 
-    Where the warp is below rounding (psi^2 ||grad||^2 < FLAT_WARP) or the
-    direction is zero, the jet is the straight ray GeodesicJet(theta, v),
-    with no curv and no evaluations.
+    Where the warp is below rounding (psi^2 ||grad||^2 < FLAT_WARP), the
+    jet is the straight ray GeodesicJet(theta, v), with no curv and no
+    evaluations. A zero v, which the CG loop never passes, gets a zero curv.
     """
     v = np.asarray(v, dtype=float)
     theta = cache.theta
     # The product, not w_sq - 1.0, which cancels to 0 far above rounding;
     # a NaN product fails the test and takes the full jet.
-    if cache.psi_sq * cache.grad_sq < FLAT_WARP or not np.count_nonzero(v):
+    if cache.psi_sq * cache.grad_sq < FLAT_WARP:
         return GeodesicJet(theta=theta, v=v)
 
     # The jet never writes into an array it has handed to the objective,

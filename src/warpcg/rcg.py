@@ -17,9 +17,7 @@ The per-iteration budget is therefore one cache build and four
 Hessian-vector products when the row's start point has psi^2 ||grad||^2 >=
 geometry.FLAT_WARP, none below it, independent of dimension and of the
 line-search history; a failed search costs its jet's hvps more by the same
-rule, and the start's cache one value and one gradient. The trace records
-the actual evaluation counts so tests can assert this rather than trust the
-comment.
+rule, and the start's cache one value and one gradient.
 
 The conjugacy coefficient follows the Dai-Yuan quotient: new squared
 Riemannian gradient norm over the slope gain along the (transported)
@@ -34,6 +32,11 @@ search would fail the same way: a failed search on LINE_SEARCH_FAIL and a
 slope <= 0 on SMALL_GRAD. The steepest slope ||grad||^2 / W^2 is finite,
 since geometry.build_cache raises for a point whose ||grad||^2 is not.
 
+A search's first trial step is 1.0 until a step is accepted, then the last
+accepted step's first-order gain t * slope0 over the new slope0 (Nocedal &
+Wright, Numerical Optimization, section 3.5): 1.0 if that is not finite or
+not positive, clamped to [1e-12, 1e12]. A steepest-ascent retry keeps it.
+
 The loop itself only asks its geometry for points, search curves and
 transport; run_euclidean_cg in baseline.py runs the same loop over the
 identity metric.
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -107,9 +110,12 @@ class RcgConfig:
 @dataclass(eq=False, slots=True)
 class IterationTrace:
     """One accepted iteration, held as scalars so a trace costs O(1) memory
-    per row. The n_* fields count objective calls made by this iteration,
-    including its line search. Neither the accepted point nor the search
-    curve is kept: the result's theta is the last point."""
+    per row: no point or search curve is kept. The n_* fields count the
+    objective calls of this row's jet and line search, and wall_ns its time;
+    a retry row's exclude the failed attempt before it. restart is 1 on two
+    kinds of row: one whose search ran along steepest ascent after a failed
+    search or a lost ascent, and one whose beta was clamped or degenerate,
+    so that the next direction is steepest ascent."""
 
     k: int
     f: float
@@ -129,8 +135,7 @@ class IterationTrace:
 @dataclass(eq=False)
 class RcgResult:
     """Final iterate plus the full per-iteration trace and call totals. It
-    keeps no search curve and counts no cache builds: each row builds one
-    point, and each jet dies by the end of its iteration.
+    counts no cache builds: each row builds one point.
 
     failed_attempts counts line searches that found no Wolfe point: one on
     a non-steepest direction triggers a steepest-ascent retry, one on
@@ -144,11 +149,11 @@ class RcgResult:
     iterations: int
     grad_norm_riem: float
     grad_norm_eucl: float
-    trace: list[IterationTrace] = field(default_factory=list)
-    n_value: int = 0
-    n_grad: int = 0
-    n_hvp: int = 0
-    failed_attempts: int = 0
+    trace: list[IterationTrace]
+    n_value: int
+    n_grad: int
+    n_hvp: int
+    failed_attempts: int
 
 
 def dy_beta(dst: GeometryCache, transported: TransportResult, slope: float) -> float:
@@ -225,21 +230,18 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
     )
     v = riemannian_gradient(cache)
     trace: list[IterationTrace] = []
-    stop: StopReason | None = None
-    prev_t: float | None = None
-    prev_slope: float | None = None
+    gain: float | None = None  # the last accepted step's t * slope0
     # steepest: v is the Riemannian gradient at cache, so a failed search
     # along it has nothing to fall back on. restarted: this row's trace flag.
     steepest = True
     restarted = 0
-    k = 0
     failed_attempts = 0
 
     while True:
         if cache.grad_norm_riem < cfg.tol_grad:
             stop = StopReason.SMALL_GRAD
             break
-        if k >= cfg.max_iters:
+        if len(trace) >= cfg.max_iters:
             stop = StopReason.MAX_ITERS
             break
         wall_start = time.perf_counter_ns()
@@ -251,13 +253,10 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
             ls = None
             if math.isfinite(slope0) and slope0 > 0.0:
                 jet = geometry.jet(cache, v)
-                if prev_slope is None:
+                t_init = 1.0 if gain is None else gain / slope0
+                if not math.isfinite(t_init) or t_init <= 0.0:
                     t_init = 1.0
-                else:
-                    t_init = prev_t * prev_slope / slope0
-                    if not math.isfinite(t_init) or t_init <= 0.0:
-                        t_init = 1.0
-                    t_init = min(max(t_init, 1e-12), 1e12)
+                t_init = min(max(t_init, 1e-12), 1e12)
                 try:
                     ls = strong_wolfe(
                         lambda t: directional_value_and_slope(counting, jet, t),
@@ -281,17 +280,16 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 continue
 
             dst = geometry.point(ls.point, ls.value, ls.grad)
+            beta, scale = 0.0, 1.0
             try:
                 transported = geometry.transport(cache, dst, v, ls.t, slope0)
                 beta = dy_beta(dst, transported, slope0)
+                scale = transported.scale
             except DegenerateStep:
-                beta = 0.0
-                transported = None
                 restarted = 1
             beta_used = min(beta, 0.0)
             if beta_used != beta:
                 restarted = 1
-            scale = transported.scale if transported is not None else 1.0
             # riemannian_gradient returns a fresh array, so the next
             # direction is built inside it.
             v_next = riemannian_gradient(dst)
@@ -308,7 +306,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
 
         trace.append(
             IterationTrace(
-                k=k,
+                k=len(trace),
                 f=ls.value,
                 grad_norm_riem=dst.grad_norm_riem,
                 grad_norm_eucl=math.sqrt(dst.grad_sq),
@@ -329,12 +327,11 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         df = ls.value - cache.value
         cache = dst
         v = v_next
-        prev_t = ls.t
-        prev_slope = slope0
-        k += 1
-        # Drop the names still bound to this step's transport and direction,
-        # so neither outlives the next jet or a restart.
-        del transported, v_next
+        gain = ls.t * slope0
+        # Rebind the names still holding this step's transport and direction,
+        # so neither outlives the next jet or a restart. Not del: a
+        # degenerate transport leaves its name unbound.
+        transported = v_next = None
         if df < cfg.tol_df:
             stop = StopReason.SMALL_DELTA_F
             break
@@ -343,7 +340,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
         theta=cache.theta,
         value=cache.value,
         stop_reason=stop,
-        iterations=k,
+        iterations=len(trace),
         grad_norm_riem=cache.grad_norm_riem,
         grad_norm_eucl=math.sqrt(cache.grad_sq),
         trace=trace,

@@ -413,13 +413,19 @@ class TestTaylorCoefficients:
         jet = taylor_coefficients(Bowl(), WarpConfig(1.0), c, np.array([0.3, 0.8]))
         assert jet.curv is None
 
-    def test_zero_direction_short_circuits(self):
-        counted = CountingObjective(Bowl())
-        c = cache_at(counted, WarpConfig(1.0), np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
+    def test_zero_direction_gives_a_zero_block(self, name):
+        # No test screens out a zero v: it pays the four hvps like any other
+        # direction, and every term of its block carries a factor of v, so
+        # the curve stays at theta.
+        counted = CountingObjective(make_problem(name, 6))
+        theta = np.random.default_rng(3).standard_normal(6)
+        c = cache_at(counted, WarpConfig(1.0), theta)
         n_hvp, n_grad = counted.n_hvp, counted.n_grad
-        jet = taylor_coefficients(counted, WarpConfig(1.0), c, np.zeros(2))
-        assert jet.curv is None
-        assert (counted.n_hvp, counted.n_grad) == (n_hvp, n_grad)
+        jet = taylor_coefficients(counted, WarpConfig(1.0), c, np.zeros(6))
+        assert jet.curv.shape == (2, 6)
+        assert not jet.curv.any()
+        assert (counted.n_hvp, counted.n_grad) == (n_hvp + 4, n_grad)
         np.testing.assert_array_equal(retract(jet, 0.7), c.theta)
 
     def test_budget_is_four_hvps_no_grads(self):

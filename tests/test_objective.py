@@ -136,7 +136,7 @@ class Cubic1D(Objective):
         return np.array([6.0 * theta[0] * v[0]])
 
 
-class TestFdConfig:
+class TestFdStep:
     """The one finite-difference setting: the constant FD_STEP, scaled to
     the point and the direction by fd_step."""
 
@@ -217,7 +217,7 @@ def test_fallback_route_counts_exactly(name, dim):
             run_rcg,
             view(make_problem(name, dim)),
             initial_point(name, dim),
-            cfg=RcgConfig(tol_df=0.0, max_iters=300),
+            cfg=RcgConfig(tol_df=0.0, max_iters=1000),
         )
         for view in (GradOnlyView, ListGradView)
     ]

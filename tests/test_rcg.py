@@ -217,6 +217,92 @@ class TestBetaPolicy:
                 assert row.restart == 1
 
 
+class TestFirstTrial:
+    """The t_init the loop hands each search: 1.0 until a step is accepted,
+    then the last accepted step's gain t * slope0 over the new slope0, 1.0
+    where that quotient is not finite or not positive, clamped to
+    [1e-12, 1e12]."""
+
+    @staticmethod
+    def log_searches(monkeypatch, fail_call=None, t_factor=None):
+        """Wrap the loop's strong_wolfe. Each call appends [slope0, t_init,
+        t], t being the returned trial's or None for a failed search. Call
+        number fail_call fails; the first search's returned t is multiplied
+        by t_factor."""
+        real_search = warpcg.rcg.strong_wolfe
+        calls = []
+
+        def logged(*args, **kwargs):
+            call = [kwargs["slope0"], kwargs["t_init"], None]
+            calls.append(call)
+            if len(calls) == fail_call:
+                raise LineSearchFail("forced")
+            ls = real_search(*args, **kwargs)
+            if t_factor is not None and len(calls) == 1:
+                ls.t *= t_factor
+            call[2] = ls.t
+            return ls
+
+        monkeypatch.setattr(warpcg.rcg, "strong_wolfe", logged)
+        return calls
+
+    @staticmethod
+    def replay(calls):
+        expected, gain = [], None
+        for slope0, _, t in calls:
+            t_init = 1.0 if gain is None else gain / slope0
+            if not math.isfinite(t_init) or t_init <= 0.0:
+                t_init = 1.0
+            expected.append(min(max(t_init, 1e-12), 1e12))
+            if t is not None:
+                gain = t * slope0
+        return expected
+
+    @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+    @pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
+    def test_gain_over_new_slope(self, run, name, monkeypatch):
+        calls = self.log_searches(monkeypatch)
+        res = run(make_problem(name, 10), initial_point(name, 10),
+                  cfg=RcgConfig(tol_df=0.0, max_iters=100))
+        assert len(calls) == res.iterations > 1
+        assert [t_init for _, t_init, _ in calls] == self.replay(calls)
+
+    @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+    def test_retry_after_a_failed_search_keeps_the_gain(self, run, monkeypatch):
+        # The third search runs along a conjugate direction; its forced
+        # failure makes the row retry along steepest ascent, from the gain
+        # of the second.
+        calls = self.log_searches(monkeypatch, fail_call=3)
+        res = run(make_problem("squiggle", 10), initial_point("squiggle", 10),
+                  cfg=RcgConfig(tol_df=0.0, max_iters=10))
+        assert res.failed_attempts == 1
+        assert calls[2][2] is None and len(calls) > 3
+        slope0, t_init, _ = calls[3]
+        assert t_init == calls[1][2] * calls[1][0] / slope0
+        assert [t_init for _, t_init, _ in calls] == self.replay(calls)
+
+    @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+    @pytest.mark.parametrize(
+        "t_factor, t_init",
+        [(1e30, 1e12), (1e-30, 1e-12), (0.0, 1.0), (math.inf, 1.0)],
+        ids=["clamp_high", "clamp_low", "zero_gain", "infinite_gain"],
+    )
+    def test_clamp_and_fallback(self, run, t_factor, t_init, monkeypatch):
+        # No natural run reaches these: the first search's t is scaled
+        # before the loop sees it. The warped transport divides by t, so it
+        # is made degenerate, which leaves beta 0.
+        def degenerate(*args):
+            raise DegenerateStep("forced")
+
+        monkeypatch.setattr(warpcg.rcg, "vector_transport", degenerate)
+        calls = self.log_searches(monkeypatch, t_factor=t_factor)
+        run(QuadraticProblem(3), initial_point("quadratic", 3),
+            cfg=RcgConfig(tol_df=0.0, max_iters=2))
+        assert len(calls) >= 2
+        assert calls[1][1] == t_init
+        assert [t_init for _, t_init, _ in calls] == self.replay(calls)
+
+
 @pytest.mark.parametrize(
     "record",
     [GeometryCache, GeodesicJet, TransportResult, IterationTrace, WolfeResult],

@@ -17,10 +17,11 @@ is built once per visited point from the value and gradient its caller
 already holds (a driver's start, or an accepted line-search trial) and no
 Hessian-vector product. The Hessian terms
 and sigma^2 enter only the geodesic jet, which takes the Hessian terms from
-its own probe pair and sigma^2 from its caller's WarpConfig; where the warp
-is below rounding (FLAT_WARP) the jet is the straight ray. The Euclidean
-limit is a cache of the identity metric (psi^2 = 0, W^2 = 1), which is what
-the flat-space baseline's points are.
+its own probe pair and sigma^2 from its caller's WarpConfig. The CG loop
+asks for a jet only where the warp is at or above rounding (FLAT_WARP) and
+takes the straight ray below it. The Euclidean limit is a cache of the
+identity metric (psi^2 = 0, W^2 = 1), which is what the flat-space
+baseline's points are.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
 
 
 #: Below this psi^2 ||grad||^2 = W^2 - 1 the metric is the identity to
-#: rounding, and a jet is the straight ray. Just below it, at random points
+#: rounding, and the CG loop's search curve is the straight ray. Just below it, at random points
 #: of the shipped problems (d = 2, 10, 100), the curved part dropped at the
 #: step t where ||t H v|| = ||grad|| was at most 5.4e-19 of the straight
 #: part t ||v||, against 5.4e-9 at psi^2 ||grad||^2 = 1e-10. psi^2 alone
@@ -187,16 +188,12 @@ def taylor_coefficients(
     a combination of g, both sums and the difference, into the second, in
     22 elementwise passes over dim-vectors.
 
-    Where the warp is below rounding (psi^2 ||grad||^2 < FLAT_WARP), the
-    jet is the straight ray GeodesicJet(theta, v), with no curv and no
-    evaluations. A zero v, which the CG loop never passes, gets a zero curv.
+    It always spends its four hvps; the CG loop takes the straight ray
+    instead where the warp is below rounding (psi^2 ||grad||^2 < FLAT_WARP).
+    A zero v, which the loop never passes, gets a zero curv.
     """
     v = np.asarray(v, dtype=float)
     theta = cache.theta
-    # The product, not w_sq - 1.0, which cancels to 0 far above rounding;
-    # a NaN product fails the test and takes the full jet.
-    if cache.psi_sq * cache.grad_sq < FLAT_WARP:
-        return GeodesicJet(theta=theta, v=v)
 
     # The jet never writes into an array it has handed to the objective,
     # which may keep it, and an objective's outputs may be read-only: every

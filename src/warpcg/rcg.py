@@ -37,9 +37,10 @@ accepted step's first-order gain t * slope0 over the new slope0 (Nocedal &
 Wright, Numerical Optimization, section 3.5): 1.0 if that is not finite or
 not positive, clamped to [1e-12, 1e12]. A steepest-ascent retry keeps it.
 
-The loop itself only asks its geometry for points, search curves and
-transport; run_euclidean_cg in baseline.py runs the same loop over the
-identity metric.
+run_euclidean_cg in baseline.py runs the same loop with warp None, the
+identity metric that geometry.build_cache builds: psi^2 = 0 at every point,
+so every jet is the straight ray and every transport the identity. No code
+path asks which driver called.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import numpy as np
 
 from .errors import DegenerateStep, LineSearchFail, NumericalBreakdown
 from .geometry import (
+    FLAT_WARP,
     GeodesicJet,
     GeometryCache,
     WarpConfig,
@@ -177,25 +179,19 @@ def dy_beta(dst: GeometryCache, transported: TransportResult, slope: float) -> f
     return num / den
 
 
-class _WarpedGeometry:
-    """The warped graph metric: geometry caches, cubic geodesic jets and
-    secant transport. Every call goes through this module's globals so the
-    benchmark tracer's spans see it."""
-
-    def __init__(self, obj: Objective, warp: WarpConfig):
-        self.obj = obj
-        self.warp = warp
-
-    def point(self, theta: np.ndarray, value: float, grad: np.ndarray) -> GeometryCache:
-        return build_cache(self.warp, theta, value, grad)
-
-    def jet(self, point: GeometryCache, v: np.ndarray) -> GeodesicJet:
-        return taylor_coefficients(self.obj, self.warp, point, v)
-
-    def transport(
-        self, src: GeometryCache, dst: GeometryCache, v: np.ndarray, t: float, slope: float
-    ) -> TransportResult:
-        return vector_transport(src, dst, v, t, slope)
+def _jet(
+    obj: Objective, warp: WarpConfig | None, point: GeometryCache, v: np.ndarray
+) -> GeodesicJet:
+    """The search curve leaving point along v. Where the warp is below
+    rounding (psi^2 ||grad||^2 < FLAT_WARP) it is the straight ray, with no
+    evaluation; every point of the identity metric (warp None) is. Elsewhere
+    it is taylor_coefficients' cubic jet, looked up in this module's globals
+    so the benchmark tracer's span sees it."""
+    # The product, not w_sq - 1.0, which cancels to 0 far above rounding;
+    # a NaN product fails the test and takes the full jet.
+    if point.psi_sq * point.grad_sq < FLAT_WARP:
+        return GeodesicJet(theta=point.theta, v=v)
+    return taylor_coefficients(obj, warp, point, v)
 
 
 def run_rcg(
@@ -211,23 +207,25 @@ def run_rcg(
     Argument validation errors (shapes, config ranges) do raise.
     """
     counting = CountingObjective(obj)
-    geometry = _WarpedGeometry(counting, warp or WarpConfig())
-    return _run_cg(counting, geometry, theta0, cfg or RcgConfig())
+    return _run_cg(counting, warp or WarpConfig(), theta0, cfg or RcgConfig())
 
 
-def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgConfig) -> RcgResult:
-    """The CG ascent loop of both drivers, over a geometry that provides
-    point(theta, value, grad), jet(point, v) and transport(src, dst, v, t,
-    slope), where slope is <src.grad, v>. A point is a GeometryCache built
-    from a value and gradient already evaluated: the start's here, after
-    theta0's shape check, and each accepted trial's. Each jet dies by the
-    end of its iteration, so a run holds O(dim) memory."""
+def _run_cg(
+    counting: CountingObjective, warp: WarpConfig | None, theta0: np.ndarray, cfg: RcgConfig
+) -> RcgResult:
+    """The CG ascent loop of both drivers, over the warped metric of warp or,
+    for warp None, the identity metric. A point is the GeometryCache that
+    build_cache makes from a value and gradient already evaluated: the
+    start's here, after theta0's shape check, and each accepted trial's.
+    The loop tells the two metrics apart only through its points: _jet's
+    straight-ray gate and vector_transport's identity-metric test read
+    them. Each jet dies by the end of its iteration, so a run holds O(dim)
+    memory."""
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (counting.dim,):
         raise ValueError(f"theta must have shape ({counting.dim},), got {theta0.shape}")
-    cache = geometry.point(
-        theta0, float(counting.value(theta0)), np.asarray(counting.grad(theta0), dtype=float)
-    )
+    value0 = float(counting.value(theta0))
+    cache = build_cache(warp, theta0, value0, np.asarray(counting.grad(theta0), dtype=float))
     v = riemannian_gradient(cache)
     trace: list[IterationTrace] = []
     gain: float | None = None  # the last accepted step's t * slope0
@@ -252,7 +250,7 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
             slope0 = float(cache.grad.dot(v))
             ls = None
             if math.isfinite(slope0) and slope0 > 0.0:
-                jet = geometry.jet(cache, v)
+                jet = _jet(counting, warp, cache, v)
                 t_init = 1.0 if gain is None else gain / slope0
                 if not math.isfinite(t_init) or t_init <= 0.0:
                     t_init = 1.0
@@ -279,10 +277,10 @@ def _run_cg(counting: CountingObjective, geometry, theta0: np.ndarray, cfg: RcgC
                 restarted = 1
                 continue
 
-            dst = geometry.point(ls.point, ls.value, ls.grad)
+            dst = build_cache(warp, ls.point, ls.value, ls.grad)
             beta, scale = 0.0, 1.0
             try:
-                transported = geometry.transport(cache, dst, v, ls.t, slope0)
+                transported = vector_transport(cache, dst, v, ls.t, slope0)
                 beta = dy_beta(dst, transported, slope0)
                 scale = transported.scale
             except DegenerateStep:

@@ -6,8 +6,9 @@ the curved part is one product with it and a straight ray, which has no
 curv, is theta + t v alone. Its inverse (in the first-order
 secant sense) yields the transport: the chart displacement between the two
 endpoints, metric-projected at the destination and divided by the step
-length. In the Euclidean limit (warp -> 0, straight curve) the transported
-vector reduces to v itself.
+length. Between two points of the identity metric, which is what the
+flat-space baseline's points are, the transport is v itself, exactly; the
+secant form would reach it only up to the rounding of theta + t v.
 """
 
 from __future__ import annotations
@@ -100,23 +101,27 @@ def vector_transport(
     the iterate there in parameter length t. slope is <src.grad, v>, which
     the caller already holds as the step's initial slope.
 
-    Uses the backward-secant form: the ambient displacement from dst back to
+    Between two points of the identity metric (psi^2 = 0 at both) the
+    transport is the identity: coords is v itself and scale 1. Elsewhere it
+    uses the backward-secant form: the ambient displacement from dst back to
     src, metric-projected onto the destination tangent space and divided by
     -t. All geometric quantities are the destination's; the source
-    contributes only its point and value. Exact in the Euclidean limit when
-    dst = src + t v. Each inner product is taken once: <coords, coords>
-    screens for non-finite entries and enters the destination norm, and
-    <dst.grad, coords> enters that norm and the result's dst_slope.
+    contributes only its point and value. Each inner product is taken
+    once: <coords, coords> screens for non-finite entries and enters the
+    destination norm, and <dst.grad, coords> enters that norm and the
+    result's dst_slope.
 
-    Raises DegenerateStep for t <= 0, coincident endpoints, or a transported
+    Raises DegenerateStep for t <= 0 or, on the secant path, a transported
     vector of zero destination norm (the scale would be undefined).
+    Coincident endpoints are caught by the latter: their displacement and
+    value change are both zero, so the transported vector is.
     """
     v = np.asarray(v, dtype=float)
     if not (t > 0.0):
         raise DegenerateStep(f"transport needs t > 0, got {t}")
+    if src.psi_sq == 0.0 and dst.psi_sq == 0.0:
+        return TransportResult(coords=v, scale=1.0, dst_slope=float(dst.grad.dot(v)))
     delta = src.theta - dst.theta
-    if not np.count_nonzero(delta):
-        raise DegenerateStep("transport endpoints coincide")
     delta_f = src.value - dst.value
     corr = (float(delta.dot(dst.grad)) - delta_f) * (dst.psi_sq / dst.w_sq)
     # Dividing by -t rather than negating the vector saves a pass; division

@@ -1,15 +1,15 @@
-"""Watch a CG run through the geometry its driver builds.
+"""Watch a CG run through the points and jets its loop builds.
 
-run_rcg and run_euclidean_cg look up warpcg.rcg._WarpedGeometry and
-warpcg.baseline._FlatGeometry when they are called. recorded() swaps each
-for a subclass that logs every point and jet the loop asks for, calls the
-public driver, and puts the classes back. A run keeps no search curve and
-counts no cache build itself, so this log is where tests find them.
+Both drivers run warpcg.rcg._run_cg, which looks up build_cache and _jet in
+warpcg.rcg's globals when it calls them. recorded() wraps those two
+bindings with functions that log every point and jet the loop asks for,
+calls the public driver, and puts the bindings back, as the benchmark's
+spans do. A run keeps no search curve and counts no cache build itself, so
+this log is where tests find them.
 """
 
 from __future__ import annotations
 
-import warpcg.baseline
 import warpcg.rcg
 from warpcg.geometry import FLAT_WARP
 
@@ -75,37 +75,25 @@ class Recording:
         return len(self.failed_starts())
 
 
-def _logged(base, recordings: list[Recording]):
-    class Logged(base):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.recording = Recording()
-            recordings.append(self.recording)
-
-        def point(self, theta, value, grad):
-            point = super().point(theta, value, grad)
-            self.recording.calls.append(("point", point))
-            return point
-
-        def jet(self, point, v):
-            jet = super().jet(point, v)
-            self.recording.calls.append(("jet", jet))
-            return jet
-
-    return Logged
-
-
 def recorded(driver, *args, **kwargs):
     """Call driver (run_rcg or run_euclidean_cg) and return its result with
-    the Recording of the geometry it built."""
-    recordings: list[Recording] = []
-    warped, flat = warpcg.rcg._WarpedGeometry, warpcg.baseline._FlatGeometry
-    warpcg.rcg._WarpedGeometry = _logged(warped, recordings)
-    warpcg.baseline._FlatGeometry = _logged(flat, recordings)
+    the Recording of the points and jets its loop built."""
+    recording = Recording()
+    build_cache, jet = warpcg.rcg.build_cache, warpcg.rcg._jet
+
+    def logged(kind, fn):
+        def call(*call_args):
+            out = fn(*call_args)
+            recording.calls.append((kind, out))
+            return out
+
+        return call
+
+    warpcg.rcg.build_cache = logged("point", build_cache)
+    warpcg.rcg._jet = logged("jet", jet)
     try:
         result = driver(*args, **kwargs)
     finally:
-        warpcg.rcg._WarpedGeometry = warped
-        warpcg.baseline._FlatGeometry = flat
-    (recording,) = recordings
+        warpcg.rcg.build_cache = build_cache
+        warpcg.rcg._jet = jet
     return result, recording

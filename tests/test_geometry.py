@@ -408,10 +408,18 @@ class TestTaylorCoefficients:
             assert np.linalg.norm(jet.curv[1] - k) <= 1e-6 * np.linalg.norm(k)
 
     def test_critical_point_gives_straight_line(self):
-        # At g = 0 the warp psi^2 ||g||^2 is 0, so the jet is the straight ray.
-        c = cache_at(Bowl(), WarpConfig(1.0), np.zeros(2))
-        jet = taylor_coefficients(Bowl(), WarpConfig(1.0), c, np.array([0.3, 0.8]))
-        assert jet.curv is None
+        # The jet has no straight-ray gate of its own (the CG loop's _jet
+        # takes the ray where psi^2 ||g||^2 = 0): at g = 0 it pays the four
+        # hvps, and on a quadratic its H g pair cancels exactly, so every
+        # term of the block carries a factor of g or of that pair. The curve
+        # is the straight line, carried as an all-zero block.
+        counted = CountingObjective(Bowl())
+        c = cache_at(counted, WarpConfig(1.0), np.zeros(2))
+        n_hvp = counted.n_hvp
+        jet = taylor_coefficients(counted, WarpConfig(1.0), c, np.array([0.3, 0.8]))
+        assert jet.curv.shape == (2, 2)
+        assert not jet.curv.any()
+        assert counted.n_hvp == n_hvp + 4
 
     @pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
     def test_zero_direction_gives_a_zero_block(self, name):

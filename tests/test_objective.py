@@ -245,15 +245,16 @@ def _nan_flat_gradient(dim, bad):
 
 
 def _overflowing_transport(dim, bad):
-    # With zero gradients the transport is the plain secant -(src - dst) / t,
-    # so a 1e300 displacement over t = 1e-300 overflows exactly entries bad:.
-    def flat_cache(theta):
-        return build_cache(WarpConfig(), theta, 0.0, np.zeros(dim))
-
+    # With a zero gradient at dst the transport is the plain secant
+    # -(src - dst) / t, so a 1e300 displacement over t = 1e-300 overflows
+    # exactly entries bad:. src's non-zero gradient gives it psi^2 > 0, which
+    # keeps the pair off the identity-metric shortcut.
     src = np.zeros(dim)
     src[bad:] = 1e300
+    src_cache = build_cache(WarpConfig(), src, 0.0, np.ones(dim))
+    dst_cache = build_cache(WarpConfig(), np.zeros(dim), 0.0, np.zeros(dim))
     with np.errstate(over="ignore"):
-        vector_transport(flat_cache(src), flat_cache(np.zeros(dim)), np.ones(dim), 1e-300, 0.0)
+        vector_transport(src_cache, dst_cache, np.ones(dim), 1e-300, 0.0)
 
 
 def _inf_normal_vector(dim, bad):

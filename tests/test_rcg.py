@@ -24,7 +24,13 @@ from warpcg import (
 )
 import warpcg.rcg
 from warpcg.errors import DegenerateStep, LineSearchFail, NumericalBreakdown
-from warpcg.geometry import FLAT_WARP, GeodesicJet, GeometryCache, riemannian_gradient
+from warpcg.geometry import (
+    FLAT_WARP,
+    GeodesicJet,
+    GeometryCache,
+    build_cache,
+    riemannian_gradient,
+)
 from warpcg.linesearch import WolfeResult
 from warpcg.objective import CountingObjective
 from warpcg.rcg import IterationTrace, dy_beta
@@ -36,8 +42,8 @@ def reconcile(result, recording):
     """Total hvp calls must equal the trace rows' sum plus each failed
     line-search attempt's jet, which no step accepted: four hvps when its
     start point has psi^2 ||grad||^2 >= FLAT_WARP, none below it; a cache
-    build calls none. The flat geometry's points have psi^2 = 0, so it
-    calls no hvp."""
+    build calls none. The flat driver's points have psi^2 = 0, so it calls
+    no hvp."""
     from_rows = sum(row.n_hvp for row in result.trace)
     outside_rows = sum(jet_hvps(start) for start in recording.failed_starts())
     return (recording.failed_jets() == result.failed_attempts
@@ -289,8 +295,9 @@ class TestFirstTrial:
     )
     def test_clamp_and_fallback(self, run, t_factor, t_init, monkeypatch):
         # No natural run reaches these: the first search's t is scaled
-        # before the loop sees it. The warped transport divides by t, so it
-        # is made degenerate, which leaves beta 0.
+        # before the loop sees it. The secant transport divides by t, so the
+        # loop's transport, which both drivers call, is made degenerate,
+        # which leaves beta 0.
         def degenerate(*args):
             raise DegenerateStep("forced")
 
@@ -406,13 +413,22 @@ class TestTraceAccounting:
 
 
 class TestFlatWarpGate:
-    """The warped geometry's jet is the straight ray, with no hvp, where
+    """The loop's search curve is the straight ray, with no hvp, where
     psi^2 ||grad||^2 = W^2 - 1 is below FLAT_WARP, and the full jet
     elsewhere."""
 
     @staticmethod
-    def geometry(problem, warp):
-        return warpcg.rcg._WarpedGeometry(CountingObjective(problem), warp)
+    def count_jets(monkeypatch):
+        """Log each call to the loop's taylor_coefficients."""
+        real = warpcg.rcg.taylor_coefficients
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(warpcg.rcg, "taylor_coefficients", counted)
+        return calls
 
     @staticmethod
     def point(psi_sq, grad_sq):
@@ -422,42 +438,79 @@ class TestFlatWarpGate:
                              psi_sq=psi_sq, w_sq=1.0 + psi_sq * grad_sq)
 
     def test_small_warp_is_the_straight_ray(self):
-        geometry = self.geometry(QuadraticProblem(3), WarpConfig())
+        obj = CountingObjective(QuadraticProblem(3))
         point = self.point(np.nextafter(FLAT_WARP, 0.0), 1.0)
         v = riemannian_gradient(point)
-        jet = geometry.jet(point, v)
-        assert jet.curv is None and geometry.obj.n_hvp == 0
+        jet = warpcg.rcg._jet(obj, WarpConfig(), point, v)
+        assert jet.curv is None and obj.n_hvp == 0
         assert jet.theta is point.theta and jet.v is v
 
+    def test_critical_point_is_the_straight_ray(self):
+        # At g = 0 the warp psi^2 ||g||^2 is 0.
+        obj = CountingObjective(QuadraticProblem(3))
+        point = self.point(0.0, 0.0)
+        jet = warpcg.rcg._jet(obj, WarpConfig(), point, np.array([0.3, 0.8, -0.5]))
+        assert jet.curv is None and obj.n_hvp == 0
+
     def test_warp_at_the_threshold_gets_the_full_jet(self):
-        geometry = self.geometry(QuadraticProblem(3), WarpConfig())
+        obj = CountingObjective(QuadraticProblem(3))
         point = self.point(FLAT_WARP, 1.0)
-        jet = geometry.jet(point, riemannian_gradient(point))
-        assert jet.curv is not None and geometry.obj.n_hvp == 4
+        jet = warpcg.rcg._jet(obj, WarpConfig(), point, riemannian_gradient(point))
+        assert jet.curv is not None and obj.n_hvp == 4
 
     def test_small_psi_sq_with_a_large_gradient_keeps_its_curvature(self):
         # psi^2 is below 1e-10, but with ||grad||^2 near 7e8 the warp
         # psi^2 ||grad||^2 is 5e-3: the curved part at a unit step is 0.6 %
         # of the straight part, far above rounding, so psi^2 alone cannot
         # be the gate.
-        problem = QuadraticProblem(3)
-        geometry = self.geometry(problem, WarpConfig(sigma_sq=1e20))
+        obj = CountingObjective(QuadraticProblem(3))
+        warp = WarpConfig(sigma_sq=1e20)
         theta = np.full(3, 1e4)
-        point = geometry.point(theta, problem.value(theta), problem.grad(theta))
+        point = build_cache(warp, theta, obj.value(theta), obj.grad(theta))
         assert point.psi_sq < 1e-10 and point.psi_sq * point.grad_sq > 1e-3
         v = riemannian_gradient(point)
-        jet = geometry.jet(point, v)
-        assert jet.curv is not None and geometry.obj.n_hvp == 4
+        jet = warpcg.rcg._jet(obj, warp, point, v)
+        assert jet.curv is not None and obj.n_hvp == 4
         curved = np.array([0.5, 1.0 / 6.0]) @ jet.curv
         assert np.linalg.norm(curved) > 1e-3 * np.linalg.norm(v)
 
     def test_nan_warp_takes_the_full_jet(self):
         # A NaN psi^2 ||grad||^2 fails the gate's test, so the full jet
         # spends its four hvps and its non-finite coefficients raise.
-        geometry = self.geometry(QuadraticProblem(3), WarpConfig())
+        obj = CountingObjective(QuadraticProblem(3))
         with pytest.raises(NumericalBreakdown):
-            geometry.jet(self.point(math.nan, 1.0), np.ones(3))
-        assert geometry.obj.n_hvp == 4
+            warpcg.rcg._jet(obj, WarpConfig(), self.point(math.nan, 1.0), np.ones(3))
+        assert obj.n_hvp == 4
+
+    def test_flat_solve_never_builds_a_jet_of_its_own(self, monkeypatch):
+        # Every point of the identity metric passes the gate, so a flat
+        # solve calls taylor_coefficients not once and records straight
+        # rays alone.
+        calls = self.count_jets(monkeypatch)
+        res, recording = recorded(run_euclidean_cg, make_problem("rosenbrock", 10),
+                                  initial_point("rosenbrock", 10),
+                                  cfg=RcgConfig(tol_df=0.0, max_iters=50))
+        jets = [obj for kind, obj in recording.calls if kind == "jet"]
+        assert len(jets) >= res.iterations > 0
+        assert all(jet.curv is None for jet in jets)
+        assert calls == []
+
+    def test_warped_solve_builds_a_jet_where_the_warp_reaches_rounding(self, monkeypatch):
+        calls = self.count_jets(monkeypatch)
+        res, recording = recorded(run_rcg, SquiggleProblem(10), initial_point("squiggle", 10),
+                                  cfg=RcgConfig(tol_df=0.0, max_iters=200))
+        assert res.iterations > 0
+        # Each jet with the point built last before it, the point it left.
+        start, jets = None, []
+        for kind, obj in recording.calls:
+            if kind == "point":
+                start = obj
+            else:
+                jets.append((start, obj))
+        above = [jet for start, jet in jets if jet_hvps(start)]
+        assert 0 < len(above) < len(jets)
+        assert len(calls) == len(above)
+        assert all((jet.curv is None) == (jet_hvps(start) == 0) for start, jet in jets)
 
 
 @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])

@@ -9,6 +9,7 @@ from warpcg.errors import DegenerateStep
 from warpcg.geometry import (
     GeodesicJet,
     GeometryCache,
+    build_cache,
     taylor_coefficients,
 )
 from oracle import cache_at, metric_norm, project_to_tangent, transport_by_projection
@@ -244,3 +245,42 @@ class TestVectorTransport:
         dst = cache_at(0.0, 0.0)
         with pytest.raises(DegenerateStep):
             vector_transport(src, dst, np.array([1.0]), 1.0, float(src.grad @ np.array([1.0])))
+
+
+class TestIdentityMetricTransport:
+    """Between two points of the identity metric (psi^2 = 0 at both) the
+    transport is v itself; a warped endpoint keeps the secant form."""
+
+    def setup_method(self):
+        self.sq = SquiggleProblem(5)
+        rng = np.random.default_rng(9)
+        self.theta = rng.standard_normal(5)
+        self.v = rng.standard_normal(5)
+        self.t = 0.6
+
+    def flat_point(self, theta):
+        return build_cache(None, theta, self.sq.value(theta), self.sq.grad(theta))
+
+    def test_is_the_identity(self):
+        src, dst = self.flat_point(self.theta), self.flat_point(self.theta + self.t * self.v)
+        res = vector_transport(src, dst, self.v, self.t, float(src.grad @ self.v))
+        assert res.coords is self.v
+        assert res.scale == 1.0
+        assert res.dst_slope == float(dst.grad.dot(self.v))
+
+    def test_rejects_nonpositive_step(self):
+        src, dst = self.flat_point(self.theta), self.flat_point(self.theta + self.t * self.v)
+        for t in (0.0, -1.0, np.nan):
+            with pytest.raises(DegenerateStep):
+                vector_transport(src, dst, self.v, t, float(src.grad @ self.v))
+
+    def test_warped_source_keeps_the_secant_form(self):
+        # dst's psi^2 = 0 zeroes the secant's correction, so the coords are
+        # the plain chart secant (dst - src) / t to the bit.
+        src = cache_at(self.sq, WarpConfig(1.0), self.theta)
+        dst = self.flat_point(self.theta + self.t * self.v)
+        assert src.psi_sq > 0.0 and dst.psi_sq == 0.0
+        res = vector_transport(src, dst, self.v, self.t, float(src.grad @ self.v))
+        assert res.coords is not self.v
+        np.testing.assert_array_equal(res.coords, (dst.theta - src.theta) / self.t)
+        assert res.scale == min(1.0, metric_norm(src, self.v) / metric_norm(dst, res.coords))

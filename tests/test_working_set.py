@@ -38,6 +38,7 @@ def test_every_line_parses_and_no_span_peaks_above_its_run():
         assert run > 0
         for span, peak in by_span.items():
             assert peak is None or 0 < peak <= run, (driver, span, peak, run)
-    # The warped driver calls every span; the flat one only the line search.
+    # The warped driver calls every span; the flat one every span but the
+    # jet, since each of its points passes the straight-ray gate.
     assert None not in peaks["run_rcg"].values()
-    assert [s for s, p in peaks["run_euclidean_cg"].items() if p is not None] == ["strong_wolfe"]
+    assert [s for s, p in peaks["run_euclidean_cg"].items() if p is None] == ["taylor_coefficients"]

@@ -17,8 +17,11 @@ Span ``run`` is the whole run. The others are the peaks inside
 ``build_cache``, ``taylor_coefficients``, ``strong_wolfe`` and
 ``vector_transport``, counting what the caller holds as well. They are
 measured by wrapping each function at its ``warpcg.rcg`` binding, as the
-benchmark's spans do, and the bindings are restored afterwards. A span the
-driver never calls prints ``-`` and 0 calls. After its traced run each
+benchmark's spans do, and the bindings are restored afterwards. Both drivers
+run the one CG loop, so both call each span but for one: the flat driver's
+points all pass the straight-ray gate, so it never calls
+``taylor_coefficients``. A span the driver never calls prints ``-`` and 0
+calls. After its traced run each
 driver runs three more times, untraced, on the same problem and start, and
 prints
 

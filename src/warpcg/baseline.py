@@ -6,16 +6,17 @@ None: its points are geometry caches with psi^2 = 0 and W^2 = 1, built
 from the value and gradient the loop already holds. At such points the
 loop's own rules give straight rays for search curves and the identity,
 with scale 1, for transport, and no hvp is ever called. Wolfe search,
-Dai-Yuan coefficient, sign policy, trace schema and stop reasons are
-therefore the warped driver's own. It gives experiments a like-for-like
-flat-space reference.
+Dai-Yuan coefficient, sign policy, trace schema, restart rule, call
+counting and stop reasons are therefore the warped driver's own: both
+drivers are one call to rcg._run_cg, which counts the objective's calls
+itself. It gives experiments a like-for-like flat-space reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .objective import CountingObjective, Objective
+from .objective import Objective
 from .rcg import RcgConfig, RcgResult, _run_cg
 
 # Not called here; perfbench/spans.py reports a layer absent unless both names are bound.
@@ -35,5 +36,4 @@ def run_euclidean_cg(
     Returns the same result/trace types as the warped driver; the two
     gradient-norm columns coincide since the metric is the identity.
     """
-    counting = CountingObjective(obj)
-    return _run_cg(counting, None, theta0, cfg or RcgConfig())
+    return _run_cg(obj, None, theta0, cfg)

@@ -48,10 +48,9 @@ METHOD_NAMES = ("rcg", "euclid_cg")
 #: The configs whose fields are the numeric flags, in flag order.
 _CONFIGS = (WarpConfig, RcgConfig)
 
-#: Pinned trace CSV schema: each column and the IterationTrace field it
-#: holds. Column order is part of the file format.
+#: Pinned trace CSV schema: after the row's index, "iter", each column and
+#: the IterationTrace field it holds. Column order is part of the file format.
 _TRACE_FIELDS = {
-    "iter": "k",
     "f": "f",
     "grad_norm_riem": "grad_norm_riem",
     "grad_norm_eucl": "grad_norm_eucl",
@@ -62,7 +61,7 @@ _TRACE_FIELDS = {
     "wall_ns": "wall_ns",
     "restart": "restart",
 }
-TRACE_COLUMNS = tuple(_TRACE_FIELDS)
+TRACE_COLUMNS = ("iter", *_TRACE_FIELDS)
 
 
 def _write_trace(path: Path, trace: list[IterationTrace]) -> None:
@@ -70,7 +69,8 @@ def _write_trace(path: Path, trace: list[IterationTrace]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        writer.writerows(map(attrgetter(*_TRACE_FIELDS.values()), trace))
+        row_fields = attrgetter(*_TRACE_FIELDS.values())
+        writer.writerows((k, *row_fields(row)) for k, row in enumerate(trace))
 
 
 def execute(

@@ -54,16 +54,23 @@ class Objective(ABC):
     Subclasses must provide ``value`` and ``grad``; ``hvp`` is optional. An
     ``hvp`` that raises NotImplementedError, as the inherited one does,
     selects the central-difference fallback, so a wrapper forwards ``hvp``
-    and nothing more. ``dim`` must
-    be a positive integer (a zero-dimensional domain is rejected here so
-    that no downstream code needs to guard against it).
+    and nothing more. ``dim`` must be an integer of at least ``min_dim``: 1
+    here, so that no downstream code guards against a zero-dimensional
+    domain, and more where a subclass raises it.
     """
 
+    min_dim = 1
+
     def __init__(self, dim: int):
+        self.dim = self.check_dim(dim)
+
+    @classmethod
+    def check_dim(cls, dim) -> int:
+        """dim as an int, or ValueError if the objective has no such dimension."""
         dim = as_integer("dim", dim)
-        if dim < 1:
-            raise ValueError(f"objective dimension must be >= 1, got {dim}")
-        self.dim = dim
+        if dim < cls.min_dim:
+            raise ValueError(f"{cls.__name__} needs dim >= {cls.min_dim}, got {dim}")
+        return dim
 
     @abstractmethod
     def value(self, theta: np.ndarray) -> float:
@@ -120,12 +127,8 @@ def hvp_or_fallback(obj: Objective, theta: np.ndarray, v: np.ndarray) -> np.ndar
 
 class CountingObjective(Objective):
     """Transparent wrapper that counts value/grad/hvp calls in its three
-    ints n_value, n_grad and n_hvp.
-
-    The optimizer drivers wrap their objective in one of these so per
-    iteration call budgets can be recorded in the trace and asserted in
-    tests.
-    """
+    ints n_value, n_grad and n_hvp. The CG loop, rcg._run_cg, wraps its
+    objective in one and reads each trace row's counts from it."""
 
     def __init__(self, inner: Objective):
         super().__init__(inner.dim)

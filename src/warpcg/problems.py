@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .objective import Objective, as_integer
+from .objective import Objective
 
 __all__ = [
     "SquiggleProblem",
@@ -121,10 +121,7 @@ class RosenbrockProblem(Objective):
     Hessian is tridiagonal, so the hvp is a three-band stencil, O(dim).
     """
 
-    def __init__(self, dim: int):
-        if dim < 2:
-            raise ValueError(f"rosenbrock needs dim >= 2, got {dim}")
-        super().__init__(dim)
+    min_dim = 2
 
     # Each method computes the textbook expression's operations in its
     # order, but into its output and one (dim-1)-long scratch, recomputing
@@ -253,9 +250,9 @@ def make_problem(name: str, dim: int) -> Objective:
 def initial_point(name: str, dim: int) -> np.ndarray:
     """Canonical start for each benchmark: alternating-sign points far from
     the maximizer (amplitude 10 for squiggle, 5 for rosenbrock, 1/2 for the
-    quadratic)."""
-    _, amplitude = _entry(name)
-    signs = np.where(np.arange(as_integer("dim", dim)) % 2 == 0, -1.0, 1.0)
+    quadratic). A dimension make_problem rejects raises its ValueError."""
+    cls, amplitude = _entry(name)
+    signs = np.where(np.arange(cls.check_dim(dim)) % 2 == 0, -1.0, 1.0)
     return amplitude * signs
 
 

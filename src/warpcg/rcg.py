@@ -23,14 +23,15 @@ The conjugacy coefficient follows the Dai-Yuan quotient: new squared
 Riemannian gradient norm over the slope gain along the (transported)
 direction. In ascent form with Wolfe curvature the quotient is negative and
 the update subtracts beta times the transported direction; a positive value
-signals loss of conjugacy and is clamped to zero, which restarts the
-direction to steepest ascent. A search may spend linesearch.MAX_EVALS
-evaluations. A direction that lost ascent (a slope that is not finite or
-not positive) or whose search failed restarts to steepest ascent. Along
-steepest ascent that stops the run, since repeating that deterministic
-search would fail the same way: a failed search on LINE_SEARCH_FAIL and a
-slope <= 0 on SMALL_GRAD. The steepest slope ||grad||^2 / W^2 is finite,
-since geometry.build_cache raises for a point whose ||grad||^2 is not.
+signals loss of conjugacy and is clamped to zero. A search may spend
+linesearch.MAX_EVALS evaluations. A direction that lost ascent (a slope
+not finite or not positive) or whose search failed is retried along
+steepest ascent, where that stops the run, since the same search would
+fail again: a failed search on LINE_SEARCH_FAIL, a slope <= 0 on
+SMALL_GRAD. The steepest slope ||grad||^2 / W^2 is finite, since
+build_cache raises for a point whose ||grad||^2 is not. A trace row
+records a restart when its search was a retry or its beta is 0, which
+makes the next direction steepest ascent.
 
 A search's first trial step is 1.0 until a step is accepted, then the last
 accepted step's first-order gain t * slope0 over the new slope0 (Nocedal &
@@ -112,14 +113,13 @@ class RcgConfig:
 @dataclass(eq=False, slots=True)
 class IterationTrace:
     """One accepted iteration, held as scalars so a trace costs O(1) memory
-    per row: no point or search curve is kept. The n_* fields count the
-    objective calls of this row's jet and line search, and wall_ns its time;
-    a retry row's exclude the failed attempt before it. restart is 1 on two
-    kinds of row: one whose search ran along steepest ascent after a failed
-    search or a lost ascent, and one whose beta was clamped or degenerate,
+    per row: no point or search curve is kept. A row's index in the trace is
+    its iteration number. ls_evals counts its line-search evaluations, its
+    only value calls; n_grad and n_hvp count its gradient and hvp calls and
+    wall_ns its time, a retry row's without the failed attempt before it.
+    restart is 1 when the search was a steepest-ascent retry or beta is 0,
     so that the next direction is steepest ascent."""
 
-    k: int
     f: float
     grad_norm_riem: float
     grad_norm_eucl: float
@@ -129,7 +129,6 @@ class IterationTrace:
     ls_evals: int
     wall_ns: int
     restart: int
-    n_value: int
     n_grad: int
     n_hvp: int
 
@@ -148,7 +147,6 @@ class RcgResult:
     theta: np.ndarray
     value: float
     stop_reason: StopReason
-    iterations: int
     grad_norm_riem: float
     grad_norm_eucl: float
     trace: list[IterationTrace]
@@ -156,6 +154,11 @@ class RcgResult:
     n_grad: int
     n_hvp: int
     failed_attempts: int
+
+    @property
+    def iterations(self) -> int:
+        """The accepted iterations: one trace row each."""
+        return len(self.trace)
 
 
 def dy_beta(dst: GeometryCache, transported: TransportResult, slope: float) -> float:
@@ -206,21 +209,22 @@ def run_rcg(
     stop_reason reports it and the result carries the last good iterate.
     Argument validation errors (shapes, config ranges) do raise.
     """
-    counting = CountingObjective(obj)
-    return _run_cg(counting, warp or WarpConfig(), theta0, cfg or RcgConfig())
+    return _run_cg(obj, warp or WarpConfig(), theta0, cfg)
 
 
 def _run_cg(
-    counting: CountingObjective, warp: WarpConfig | None, theta0: np.ndarray, cfg: RcgConfig
+    obj: Objective, warp: WarpConfig | None, theta0: np.ndarray, cfg: RcgConfig | None
 ) -> RcgResult:
     """The CG ascent loop of both drivers, over the warped metric of warp or,
-    for warp None, the identity metric. A point is the GeometryCache that
+    for warp None, the identity metric, under cfg or the default RcgConfig,
+    counting obj's calls itself. A point is the GeometryCache that
     build_cache makes from a value and gradient already evaluated: the
-    start's here, after theta0's shape check, and each accepted trial's.
-    The loop tells the two metrics apart only through its points: _jet's
-    straight-ray gate and vector_transport's identity-metric test read
-    them. Each jet dies by the end of its iteration, so a run holds O(dim)
-    memory."""
+    start's, after theta0's shape check, and each accepted trial's. The
+    loop tells the two metrics apart only through its points: _jet's
+    straight-ray gate and vector_transport's identity-metric test read them.
+    Each jet dies by the end of its iteration: a run holds O(dim) memory."""
+    counting = CountingObjective(obj)
+    cfg = cfg or RcgConfig()
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (counting.dim,):
         raise ValueError(f"theta must have shape ({counting.dim},), got {theta0.shape}")
@@ -230,9 +234,9 @@ def _run_cg(
     trace: list[IterationTrace] = []
     gain: float | None = None  # the last accepted step's t * slope0
     # steepest: v is the Riemannian gradient at cache, so a failed search
-    # along it has nothing to fall back on. restarted: this row's trace flag.
+    # along it has nothing to fall back on; retry: v replaced a failed one.
     steepest = True
-    restarted = 0
+    retry = False
     failed_attempts = 0
 
     while True:
@@ -244,7 +248,7 @@ def _run_cg(
             break
         wall_start = time.perf_counter_ns()
         # A row's counts are the differences of the counter's ints across it.
-        value_before, grad_before, hvp_before = counting.n_value, counting.n_grad, counting.n_hvp
+        grad_before, hvp_before = counting.n_grad, counting.n_hvp
 
         try:
             slope0 = float(cache.grad.dot(v))
@@ -273,8 +277,7 @@ def _run_cg(
                     stop = StopReason.SMALL_GRAD if slope0 <= 0.0 else StopReason.LINE_SEARCH_FAIL
                     break
                 v = riemannian_gradient(cache)
-                steepest = True
-                restarted = 1
+                steepest = retry = True
                 continue
 
             dst = build_cache(warp, ls.point, ls.value, ls.grad)
@@ -284,10 +287,8 @@ def _run_cg(
                 beta = dy_beta(dst, transported, slope0)
                 scale = transported.scale
             except DegenerateStep:
-                restarted = 1
+                pass  # beta stays 0, so the next direction is steepest ascent
             beta_used = min(beta, 0.0)
-            if beta_used != beta:
-                restarted = 1
             # riemannian_gradient returns a fresh array, so the next
             # direction is built inside it.
             v_next = riemannian_gradient(dst)
@@ -304,7 +305,6 @@ def _run_cg(
 
         trace.append(
             IterationTrace(
-                k=len(trace),
                 f=ls.value,
                 grad_norm_riem=dst.grad_norm_riem,
                 grad_norm_eucl=math.sqrt(dst.grad_sq),
@@ -313,13 +313,12 @@ def _run_cg(
                 s=scale,
                 ls_evals=ls.evals,
                 wall_ns=time.perf_counter_ns() - wall_start,
-                restart=restarted,
-                n_value=counting.n_value - value_before,
+                restart=int(retry or beta_used == 0.0),
                 n_grad=counting.n_grad - grad_before,
                 n_hvp=counting.n_hvp - hvp_before,
             )
         )
-        restarted = 0
+        retry = False
         steepest = beta_used == 0.0
 
         df = ls.value - cache.value
@@ -338,7 +337,6 @@ def _run_cg(
         theta=cache.theta,
         value=cache.value,
         stop_reason=stop,
-        iterations=len(trace),
         grad_norm_riem=cache.grad_norm_riem,
         grad_norm_eucl=math.sqrt(cache.grad_sq),
         trace=trace,

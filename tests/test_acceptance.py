@@ -360,14 +360,14 @@ def test_c08_wolfe_certification(capsys, squiggle_runs, rosenbrock_runs):
             for _, (problem, res, recording) in runs.items():
                 jets = recording.accepted_jets()
                 assert len(jets) == res.iterations
-                for jet, row in zip(jets, res.trace):
+                for i, (jet, row) in enumerate(zip(jets, res.trace)):
                     f0 = problem.value(jet.theta)
                     slope0 = float(
                         np.asarray(problem.grad(jet.theta), dtype=float) @ jet.v
                     )
                     value, slope, _, _ = directional_value_and_slope(problem, jet, row.t)
-                    assert value >= f0 + WOLFE_C1 * row.t * slope0, row.k
-                    assert abs(slope) <= WOLFE_C2 * slope0, row.k
+                    assert value >= f0 + WOLFE_C1 * row.t * slope0, i
+                    assert abs(slope) <= WOLFE_C2 * slope0, i
 
 
 def test_c09_budget(capsys, squiggle_runs, rosenbrock_runs):
@@ -385,9 +385,9 @@ def test_c09_budget(capsys, squiggle_runs, rosenbrock_runs):
                 assert len(builds) == len(res.trace)
                 starts = recording.accepted_starts()
                 assert {jet_hvps(p) for p in starts} == {0, 4}
-                for row, n_builds, start in zip(res.trace, builds, starts):
-                    assert row.n_hvp == jet_hvps(start), (row.k, row.n_hvp)
-                    assert n_builds == 1, (row.k, n_builds)
+                for i, (row, n_builds, start) in enumerate(zip(res.trace, builds, starts)):
+                    assert row.n_hvp == jet_hvps(start), (i, row.n_hvp)
+                    assert n_builds == 1, (i, n_builds)
                 from_rows = sum(row.n_hvp for row in res.trace)
                 failed = recording.failed_starts()
                 assert len(failed) == res.failed_attempts
@@ -404,13 +404,13 @@ def test_straight_rows_drop_curvature_below_rounding(squiggle_runs, rosenbrock_r
     for (runs, _), warp in ((squiggle_runs, SQUIGGLE_WARP), (rosenbrock_runs, ROSENBROCK_WARP)):
         for problem, res, recording in runs.values():
             rows = zip(res.trace, recording.accepted_starts(), recording.accepted_jets())
-            for row, start, jet in rows:
+            for i, (row, start, jet) in enumerate(rows):
                 if jet_hvps(start):
                     continue
-                assert jet.curv is None, row.k
+                assert jet.curv is None, i
                 q, k = exact_hessian_jet(problem, warp, start, jet.v)
                 curved = 0.5 * row.t * row.t * q + row.t ** 3 / 6.0 * k
-                assert np.linalg.norm(curved) < 2.0 ** -53 * row.t * np.linalg.norm(jet.v), row.k
+                assert np.linalg.norm(curved) < 2.0 ** -53 * row.t * np.linalg.norm(jet.v), i
                 straight += 1
     assert straight > 0
 

@@ -113,21 +113,21 @@ class TestTraceCsv:
         # Expected text is what the writer that repr()'d each float column
         # produced for these rows; csv's own float formatting must match it.
         rows = [
-            IterationTrace(k=0, f=float("nan"), grad_norm_riem=-0.0,
+            IterationTrace(f=float("nan"), grad_norm_riem=-0.0,
                            grad_norm_eucl=float("inf"), t=5e-324, beta=-float("inf"),
                            s=0.1, ls_evals=10**20, wall_ns=2**63, restart=1,
-                           n_value=1, n_grad=2, n_hvp=3),
-            IterationTrace(k=12345678901234567890, f=-1.7976931348623157e308,
+                           n_grad=2, n_hvp=3),
+            IterationTrace(f=-1.7976931348623157e308,
                            grad_norm_riem=2.2250738585072014e-308, grad_norm_eucl=1e16,
                            t=1.0, beta=-0.0, s=0.30000000000000004, ls_evals=0,
-                           wall_ns=-1, restart=0, n_value=0, n_grad=0, n_hvp=0),
+                           wall_ns=-1, restart=0, n_grad=0, n_hvp=0),
         ]
         path = tmp_path / "trace.csv"
         _write_trace(path, rows)
         assert path.read_bytes() == (
             b"iter,f,grad_norm_riem,grad_norm_eucl,t_k,beta_k,s_k,ls_evals,wall_ns,restart\r\n"
             b"0,nan,-0.0,inf,5e-324,-inf,0.1,100000000000000000000,9223372036854775808,1\r\n"
-            b"12345678901234567890,-1.7976931348623157e+308,2.2250738585072014e-308,"
+            b"1,-1.7976931348623157e+308,2.2250738585072014e-308,"
             b"1e+16,1.0,-0.0,0.30000000000000004,0,-1,0\r\n"
         )
 

@@ -210,8 +210,9 @@ def test_fallback_route_counts_exactly(name, dim):
     # build calls no hvp, so an iteration spends 4 * 2 = 8 gradients beyond
     # its line search when its start point has psi^2 ||grad||^2 >= FLAT_WARP,
     # and none below it, where the jet is the straight ray; each run has
-    # rows of both kinds. A gradient returned as a list runs the same route
-    # to the same bits.
+    # rows of both kinds. Only the line search evaluates values, so the run's
+    # value count is the start's one plus its rows' search evaluations. A
+    # gradient returned as a list runs the same route to the same bits.
     recorded_runs = [
         recorded(
             run_rcg,
@@ -224,12 +225,13 @@ def test_fallback_route_counts_exactly(name, dim):
     for res, recording in recorded_runs:
         assert res.stop_reason is StopReason.SMALL_GRAD
         assert res.n_hvp == 0
+        assert res.failed_attempts == 0
+        assert res.n_value == 1 + sum(row.ls_evals for row in res.trace)
         assert recording.builds_per_step() == [1] * res.iterations
         starts = recording.accepted_starts()
         assert {jet_hvps(p) for p in starts} == {0, 4}
         for row, start in zip(res.trace, starts):
             assert row.n_hvp == 0
-            assert row.n_value == row.ls_evals
             assert row.n_grad == row.ls_evals + 2 * jet_hvps(start)
     runs = [res for res, _ in recorded_runs]
     assert runs[1].theta.tobytes() == runs[0].theta.tobytes()

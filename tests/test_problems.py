@@ -289,6 +289,17 @@ class TestFactoryAndStarts:
         assert make_problem(name, np.int64(3)).dim == 3
         assert initial_point(name, np.int32(3)).shape == (3,)
 
+    @pytest.mark.parametrize(
+        "name, dim", [("squiggle", 0), ("squiggle", -3), ("rosenbrock", 1), ("quadratic", 0)]
+    )
+    def test_dim_out_of_range_rejected(self, name, dim):
+        # A start is refused where its problem is, with the same message.
+        with pytest.raises(ValueError) as made:
+            make_problem(name, dim)
+        with pytest.raises(ValueError) as started:
+            initial_point(name, dim)
+        assert str(started.value) == str(made.value)
+
     def test_starts_are_far_from_answers(self):
         for name in PROBLEM_NAMES:
             problem = make_problem(name, 6)

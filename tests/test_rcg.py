@@ -222,6 +222,29 @@ class TestBetaPolicy:
             if row.beta == 0.0:
                 assert row.restart == 1
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg])
+    def test_zero_quotient_is_recorded_as_restart(self, run, zero, monkeypatch):
+        # A quotient of exactly +-0 leaves beta 0, so the next direction is
+        # steepest ascent, as after a clamp; the row records a restart too.
+        monkeypatch.setattr(warpcg.rcg, "dy_beta", lambda *args: zero)
+        res = run(SquiggleProblem(10), initial_point("squiggle", 10),
+                  cfg=RcgConfig(tol_df=0.0, max_iters=200))
+        assert res.iterations > 0
+        assert all(row.beta == 0.0 and row.restart == 1 for row in res.trace)
+
+    def test_every_zero_beta_row_restarts(self):
+        zero_rows = 0
+        for run in (run_rcg, run_euclidean_cg):
+            for name in ("squiggle", "rosenbrock", "quadratic"):
+                res = run(make_problem(name, 10), initial_point(name, 10),
+                          cfg=RcgConfig(tol_df=0.0, max_iters=2000))
+                for k, row in enumerate(res.trace):
+                    if row.beta == 0.0:
+                        assert row.restart == 1, (run.__name__, name, k)
+                        zero_rows += 1
+        assert zero_rows > 0
+
 
 class TestFirstTrial:
     """The t_init the loop hands each search: 1.0 until a step is accepted,
@@ -328,7 +351,6 @@ class TestTraceAccounting:
         sq = SquiggleProblem(10)
         res, recording = recorded(run_rcg, sq, initial_point("squiggle", 10),
                                   cfg=RcgConfig(tol_df=0.0, tol_grad=1e-6))
-        assert [row.k for row in res.trace] == list(range(res.iterations))
         assert recording.builds_per_step() == [1] * res.iterations
         # A row's jet costs four hvps from a start point with psi^2 ||grad||^2
         # >= FLAT_WARP and none below it; this run has rows of both kinds.
@@ -339,26 +361,30 @@ class TestTraceAccounting:
                 assert type(getattr(row, f.name)) in (int, float), f.name
             assert row.n_hvp == jet_hvps(start)
             assert row.ls_evals >= 1
-            assert row.n_value >= row.ls_evals
             assert row.wall_ns > 0
             assert 0.0 < row.s <= 1.0
             assert row.t > 0.0
+        assert res.failed_attempts == 0
+        assert res.n_value == 1 + sum(row.ls_evals for row in res.trace)
         assert reconcile(res, recording)
 
     @pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
     def test_rows_spend_search_evaluations_and_four_hvps(self, name):
         # On the analytic route the jet calls no value and no gradient, and
         # the accepted point's cache reuses its trial's, so every value and
-        # gradient of a row is a line-search evaluation. The jet's four hvps
+        # gradient of a row is a line-search evaluation: past the start's
+        # one, the run's values are its rows' ls_evals. The jet's four hvps
         # are spent only from a start point with psi^2 ||grad||^2 >=
         # FLAT_WARP; each run has rows of both kinds.
         res, recording = recorded(run_rcg, make_problem(name, 10), initial_point(name, 10),
                                   cfg=RcgConfig(tol_df=0.0, max_iters=200))
         assert res.iterations > 0
+        assert res.failed_attempts == 0
+        assert res.n_value == 1 + sum(row.ls_evals for row in res.trace)
         starts = recording.accepted_starts()
         assert {jet_hvps(p) for p in starts} == {0, 4}
         for row, start in zip(res.trace, starts, strict=True):
-            assert row.n_grad == row.n_value == row.ls_evals
+            assert row.n_grad == row.ls_evals
             assert row.n_hvp == jet_hvps(start)
 
     def test_jet_recording(self):
@@ -398,6 +424,10 @@ class TestTraceAccounting:
         assert res.iterations == 7
         assert res.failed_attempts == recording.failed_jets() == 1
         assert res.trace[1].beta != 0.0 and res.trace[2].restart == 1
+        # Every other row's flag follows its beta alone: the retry is row 2's.
+        for k, row in enumerate(res.trace):
+            if k != 2:
+                assert row.restart == int(row.beta == 0.0), k
         jets = recording.accepted_jets()
         assert len(jets) == res.iterations
         for k, jet in enumerate(jets):
@@ -405,10 +435,10 @@ class TestTraceAccounting:
         assert recording.builds_per_step() == [1] * res.iterations
         assert reconcile(res, recording)
         # The forced failure makes no evaluation of its own, so the failed
-        # attempt costs its jet alone: four hvps and no gradient. The start's
-        # cache costs one value and one gradient.
-        for field in ("n_value", "n_grad"):
-            assert getattr(res, field) == 1 + sum(getattr(row, field) for row in res.trace)
+        # attempt costs its jet alone: four hvps, no value and no gradient.
+        # The start's cache costs one value and one gradient.
+        assert res.n_value == 1 + sum(row.ls_evals for row in res.trace)
+        assert res.n_grad == 1 + sum(row.n_grad for row in res.trace)
         assert res.n_hvp == 4 + sum(row.n_hvp for row in res.trace)
 
 
@@ -613,10 +643,10 @@ def test_objective_outputs_and_start_stay_untouched(run, name, view):
     assert guarded.theta.tobytes() == plain.theta.tobytes()
     assert repr(guarded.value) == repr(plain.value)
     assert len(guarded.trace) == len(plain.trace) > 0
-    for a, b in zip(guarded.trace, plain.trace):
+    for k, (a, b) in enumerate(zip(guarded.trace, plain.trace)):
         for f in dataclasses.fields(a):
             if f.name != "wall_ns":
-                assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), (a.k, f.name)
+                assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), (k, f.name)
 
 
 class TestFailureHandling:

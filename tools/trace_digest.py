@@ -13,6 +13,8 @@ comma-separated list of integers. For each (workload, seed) it runs every
 solve of ``perfbench.workloads.build(workload, seed)`` and prints the
 trace row count and a sha256 over every ``RcgResult`` field, every
 ``IterationTrace`` field except ``wall_ns``, and the ``theta`` bytes.
+Only dataclass fields enter: ``RcgResult.iterations``, a property, enters
+as the trace's length, and a row's index as its place in the trace.
 Floats and arrays enter the hash as their raw IEEE bytes, so signed zeros
 count. Run it once on each of two trees and compare the lines.
 

@@ -208,15 +208,27 @@ class QuadraticProblem(Objective):
         self.curvatures = _per_dimension("curvatures", curvatures, dim, positive=True)
         self.center = _per_dimension("center", center, dim)
 
+    # Each method works in place only in arrays it made itself: value's
+    # difference and product, grad's and hvp's output. IEEE rounding is
+    # sign-symmetric, so -(a x) has the bits of (-a) x and no negated copy
+    # of the curvatures is kept; such a copy would also go stale if the
+    # caller changed the array it passed, which _per_dimension keeps as is
+    # when it is float already.
+
     def value(self, theta: np.ndarray) -> float:
         d = theta - self.center
-        return -0.5 * float(np.add.reduce(self.curvatures * d * d))
+        w = self.curvatures * d
+        w *= d
+        return -0.5 * float(np.add.reduce(w))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        return -self.curvatures * (theta - self.center)
+        out = theta - self.center
+        out *= self.curvatures
+        return np.negative(out, out=out)
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return -self.curvatures * np.asarray(v, dtype=float)
+        out = self.curvatures * np.asarray(v, dtype=float)
+        return np.negative(out, out=out)
 
     def maximizer(self) -> np.ndarray:
         return self.center.copy()

@@ -290,10 +290,17 @@ def _run_cg(
                 pass  # beta stays 0, so the next direction is steepest ascent
             beta_used = min(beta, 0.0)
             # riemannian_gradient returns a fresh array, so the next
-            # direction is built inside it.
+            # direction is built inside it. A secant transport built its
+            # coords itself, so they are scaled in place, which saves the
+            # row's last dim-vector; the identity transport's coords are v,
+            # which the jet still holds, so that product is a new array.
             v_next = riemannian_gradient(dst)
             if beta_used != 0.0:
-                v_next -= (beta_used * scale) * transported.coords
+                if transported.coords is v:
+                    v_next -= (beta_used * scale) * v
+                else:
+                    transported.coords *= beta_used * scale
+                    v_next -= transported.coords
             # The search was the jet's last use, but its q and k go only now:
             # freed before the new point's vectors exist, they topped glibc's
             # heap at d = 1e5, which returned those pages and faulted them

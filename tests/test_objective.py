@@ -203,6 +203,24 @@ class TestObjectiveContract:
 
 
 @pytest.mark.parametrize("dim", [2, 10])
+@pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
+def test_fallback_matches_central_difference_bitwise(name, dim):
+    # The fallback divides in a buffer of its own, but its bits are those of
+    # the central difference written out. That it writes into no gradient
+    # the objective returned is checked by
+    # test_rcg.py::test_objective_outputs_and_start_stay_untouched.
+    problem = make_problem(name, dim)
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        theta = rng.standard_normal(dim) * 10.0 ** rng.uniform(-2, 2)
+        v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+        r = fd_step(theta, v)
+        want = (problem.grad(theta + r * v) - problem.grad(theta - r * v)) / (2.0 * r)
+        got = hvp_or_fallback(GradOnlyView(problem), theta, v)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 10])
 @pytest.mark.parametrize("name", ["squiggle", "rosenbrock"])
 def test_fallback_route_counts_exactly(name, dim):
     # Every hvp goes through the fallback: the jet's four hvps are two

@@ -568,13 +568,13 @@ def test_default_run_memory_does_not_grow_with_iterations(run):
 
 
 @pytest.mark.parametrize(
-    "run, bound", [(run_rcg, 11), (run_euclidean_cg, 8)], ids=["run_rcg", "run_euclidean_cg"]
+    "run, bound", [(run_rcg, 10), (run_euclidean_cg, 8)], ids=["run_rcg", "run_euclidean_cg"]
 )
 def test_peak_working_set(run, bound):
     # Every dim-vector of the loop dies by the end of its use, so a run's
     # peak is a fixed count of vectors: the point's geometry, the direction
     # and the jet or trial being built. At d = 20 000 (below numpy's
-    # temporary-elision size) rcg peaks at 10 and the flat driver at 7 on
+    # temporary-elision size) rcg peaks at 9 and the flat driver at 7 on
     # both problems; with each iteration's jet, transport and bracket kept
     # alive they read 24 and 13-14, and with H g and the warp factor's
     # gradient held in each point rcg read 12.
@@ -590,6 +590,39 @@ def test_peak_working_set(run, bound):
             tracemalloc.stop()
         assert res.iterations == 5
         assert peak / theta0.nbytes <= bound, (name, peak / theta0.nbytes)
+
+
+@pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
+def test_no_driver_writes_into_an_array_it_has_handed_out(run, name, monkeypatch):
+    # A jet's theta, v and curv and a point's theta and grad can outlive
+    # the loop's own use of them (a caller that wraps _jet or build_cache,
+    # as tests/recording.py does, keeps every one), so the loop updates in
+    # place only arrays no jet or point holds. The identity transport,
+    # every flat row's, returns the jet's own v as its coords: a direction
+    # update that scaled those in place would fail here.
+    handed_out = []
+
+    def snapshotting(fn, fields):
+        def call(*args):
+            out = fn(*args)
+            for field in fields:
+                arr = getattr(out, field)
+                if arr is not None:
+                    handed_out.append((field, arr, arr.tobytes()))
+            return out
+
+        return call
+
+    monkeypatch.setattr(warpcg.rcg, "build_cache",
+                        snapshotting(warpcg.rcg.build_cache, ("theta", "grad")))
+    monkeypatch.setattr(warpcg.rcg, "_jet", snapshotting(warpcg.rcg._jet, ("theta", "v", "curv")))
+    res = run(make_problem(name, 10), initial_point(name, 10),
+              cfg=RcgConfig(max_iters=30, tol_df=0.0))
+    assert any(row.beta != 0.0 for row in res.trace)
+    assert {field for field, _, _ in handed_out} >= {"theta", "grad", "v"}
+    for k, (field, arr, before) in enumerate(handed_out):
+        assert arr.tobytes() == before, (k, field)
 
 
 def _frozen(x) -> np.ndarray:

@@ -118,14 +118,10 @@ def hvp_or_fallback(obj: Objective, theta: np.ndarray, v: np.ndarray) -> np.ndar
         if not v.any():
             return np.zeros_like(np.asarray(theta, dtype=float))
         r = fd_step(theta, v)
-        rv = r * v
-        g_hi = np.asarray(obj.grad(theta + rv), dtype=float)
-        g_lo = np.asarray(obj.grad(theta - rv), dtype=float)
-        # The difference is a fresh array, so it takes the division in
-        # place; the gradients are the objective's, which may keep them or
-        # return them read-only, so neither is written.
-        out = g_hi - g_lo
-        out /= 2.0 * r
+        out = (
+            np.asarray(obj.grad(theta + r * v), dtype=float)
+            - np.asarray(obj.grad(theta - r * v), dtype=float)
+        ) / (2.0 * r)
     return _check_finite(np.asarray(out, dtype=float), "hessian-vector product")
 
 

@@ -292,8 +292,10 @@ def _run_cg(
             # riemannian_gradient returns a fresh array, so the next
             # direction is built inside it. A secant transport built its
             # coords itself, so they are scaled in place, which saves the
-            # row's last dim-vector; the identity transport's coords are v,
-            # which the jet still holds, so that product is a new array.
+            # row's last dim-vector (transported is not read again, so its
+            # dst_slope need not follow); the identity transport's coords
+            # are v, which the jet still holds, so that product is a new
+            # array.
             v_next = riemannian_gradient(dst)
             if beta_used != 0.0:
                 if transported.coords is v:

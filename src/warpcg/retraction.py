@@ -102,7 +102,9 @@ def vector_transport(
     the caller already holds as the step's initial slope.
 
     Between two points of the identity metric (psi^2 = 0 at both) the
-    transport is the identity: coords is v itself and scale 1. Elsewhere it
+    transport is the identity: coords is v itself and scale 1, so a caller
+    may write into coords only when it is not v, where this function built
+    it as a fresh array. Elsewhere it
     uses the backward-secant form: the ambient displacement from dst back to
     src, metric-projected onto the destination tangent space and divided by
     -t. All geometric quantities are the destination's; the source

@@ -205,9 +205,8 @@ class TestObjectiveContract:
 @pytest.mark.parametrize("dim", [2, 10])
 @pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
 def test_fallback_matches_central_difference_bitwise(name, dim):
-    # The fallback divides in a buffer of its own, but its bits are those of
-    # the central difference written out. That it writes into no gradient
-    # the objective returned is checked by
+    # The fallback's bits are those of the central difference written out.
+    # That it writes into no gradient the objective returned is checked by
     # test_rcg.py::test_objective_outputs_and_start_stay_untouched.
     problem = make_problem(name, dim)
     rng = np.random.default_rng(dim)

@@ -1,21 +1,24 @@
 """Euclidean conjugate-gradient ascent baseline.
 
 The warped metric G = I + psi^2 grad grad^T is the identity wherever psi^2
-= 0, so the flat-space baseline is the warped driver's loop run with warp
-None: its points are geometry caches with psi^2 = 0 and W^2 = 1, built
-from the value and gradient the loop already holds. At such points the
-loop's own rules give straight rays for search curves and the identity,
-with scale 1, for transport, and no hvp is ever called. Wolfe search,
-Dai-Yuan coefficient, sign policy, trace schema, restart rule, call
-counting and stop reasons are therefore the warped driver's own: both
-drivers are one call to rcg._run_cg, which counts the objective's calls
-itself. It gives experiments a like-for-like flat-space reference.
+= 0, so the flat-space baseline is the warped driver's loop run at sigma^2
+= inf, where build_cache's points have psi^2 = 0 and W^2 = 1 exactly. At
+such points the loop's own rules give straight rays for search curves and
+the identity, with scale 1, for transport, and no hvp is ever called.
+Wolfe search, Dai-Yuan coefficient, sign policy, trace schema, restart
+rule, call counting and stop reasons are therefore the warped driver's
+own: both drivers are one call to rcg._run_cg, which counts the
+objective's calls itself. It gives experiments a like-for-like flat-space
+reference.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .geometry import WarpConfig
 from .objective import Objective
 from .rcg import RcgConfig, RcgResult, _run_cg
 
@@ -36,4 +39,4 @@ def run_euclidean_cg(
     Returns the same result/trace types as the warped driver; the two
     gradient-norm columns coincide since the metric is the identity.
     """
-    return _run_cg(obj, None, theta0, cfg)
+    return _run_cg(obj, WarpConfig(math.inf), theta0, cfg)

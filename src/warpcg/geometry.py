@@ -19,9 +19,9 @@ Hessian-vector product. The Hessian terms
 and sigma^2 enter only the geodesic jet, which takes the Hessian terms from
 its own probe pair and sigma^2 from its caller's WarpConfig. The CG loop
 asks for a jet only where the warp is at or above rounding (FLAT_WARP) and
-takes the straight ray below it. The Euclidean limit is a cache of the
-identity metric (psi^2 = 0, W^2 = 1), which is what the flat-space
-baseline's points are.
+takes the straight ray below it. The Euclidean metric is sigma^2 = inf,
+where the same formula gives psi^2 = 0 and W^2 = 1 exactly at every point;
+the flat-space baseline's points are those.
 """
 
 from __future__ import annotations
@@ -58,15 +58,15 @@ class WarpConfig:
     """Warp-strength parameter.
 
     sigma_sq is the crossover scale: gradients much smaller than sigma keep
-    the metric near-Euclidean, much larger ones saturate the warp. The
-    Euclidean limit is sigma_sq -> infinity.
+    the metric near-Euclidean, much larger ones saturate the warp.
+    sigma_sq = inf is the Euclidean metric; NaN, 0 and negatives fail.
     """
 
     sigma_sq: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.sigma_sq) or self.sigma_sq <= 0.0:
-            raise ValueError(f"sigma_sq must be finite and > 0, got {self.sigma_sq}")
+        if not (self.sigma_sq > 0.0):
+            raise ValueError(f"sigma_sq must be > 0, got {self.sigma_sq}")
 
 
 @dataclass(eq=False, slots=True)
@@ -82,9 +82,9 @@ class GeometryCache:
         grad: objective gradient, shape (dim,).
         grad_sq: ||grad||^2.
         psi_sq: warp factor ||grad||^2 / (sigma_sq + ||grad||^2), in
-            [0, 1); exactly 0 for the identity metric.
+            [0, 1); exactly 0 at sigma_sq = inf, the identity metric.
         w_sq: 1 + psi_sq ||grad||^2, the squared warped length of the graph
-            tangent along grad; exactly 1 for the identity metric.
+            tangent along grad; exactly 1 at sigma_sq = inf.
     """
 
     theta: np.ndarray
@@ -101,11 +101,11 @@ class GeometryCache:
 
 
 def build_cache(
-    warp: WarpConfig | None, theta: np.ndarray, value: float, grad: np.ndarray
+    warp: WarpConfig, theta: np.ndarray, value: float, grad: np.ndarray
 ) -> GeometryCache:
     """The warp geometry at theta from the objective's value and gradient
-    there, a float and a float array of theta's shape; warp=None is the
-    identity metric, with psi_sq = 0 and w_sq = 1 whatever the gradient.
+    there, a float and a float array of theta's shape. At sigma_sq = inf
+    it gives psi_sq = 0 and w_sq = 1 exactly, as ||grad||^2 is finite.
 
     It evaluates nothing. Raises NumericalBreakdown when the value or a
     gradient entry is not finite, or when the gradient's squared norm
@@ -119,12 +119,8 @@ def build_cache(
     if not math.isfinite(grad_sq):
         _check_finite(grad, "gradient")
         raise NumericalBreakdown("non-finite squared gradient norm")
-    if warp is None:
-        psi_sq = 0.0
-        w_sq = 1.0
-    else:
-        psi_sq = grad_sq / (warp.sigma_sq + grad_sq)
-        w_sq = 1.0 + psi_sq * grad_sq
+    psi_sq = grad_sq / (warp.sigma_sq + grad_sq)
+    w_sq = 1.0 + psi_sq * grad_sq
     return GeometryCache(
         theta=theta, value=value, grad=grad, grad_sq=grad_sq, psi_sq=psi_sq, w_sq=w_sq
     )
@@ -190,7 +186,9 @@ def taylor_coefficients(
 
     It always spends its four hvps; the CG loop takes the straight ray
     instead where the warp is below rounding (psi^2 ||grad||^2 < FLAT_WARP).
-    A zero v, which the loop never passes, gets a zero curv.
+    A zero v, which the loop never passes, gets a zero curv. sigma_sq must
+    be finite: at inf, c0 is inf / inf and it raises NumericalBreakdown;
+    the loop never calls it there, where psi^2 = 0 is below FLAT_WARP.
     """
     v = np.asarray(v, dtype=float)
     theta = cache.theta

@@ -115,8 +115,6 @@ def hvp_or_fallback(obj: Objective, theta: np.ndarray, v: np.ndarray) -> np.ndar
     try:
         out = obj.hvp(theta, v)
     except NotImplementedError:
-        if not v.any():
-            return np.zeros_like(np.asarray(theta, dtype=float))
         r = fd_step(theta, v)
         out = (
             np.asarray(obj.grad(theta + r * v), dtype=float)

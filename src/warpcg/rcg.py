@@ -33,15 +33,15 @@ build_cache raises for a point whose ||grad||^2 is not. A trace row
 records a restart when its search was a retry or its beta is 0, which
 makes the next direction steepest ascent.
 
-A search's first trial step is 1.0 until a step is accepted, then the last
-accepted step's first-order gain t * slope0 over the new slope0 (Nocedal &
-Wright, Numerical Optimization, section 3.5): 1.0 if that is not finite or
-not positive, clamped to [1e-12, 1e12]. A steepest-ascent retry keeps it.
+A search's first trial step is the last accepted step's first-order gain
+t * slope0 (NaN before the first) over the new slope0 (Nocedal & Wright,
+Numerical Optimization, section 3.5): 1.0 if that is not finite or not
+positive, clamped to [1e-12, 1e12]. A steepest-ascent retry keeps it.
 
-run_euclidean_cg in baseline.py runs the same loop with warp None, the
-identity metric that geometry.build_cache builds: psi^2 = 0 at every point,
-so every jet is the straight ray and every transport the identity. No code
-path asks which driver called.
+run_euclidean_cg in baseline.py runs the same loop at sigma^2 = inf, the
+Euclidean metric, where geometry.build_cache gives psi^2 = 0 at every
+point, so every jet is the straight ray and every transport the identity.
+No code path asks which driver called.
 """
 
 from __future__ import annotations
@@ -183,13 +183,13 @@ def dy_beta(dst: GeometryCache, transported: TransportResult, slope: float) -> f
 
 
 def _jet(
-    obj: Objective, warp: WarpConfig | None, point: GeometryCache, v: np.ndarray
+    obj: Objective, warp: WarpConfig, point: GeometryCache, v: np.ndarray
 ) -> GeodesicJet:
     """The search curve leaving point along v. Where the warp is below
     rounding (psi^2 ||grad||^2 < FLAT_WARP) it is the straight ray, with no
-    evaluation; every point of the identity metric (warp None) is. Elsewhere
-    it is taylor_coefficients' cubic jet, looked up in this module's globals
-    so the benchmark tracer's span sees it."""
+    evaluation; every point at sigma^2 = inf is. Elsewhere it is
+    taylor_coefficients' cubic jet, looked up in this module's globals so
+    the benchmark tracer's span sees it."""
     # The product, not w_sq - 1.0, which cancels to 0 far above rounding;
     # a NaN product fails the test and takes the full jet.
     if point.psi_sq * point.grad_sq < FLAT_WARP:
@@ -213,15 +213,15 @@ def run_rcg(
 
 
 def _run_cg(
-    obj: Objective, warp: WarpConfig | None, theta0: np.ndarray, cfg: RcgConfig | None
+    obj: Objective, warp: WarpConfig, theta0: np.ndarray, cfg: RcgConfig | None
 ) -> RcgResult:
-    """The CG ascent loop of both drivers, over the warped metric of warp or,
-    for warp None, the identity metric, under cfg or the default RcgConfig,
+    """The CG ascent loop of both drivers, over the metric of warp (the
+    Euclidean one at sigma^2 = inf), under cfg or the default RcgConfig,
     counting obj's calls itself. A point is the GeometryCache that
     build_cache makes from a value and gradient already evaluated: the
-    start's, after theta0's shape check, and each accepted trial's. The
-    loop tells the two metrics apart only through its points: _jet's
-    straight-ray gate and vector_transport's identity-metric test read them.
+    start's, after theta0's shape check, and each accepted trial's. Only
+    the points tell a flat geometry from a curved one: _jet's straight-ray
+    gate and vector_transport's identity-metric test read them.
     Each jet dies by the end of its iteration: a run holds O(dim) memory."""
     counting = CountingObjective(obj)
     cfg = cfg or RcgConfig()
@@ -232,7 +232,7 @@ def _run_cg(
     cache = build_cache(warp, theta0, value0, np.asarray(counting.grad(theta0), dtype=float))
     v = riemannian_gradient(cache)
     trace: list[IterationTrace] = []
-    gain: float | None = None  # the last accepted step's t * slope0
+    gain = math.nan  # the last accepted step's t * slope0
     # steepest: v is the Riemannian gradient at cache, so a failed search
     # along it has nothing to fall back on; retry: v replaced a failed one.
     steepest = True
@@ -255,7 +255,7 @@ def _run_cg(
             ls = None
             if math.isfinite(slope0) and slope0 > 0.0:
                 jet = _jet(counting, warp, cache, v)
-                t_init = 1.0 if gain is None else gain / slope0
+                t_init = gain / slope0
                 if not math.isfinite(t_init) or t_init <= 0.0:
                     t_init = 1.0
                 t_init = min(max(t_init, 1e-12), 1e12)

@@ -6,9 +6,9 @@ the curved part is one product with it and a straight ray, which has no
 curv, is theta + t v alone. Its inverse (in the first-order
 secant sense) yields the transport: the chart displacement between the two
 endpoints, metric-projected at the destination and divided by the step
-length. Between two points of the identity metric, which is what the
-flat-space baseline's points are, the transport is v itself, exactly; the
-secant form would reach it only up to the rounding of theta + t v.
+length. Between two points of the identity metric, which every point at
+sigma^2 = inf is, the transport is v itself, exactly; the secant form
+would reach it only up to the rounding of theta + t v.
 """
 
 from __future__ import annotations

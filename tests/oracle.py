@@ -89,7 +89,7 @@ class Bowl(Objective):
         return -np.asarray(v, dtype=float)
 
 
-def cache_at(obj: Objective, warp: WarpConfig | None, theta: np.ndarray) -> GeometryCache:
+def cache_at(obj: Objective, warp: WarpConfig, theta: np.ndarray) -> GeometryCache:
     """Evaluate obj's value and gradient at theta and build the geometry
     cache there, with the conversions a driver applies to its start."""
     theta = np.asarray(theta, dtype=float)

@@ -1,6 +1,9 @@
 """Flat-space conjugate-gradient baseline: classical CG behavior and schema
 parity with the warped driver."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,11 @@ from warpcg import (
     RosenbrockProblem,
     SquiggleProblem,
     StopReason,
+    WarpConfig,
     initial_point,
     make_problem,
     run_euclidean_cg,
+    run_rcg,
 )
 from warpcg.geometry import GeometryCache
 from warpcg.linesearch import C1, C2
@@ -108,6 +113,28 @@ class TestSchemaParity:
             assert type(point) is GeometryCache
             assert point.psi_sq == 0.0
             assert point.w_sq == 1.0
+
+    @pytest.mark.parametrize("dim", [2, 10])
+    @pytest.mark.parametrize("name", ["squiggle", "rosenbrock", "quadratic"])
+    def test_is_the_warped_driver_at_infinite_sigma(self, name, dim):
+        # sigma^2 = inf is the Euclidean metric: run_rcg there gives the
+        # flat driver's result field for field and row for row, up to the
+        # wall clock, with floats compared by their round-trip repr.
+        def fields(record):
+            out = {}
+            for f in dataclasses.fields(record):
+                if f.name not in ("trace", "wall_ns"):
+                    value = getattr(record, f.name)
+                    out[f.name] = repr(value.tolist() if isinstance(value, np.ndarray) else value)
+            return out
+
+        theta0 = initial_point(name, dim)
+        cfg = RcgConfig(tol_df=0.0, max_iters=500)
+        flat = run_euclidean_cg(make_problem(name, dim), theta0, cfg)
+        warped = run_rcg(make_problem(name, dim), theta0, WarpConfig(math.inf), cfg)
+        assert fields(warped) == fields(flat)
+        assert [fields(row) for row in warped.trace] == [fields(row) for row in flat.trace]
+        assert flat.iterations > 0 and flat.n_hvp == 0
 
     def test_value_calls_reconcile(self):
         # One evaluation at the start plus the line-search evaluations.

@@ -3,6 +3,7 @@ Runs go through main(argv) in-process."""
 
 import csv
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -71,6 +72,24 @@ class TestSingleRun:
         summary = json.loads(out)
         assert summary["method"] == "euclid_cg"
         assert summary["final_grad_norm_riem"] == summary["final_grad_norm_eucl"]
+
+    def test_infinite_sigma_is_the_euclid_method(self, capsys):
+        # sigma^2 = inf is the Euclidean metric, so rcg there runs the flat
+        # solve; the summary echoes it as JSON's non-standard Infinity.
+        code, out, _ = run_main(capsys, [
+            "--problem", "rosenbrock", "--dim", "3", "--method", "rcg", "--sigma-sq", "inf", *FAST,
+        ])
+        assert code == 0 and '"sigma_sq": Infinity' in out
+        warped = json.loads(out)
+        assert warped["config"]["sigma_sq"] == math.inf
+        code, out, _ = run_main(capsys, [
+            "--problem", "rosenbrock", "--dim", "3", "--method", "euclid_cg", *FAST,
+        ])
+        assert code == 0
+        flat = json.loads(out)
+        for key in ("iterations", "final_f", "n_value", "n_grad"):
+            assert warped[key] == flat[key], key
+        assert warped["n_hvp"] == flat["n_hvp"] == 0
 
     def test_exit_two_on_breakdown(self, capsys, monkeypatch):
         # Force a breakdown summary through the real printing/exit path.
@@ -183,6 +202,7 @@ class TestArgumentErrors:
         ["--problem", "quadratic", "--dim", "3", "--max-iters", "1e3"],
         ["--problem", "quadratic", "--dim", "3", "--no-such-flag"],
         *REMOVED_FLAGS,
+        ["--problem", "quadratic", "--dim", "3", "--sigma-sq", "nan"],
     ])
     def test_exit_one_with_stderr(self, capsys, argv):
         code, out, err = run_main(capsys, argv)

@@ -1,6 +1,8 @@
 """Warped-metric algebra: cache values, metric identities, projections,
 curvature scalars, and the geodesic jet."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ class TestWarpConfig:
         with pytest.raises(ValueError):
             WarpConfig(sigma_sq=-2.0)
         with pytest.raises(ValueError):
-            WarpConfig(sigma_sq=np.inf)
+            WarpConfig(sigma_sq=np.nan)
 
 
 class TestCacheValues:
@@ -75,6 +77,17 @@ class TestCacheValues:
         np.testing.assert_array_equal(riemannian_gradient(c), np.zeros(2))
         assert c.grad_norm_riem == 0.0
 
+    @pytest.mark.parametrize("grad", [[0.0, 0.0], [0.0, -1.0], [7e149, -7e149]],
+                             ids=["zero", "unit", "grad_sq_1e300"])
+    def test_infinite_sigma_is_the_identity_metric(self, grad):
+        # psi^2 = ||g||^2 / inf is 0 and W^2 = 1 + 0 ||g||^2 is 1, exactly,
+        # for every finite ||g||^2, up to its largest values.
+        grad = np.array(grad)
+        c = build_cache(WarpConfig(math.inf), np.ones(2), -1.0, grad)
+        assert c.psi_sq == 0.0 and c.w_sq == 1.0
+        assert c.grad_norm_riem == math.sqrt(c.grad_sq)
+        assert c.grad_sq == float(grad @ grad) < math.inf
+
     def test_flat_limit_large_sigma(self):
         c = cache_at(Bowl(), WarpConfig(1e12), np.array([1.0, 0.0]))
         assert c.psi_sq == pytest.approx(1e-12, rel=1e-6)
@@ -88,7 +101,7 @@ class TestOverflowingGradient:
     NaN. Both metrics refuse such a point, as they refuse a NaN gradient."""
 
     def test_both_point_builders_raise(self):
-        for warp in (WarpConfig(1.0), None):
+        for warp in (WarpConfig(1.0), WarpConfig(math.inf)):
             with np.errstate(over="ignore"), pytest.raises(NumericalBreakdown) as info:
                 build_cache(warp, np.zeros(2), 0.0, np.array([1e200, 1e200]))
             assert str(info.value) == "non-finite squared gradient norm"
@@ -435,6 +448,15 @@ class TestTaylorCoefficients:
         assert not jet.curv.any()
         assert (counted.n_hvp, counted.n_grad) == (n_hvp + 4, n_grad)
         np.testing.assert_array_equal(retract(jet, 0.7), c.theta)
+
+    def test_infinite_sigma_raises(self):
+        # At sigma^2 = inf the warp factor's gradient coefficient is
+        # inf / inf, so the coefficients are NaN; the CG loop's straight-ray
+        # gate keeps every point of that metric away from the jet.
+        counted = CountingObjective(SquiggleProblem(4))
+        c = cache_at(counted, WarpConfig(math.inf), np.array([1.0, -2.0, 0.5, 0.3]))
+        with pytest.raises(NumericalBreakdown):
+            taylor_coefficients(counted, WarpConfig(math.inf), c, riemannian_gradient(c))
 
     def test_budget_is_four_hvps_no_grads(self):
         counted = CountingObjective(SquiggleProblem(4))

@@ -20,22 +20,9 @@ from warpcg import (
 from warpcg.errors import NumericalBreakdown
 from warpcg.geometry import build_cache
 from warpcg.objective import FD_STEP, CountingObjective, _check_finite, fd_step, hvp_or_fallback
-from oracle import cache_at, central_diff_grad, normal_vector, third_directional_derivative
+from oracle import Bowl, cache_at, central_diff_grad, normal_vector, third_directional_derivative
 from recording import jet_hvps, recorded
 from warpcg.retraction import vector_transport
-
-
-class GradOnly(Objective):
-    """Concave quadratic exposing no analytic hvp."""
-
-    def __init__(self, dim=3):
-        super().__init__(dim)
-
-    def value(self, theta):
-        return -0.5 * float(theta @ theta)
-
-    def grad(self, theta):
-        return -np.asarray(theta, dtype=float)
 
 
 class Negated(Objective):
@@ -165,7 +152,7 @@ class TestFdStep:
 class TestObjectiveContract:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
-            GradOnly(dim=0)
+            Bowl(dim=0)
 
     def test_fallback_matches_analytic(self):
         rng = np.random.default_rng(11)
@@ -178,7 +165,8 @@ class TestObjectiveContract:
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
     def test_fallback_zero_direction(self):
-        out = hvp_or_fallback(GradOnly(), np.ones(3), np.zeros(3))
+        # Both probes are theta itself, so the central difference is 0.
+        out = hvp_or_fallback(GradOnlyView(Bowl(3)), np.ones(3), np.zeros(3))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_nan_hvp_raises_with_component(self):
@@ -377,7 +365,7 @@ class TestAdapters:
         np.testing.assert_array_equal(neg.hvp(theta, v), -rb.hvp(theta, v))
 
     def test_negated_without_hvp(self):
-        neg = Negated(GradOnly())
+        neg = Negated(GradOnlyView(Bowl(3)))
         with pytest.raises(NotImplementedError):
             neg.hvp(np.zeros(3), np.ones(3))
 

@@ -36,6 +36,7 @@ from warpcg.objective import CountingObjective
 from warpcg.rcg import IterationTrace, dy_beta
 from warpcg.retraction import TransportResult
 from recording import jet_hvps, recorded
+from test_objective import GradOnlyView
 
 
 def reconcile(result, recording):
@@ -475,6 +476,17 @@ class TestFlatWarpGate:
         assert jet.curv is None and obj.n_hvp == 0
         assert jet.theta is point.theta and jet.v is v
 
+    def test_infinite_sigma_is_the_straight_ray(self):
+        # At sigma^2 = inf psi^2 is 0 whatever the gradient, so even a
+        # point of large gradient takes the ray and spends no hvp.
+        obj = CountingObjective(QuadraticProblem(3))
+        theta = np.full(3, 1e4)
+        point = build_cache(WarpConfig(math.inf), theta, obj.value(theta), obj.grad(theta))
+        v = riemannian_gradient(point)
+        jet = warpcg.rcg._jet(obj, WarpConfig(math.inf), point, v)
+        assert jet.curv is None and obj.n_hvp == 0
+        assert jet.theta is point.theta and jet.v is v
+
     def test_critical_point_is_the_straight_ray(self):
         # At g = 0 the warp psi^2 ||g||^2 is 0.
         obj = CountingObjective(QuadraticProblem(3))
@@ -631,21 +643,7 @@ def _frozen(x) -> np.ndarray:
     return out
 
 
-class _GradOnly(Objective):
-    """Value and gradient of inner, with no analytic hvp."""
-
-    def __init__(self, inner):
-        super().__init__(inner.dim)
-        self.inner = inner
-
-    def value(self, theta):
-        return self.inner.value(theta)
-
-    def grad(self, theta):
-        return self.inner.grad(theta)
-
-
-class _ReadOnlyOutputs(_GradOnly):
+class _ReadOnlyOutputs(GradOnlyView):
     """Returns every value, gradient and hvp as a read-only array, so a
     driver that writes into one raises ValueError."""
 
@@ -661,7 +659,7 @@ class _ReadOnlyOutputs(_GradOnly):
 
 @pytest.mark.parametrize("run", [run_rcg, run_euclidean_cg], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("name", ["squiggle", "rosenbrock"])
-@pytest.mark.parametrize("view", [lambda p: p, _GradOnly], ids=["hvp", "grad_only"])
+@pytest.mark.parametrize("view", [lambda p: p, GradOnlyView], ids=["hvp", "grad_only"])
 def test_objective_outputs_and_start_stay_untouched(run, name, view):
     # The drivers update in place only arrays they allocated themselves:
     # read-only objective outputs and a read-only start give the plain

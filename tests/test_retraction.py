@@ -1,6 +1,8 @@
 """Cubic retraction, curve velocity, directional derivatives, and the
 backward-secant vector transport."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -259,7 +261,7 @@ class TestIdentityMetricTransport:
         self.t = 0.6
 
     def flat_point(self, theta):
-        return build_cache(None, theta, self.sq.value(theta), self.sq.grad(theta))
+        return build_cache(WarpConfig(math.inf), theta, self.sq.value(theta), self.sq.grad(theta))
 
     def test_is_the_identity(self):
         src, dst = self.flat_point(self.theta), self.flat_point(self.theta + self.t * self.v)

@@ -9,8 +9,8 @@ Usage:
 and <dims> defaults to ``perfbench.workloads.SMALL_DIMS``. Each cell runs
 once per seed from the start ``perfbench.workloads.small_starts(seed)``
 gives it (the small_warped benchmark's starts), with ``tol_df = 0``,
-``tol_grad = 1e-6`` and ``max_iters = MAX_ITERS``: the flat baseline, and
-rcg at each of ``SIGMA_SQS``.
+``tol_grad = 1e-6`` and ``max_iters = MAX_ITERS``: rcg at each of
+``SIGMA_SQS``, whose inf is the flat baseline, labelled ``euclid_cg``.
 
 A run is "local" when ``classify_rosenbrock_basin`` puts its end point in
 the Rosenbrock local basin, "solved" when it ends at most ``GAP`` below
@@ -32,14 +32,15 @@ regression. (Over seeds 0-19, two controls missed the tree's own count in
 
 from __future__ import annotations
 
+import math
 import statistics
 import sys
 from pathlib import Path
 
 from bench_pairs import quartiles
 
-#: Warp strengths of the rcg columns; None is the flat baseline.
-SIGMA_SQS = (None, 1.0, 100.0, 1e4)
+#: Warp strengths of the rcg rows; inf is the flat baseline.
+SIGMA_SQS = (math.inf, 1.0, 100.0, 1e4)
 #: A solved run ends at most this far below max_value().
 GAP = 1e-6
 MAX_ITERS = 4000
@@ -63,11 +64,7 @@ def run_cell(warpcg, name, dim, sigma_sq, thetas, cfg) -> list[tuple[str, object
     runs = []
     for theta0 in thetas:
         problem = warpcg.make_problem(name, dim)
-        if sigma_sq is None:
-            res = warpcg.run_euclidean_cg(problem, theta0, cfg=cfg)
-        else:
-            warp = warpcg.WarpConfig(sigma_sq=sigma_sq)
-            res = warpcg.run_rcg(problem, theta0, warp=warp, cfg=cfg)
+        res = warpcg.run_rcg(problem, theta0, warp=warpcg.WarpConfig(sigma_sq), cfg=cfg)
         if name == "rosenbrock" and warpcg.classify_rosenbrock_basin(res.theta) == "local":
             status = "local"
         elif problem.max_value() - res.value <= GAP:
@@ -78,8 +75,8 @@ def run_cell(warpcg, name, dim, sigma_sq, thetas, cfg) -> list[tuple[str, object
     return runs
 
 
-def row(name: str, dim: int, sigma_sq: float | None, runs: list[tuple[str, object]]) -> str:
-    method = "euclid_cg" if sigma_sq is None else f"rcg sigma_sq={sigma_sq:g}"
+def row(name: str, dim: int, sigma_sq: float, runs: list[tuple[str, object]]) -> str:
+    method = "euclid_cg" if sigma_sq == math.inf else f"rcg sigma_sq={sigma_sq:g}"
     counts = [sum(status == s for status, _ in runs) for s in ("solved", "unsolved", "local")]
     q1, median, q3 = quartiles([res.iterations for _, res in runs])
     evals = [

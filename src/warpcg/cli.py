@@ -1,13 +1,16 @@
 """Command-line harness: one solve per call, from the problem's default
 start (problems.initial_point).
 
-    warpcg --problem squiggle --dim 10 --method rcg --sigma-sq 1.0 \\
+    warpcg --problem squiggle --dim 10 --sigma-sq 1.0 \\
            --trace-out trace.csv --summary-out run.json
 
-From Python, execute(problem, dim, method, warp, cfg) runs the same solve
+The metric is the one choice of method: --sigma-sq inf is the Euclidean
+metric, the flat-space baseline, which the summary names "euclid_cg" and
+echoes as "sigma_sq": null, since JSON has no infinity; any finite value
+is "rcg". From Python, execute(problem, dim, warp, cfg) runs the same solve
 and returns the result with the summary dict that main prints. For one
 trace per dimension, loop over --dim in the shell; tools/cells.py builds
-(method x dimension) grids from seeded starts.
+(sigma_sq x dimension) grids from seeded starts.
 
 The numeric flags are the fields of WarpConfig and RcgConfig, in that
 order: the parser makes one flag per field, named after it (--sigma-sq for
@@ -18,7 +21,7 @@ echoes both configs under "config". The finite-difference step
 are not settings.
 
 Exit codes: 0 on success (and for --help), 1 for an invalid run
-specification (a bad config value, problem, method or dimension, a missing
+specification (a bad config value, problem or dimension, a missing
 --dim, an unknown flag or a value of the wrong type) or an output file that
 cannot be written, 2 when the run stops with numerical breakdown.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from operator import attrgetter
@@ -36,14 +40,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baseline import run_euclidean_cg
 from .geometry import WarpConfig
 from .problems import PROBLEM_NAMES, classify_rosenbrock_basin, initial_point, make_problem
 from .rcg import IterationTrace, RcgConfig, RcgResult, StopReason, run_rcg
 
 __all__ = ["execute", "main", "TRACE_COLUMNS"]
-
-METHOD_NAMES = ("rcg", "euclid_cg")
 
 #: The configs whose fields are the numeric flags, in flag order.
 _CONFIGS = (WarpConfig, RcgConfig)
@@ -76,28 +77,24 @@ def _write_trace(path: Path, trace: list[IterationTrace]) -> None:
 def execute(
     problem: str,
     dim: int,
-    method: str = "rcg",
     warp: WarpConfig | None = None,
     cfg: RcgConfig | None = None,
 ) -> tuple[RcgResult, dict]:
     """Run one solve from the problem's default start and build its summary
-    dict. An unknown method, problem or dimension raises ValueError before
-    any evaluation; make_problem checks the problem and the dimension."""
-    if method not in METHOD_NAMES:
-        raise ValueError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
+    dict; warp=WarpConfig(math.inf) is the flat-space baseline. An unknown
+    problem or dimension raises ValueError before any evaluation;
+    make_problem checks both."""
     warp = warp or WarpConfig()
     cfg = cfg or RcgConfig()
     objective = make_problem(problem, dim)
     theta0 = initial_point(problem, dim)
-    if method == "rcg":
-        result = run_rcg(objective, theta0, warp=warp, cfg=cfg)
-    else:
-        result = run_euclidean_cg(objective, theta0, cfg=cfg)
+    result = run_rcg(objective, theta0, warp=warp, cfg=cfg)
+    flat = warp.sigma_sq == math.inf
 
     summary = {
         "problem": problem,
         "dim": dim,
-        "method": method,
+        "method": "euclid_cg" if flat else "rcg",
         "stop_reason": result.stop_reason.value,
         "iterations": result.iterations,
         "final_f": result.value,
@@ -109,7 +106,8 @@ def execute(
         "failed_attempts": result.failed_attempts,
         "distance_to_maximizer": float(np.linalg.norm(result.theta - objective.maximizer())),
         "basin": classify_rosenbrock_basin(result.theta) if problem == "rosenbrock" else None,
-        "config": {**asdict(warp), **asdict(cfg)},
+        # JSON has no infinity, so the Euclidean metric echoes as null.
+        "config": {**asdict(warp), "sigma_sq": None if flat else warp.sigma_sq, **asdict(cfg)},
         "version": __version__,
     }
     return result, summary
@@ -130,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--problem", required=True, help=f"one of {', '.join(PROBLEM_NAMES)}")
     parser.add_argument("--dim", type=int, required=True, help="problem dimension")
-    parser.add_argument("--method", default="rcg", help=f"one of {', '.join(METHOD_NAMES)}")
     for config in _CONFIGS:
         for f in fields(config):
             parser.add_argument(
@@ -156,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
         result, summary = execute(
             args.problem,
             args.dim,
-            args.method,
             warp=_from_flags(WarpConfig, args),
             cfg=_from_flags(RcgConfig, args),
         )

@@ -9,7 +9,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from warpcg import QuadraticProblem, RcgConfig, WarpConfig, run_rcg
+from warpcg import (
+    QuadraticProblem, RcgConfig, WarpConfig, initial_point, make_problem, run_euclidean_cg,
+    run_rcg,
+)
 import warpcg.cli as cli_mod
 from warpcg.cli import TRACE_COLUMNS, _write_trace, build_parser, execute, main
 from warpcg.rcg import IterationTrace
@@ -27,17 +30,26 @@ def run_main(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+def strict_json(text):
+    """The summary parsed as standard JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 class TestSingleRun:
     def test_summary_and_trace_artifacts(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         summary = tmp_path / "run.json"
         code, out, _ = run_main(capsys, [
-            "--problem", "quadratic", "--dim", "4", "--method", "rcg",
+            "--problem", "quadratic", "--dim", "4",
             "--trace-out", str(trace), "--summary-out", str(summary), *FAST,
         ])
         assert code == 0
 
-        printed = json.loads(out)
+        printed = strict_json(out)
         on_disk = json.loads(summary.read_text())
         assert printed == on_disk
         assert printed["problem"] == "quadratic"
@@ -58,7 +70,7 @@ class TestSingleRun:
 
     def test_rosenbrock_reports_basin(self, capsys):
         code, out, _ = run_main(capsys, [
-            "--problem", "rosenbrock", "--dim", "2", "--method", "rcg",
+            "--problem", "rosenbrock", "--dim", "2",
             "--max-iters", "4000", "--tol-df", "0", "--tol-grad", "1e-4",
         ])
         assert code == 0
@@ -66,30 +78,30 @@ class TestSingleRun:
 
     def test_euclid_method(self, capsys):
         code, out, _ = run_main(capsys, [
-            "--problem", "quadratic", "--dim", "3", "--method", "euclid_cg", *FAST,
+            "--problem", "quadratic", "--dim", "3", "--sigma-sq", "inf", *FAST,
         ])
         assert code == 0
-        summary = json.loads(out)
+        summary = strict_json(out)
         assert summary["method"] == "euclid_cg"
         assert summary["final_grad_norm_riem"] == summary["final_grad_norm_eucl"]
 
     def test_infinite_sigma_is_the_euclid_method(self, capsys):
-        # sigma^2 = inf is the Euclidean metric, so rcg there runs the flat
-        # solve; the summary echoes it as JSON's non-standard Infinity.
+        # sigma^2 = inf is the Euclidean metric, so the one solve there is the
+        # flat baseline; JSON has no infinity, so the summary echoes null.
         code, out, _ = run_main(capsys, [
-            "--problem", "rosenbrock", "--dim", "3", "--method", "rcg", "--sigma-sq", "inf", *FAST,
+            "--problem", "rosenbrock", "--dim", "3", "--sigma-sq", "inf", *FAST,
         ])
-        assert code == 0 and '"sigma_sq": Infinity' in out
-        warped = json.loads(out)
-        assert warped["config"]["sigma_sq"] == math.inf
-        code, out, _ = run_main(capsys, [
-            "--problem", "rosenbrock", "--dim", "3", "--method", "euclid_cg", *FAST,
-        ])
-        assert code == 0
-        flat = json.loads(out)
-        for key in ("iterations", "final_f", "n_value", "n_grad"):
-            assert warped[key] == flat[key], key
-        assert warped["n_hvp"] == flat["n_hvp"] == 0
+        assert code == 0 and '"sigma_sq": null' in out
+        summary = strict_json(out)
+        assert summary["method"] == "euclid_cg"
+        assert summary["config"]["sigma_sq"] is None
+        flat = run_euclidean_cg(make_problem("rosenbrock", 3), initial_point("rosenbrock", 3),
+                                cfg=RcgConfig(max_iters=40, tol_df=0.0, tol_grad=1e-6))
+        assert summary["iterations"] == flat.iterations
+        assert summary["final_f"] == flat.value
+        for key in ("n_value", "n_grad", "n_hvp"):
+            assert summary[key] == getattr(flat, key), key
+        assert summary["n_hvp"] == 0
 
     def test_exit_two_on_breakdown(self, capsys, monkeypatch):
         # Force a breakdown summary through the real printing/exit path.
@@ -118,7 +130,7 @@ class TestSingleRun:
             "--problem", "quadratic", "--dim", "2", *FAST,
         ])
         assert code == 2
-        assert json.loads(out)["stop_reason"] == "numerical_breakdown"
+        assert strict_json(out)["stop_reason"] == "numerical_breakdown"
 
     def test_determinism(self, capsys):
         argv = ["--problem", "squiggle", "--dim", "5", *FAST]
@@ -153,7 +165,7 @@ class TestTraceCsv:
 
 class TestFlagsFollowConfigs:
     FIELDS = [*fields(WarpConfig), *fields(RcgConfig)]
-    OTHER_DESTS = {"help", "problem", "dim", "method", "trace_out", "summary_out"}
+    OTHER_DESTS = {"help", "problem", "dim", "trace_out", "summary_out"}
 
     def test_flags_defaults_and_echo_are_the_config_fields(self):
         settings = [a for a in build_parser()._actions if a.dest not in self.OTHER_DESTS]
@@ -183,13 +195,13 @@ REMOVED_FLAGS = [
     ["--problem", "quadratic", "--dim", "3", "--dims", "2,3"],
     ["--problem", "quadratic", "--dim", "3", "--wolfe-c1", "0.01"],
     ["--problem", "quadratic", "--dim", "3", "--wolfe-c2", "0.5"],
+    ["--problem", "quadratic", "--dim", "3", "--method", "euclid_cg"],
 ]
 
 
 class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         ["--problem", "banana", "--dim", "3"],
-        ["--problem", "quadratic", "--dim", "3", "--method", "sgd"],
         ["--problem", "quadratic"],
         ["--problem", "quadratic", "--dim", "0"],
         ["--problem", "rosenbrock", "--dim", "1"],
@@ -212,17 +224,11 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("argv", REMOVED_FLAGS)
     def test_removed_flags_are_unknown(self, capsys, argv):
-        # Sweeps and Wolfe constants are no longer run settings.
+        # Sweeps, Wolfe constants and the method (sigma_sq chooses the
+        # metric) are no longer run settings.
         code, _, err = run_main(capsys, argv)
         assert code == 1
         assert err.startswith(f"error: unrecognized arguments: {argv[-2]}")
-
-    def test_comma_list_method_is_an_unknown_method(self, capsys):
-        code, _, err = run_main(capsys, [
-            "--problem", "quadratic", "--dim", "3", "--method", "rcg,euclid_cg",
-        ])
-        assert code == 1
-        assert err.startswith("error: unknown method 'rcg,euclid_cg'")
 
     @pytest.mark.parametrize("flag", ["--trace-out", "--summary-out"])
     def test_unwritable_output_exits_one(self, tmp_path, capsys, flag):
@@ -241,8 +247,8 @@ class TestArgumentErrors:
         assert capsys.readouterr().out.startswith("usage:")
 
 
-class TestRunSpecApi:
-    """execute(problem, dim, method, warp, cfg), the CLI's solve from Python."""
+class TestExecuteApi:
+    """execute(problem, dim, warp, cfg), the CLI's solve from Python."""
 
     def test_execute_returns_result_and_summary(self):
         result, summary = execute("quadratic", 3, cfg=RcgConfig(max_iters=30, tol_df=0.0))
@@ -250,28 +256,30 @@ class TestRunSpecApi:
         assert summary["final_f"] == result.value
         assert summary["version"]
 
-    @pytest.mark.parametrize("method", ["rcg", "euclid_cg"])
-    def test_summary_carries_the_evaluation_totals(self, method):
-        result, summary = execute("rosenbrock", 4, method,
+    @pytest.mark.parametrize("warp, method", [
+        (WarpConfig(1.0), "rcg"),
+        (WarpConfig(math.inf), "euclid_cg"),
+    ], ids=["rcg", "euclid_cg"])
+    def test_summary_carries_the_evaluation_totals(self, warp, method):
+        result, summary = execute("rosenbrock", 4, warp,
                                   cfg=RcgConfig(max_iters=30, tol_df=0.0))
         for key in ("n_value", "n_grad", "n_hvp", "failed_attempts"):
             assert summary[key] == getattr(result, key)
         assert summary["n_grad"] > 0
+        assert summary["method"] == method
         assert (summary["n_hvp"] > 0) == (method == "rcg")
 
-    @pytest.mark.parametrize("problem, dim, method", [
-        ("banana", 3, "rcg"),
-        ("quadratic", 3, "sgd"),
-        ("rosenbrock", 1, "rcg"),
-        ("squiggle", 2.5, "rcg"),
-        ("rosenbrock", 2.5, "rcg"),
-        ("quadratic", 2.5, "euclid_cg"),
+    @pytest.mark.parametrize("problem, dim, sigma_sq", [
+        ("banana", 3, 1.0),
+        ("rosenbrock", 1, 1.0),
+        ("squiggle", 2.5, 1.0),
+        ("rosenbrock", 2.5, 1.0),
+        ("quadratic", 2.5, math.inf),
     ])
-    def test_execute_rejects_before_evaluating(self, monkeypatch, problem, dim, method):
+    def test_execute_rejects_before_evaluating(self, monkeypatch, problem, dim, sigma_sq):
         def no_run(*args, **kwargs):
             raise AssertionError("a rejected solve must not run")
 
         monkeypatch.setattr(cli_mod, "run_rcg", no_run)
-        monkeypatch.setattr(cli_mod, "run_euclidean_cg", no_run)
         with pytest.raises(ValueError):
-            execute(problem, dim, method)
+            execute(problem, dim, WarpConfig(sigma_sq))

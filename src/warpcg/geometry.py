@@ -18,8 +18,12 @@ already holds (a driver's start, or an accepted line-search trial) and no
 Hessian-vector product. The Hessian terms
 and sigma^2 enter only the geodesic jet, which takes the Hessian terms from
 its own probe pair and sigma^2 from its caller's WarpConfig. The CG loop
-asks for a jet only where the warp is at or above rounding (FLAT_WARP) and
-takes the straight ray below it. The Euclidean metric is sigma^2 = inf,
+asks for a jet only where the warp psi^2 ||grad||^2 is at or above
+FLAT_WARP = FD_STEP^2, the relative accuracy of the jet's own central
+differences, and takes the straight ray below it: there the exact curved
+part at the accepted step was at most 2.4e-9 of the step on the acceptance
+solves and the small_warped ones at seeds 0 and 5, and at most
+117 psi^2 ||grad||^2 of it. The Euclidean metric is sigma^2 = inf,
 where the same formula gives psi^2 = 0 and W^2 = 1 exactly at every point;
 the flat-space baseline's points are those.
 """
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .objective import Objective, _check_finite, fd_step, hvp_or_fallback
+from .objective import FD_STEP, Objective, _check_finite, fd_step, hvp_or_fallback
 
 __all__ = [
     "WarpConfig",
@@ -44,13 +48,16 @@ __all__ = [
 ]
 
 
-#: Below this psi^2 ||grad||^2 = W^2 - 1 the metric is the identity to
-#: rounding, and the CG loop's search curve is the straight ray. Just below it, at random points
-#: of the shipped problems (d = 2, 10, 100), the curved part dropped at the
-#: step t where ||t H v|| = ||grad|| was at most 5.4e-19 of the straight
-#: part t ||v||, against 5.4e-9 at psi^2 ||grad||^2 = 1e-10. psi^2 alone
+#: Below this psi^2 ||grad||^2 = W^2 - 1 the CG loop's search curve is the
+#: straight ray, at no hvp. FD_STEP^2 = cbrt(eps)^2, about 3.7e-11, is the
+#: relative accuracy of the jet's own central differences, and a retraction
+#: need only agree with the geodesic as closely as the step can use (Absil,
+#: Mahony & Sepulchre 2008, section 4.1). On every row below it in the
+#: acceptance runs and the small_warped solves at seeds 0 and 5, the exact
+#: curved part at the accepted step t was at most 2.4e-9 of the straight
+#: part t ||v||, and never above 117 psi^2 ||grad||^2 of it. psi^2 alone
 #: bounds nothing, since a large gradient scales the curve up.
-FLAT_WARP = 1e-20
+FLAT_WARP = FD_STEP**2
 
 
 @dataclass(frozen=True)
@@ -185,7 +192,8 @@ def taylor_coefficients(
     22 elementwise passes over dim-vectors.
 
     It always spends its four hvps; the CG loop takes the straight ray
-    instead where the warp is below rounding (psi^2 ||grad||^2 < FLAT_WARP).
+    instead where the warp is below the jet's own accuracy (psi^2 ||grad||^2
+    < FLAT_WARP = FD_STEP^2).
     A zero v, which the loop never passes, gets a zero curv. sigma_sq must
     be finite: at inf, c0 is inf / inf and it raises NumericalBreakdown;
     the loop never calls it there, where psi^2 = 0 is below FLAT_WARP.

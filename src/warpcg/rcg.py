@@ -6,7 +6,8 @@ One iteration of the driver:
      direction in chart coordinates;
   2. build the cubic geodesic jet along the direction (four hvps, no
      value or gradient), which is the straight ray, with no hvp, where the
-     warp is below rounding (psi^2 ||grad||^2 < geometry.FLAT_WARP);
+     warp is below the jet's own accuracy (psi^2 ||grad||^2 <
+     geometry.FLAT_WARP = FD_STEP^2);
   3. strong-Wolfe search along the jet's path;
   4. build the geometry cache at the accepted point from the value and
      gradient the search already evaluated there;
@@ -185,9 +186,10 @@ def dy_beta(dst: GeometryCache, transported: TransportResult, slope: float) -> f
 def _jet(
     obj: Objective, warp: WarpConfig, point: GeometryCache, v: np.ndarray
 ) -> GeodesicJet:
-    """The search curve leaving point along v. Where the warp is below
-    rounding (psi^2 ||grad||^2 < FLAT_WARP) it is the straight ray, with no
-    evaluation; every point at sigma^2 = inf is. Elsewhere it is
+    """The search curve leaving point along v. Where the warp is below the
+    accuracy of the jet's central differences (psi^2 ||grad||^2 < FLAT_WARP
+    = FD_STEP^2) it is the straight ray, with no evaluation; every point at
+    sigma^2 = inf is. Elsewhere it is
     taylor_coefficients' cubic jet, looked up in this module's globals so
     the benchmark tracer's span sees it."""
     # The product, not w_sq - 1.0, which cancels to 0 far above rounding;

@@ -32,7 +32,7 @@ from warpcg.geometry import (
     riemannian_gradient,
 )
 from warpcg.linesearch import WolfeResult
-from warpcg.objective import CountingObjective
+from warpcg.objective import FD_STEP, CountingObjective
 from warpcg.rcg import IterationTrace, dy_beta
 from warpcg.retraction import TransportResult
 from recording import jet_hvps, recorded
@@ -471,6 +471,17 @@ class TestFlatWarpGate:
     def test_small_warp_is_the_straight_ray(self):
         obj = CountingObjective(QuadraticProblem(3))
         point = self.point(np.nextafter(FLAT_WARP, 0.0), 1.0)
+        v = riemannian_gradient(point)
+        jet = warpcg.rcg._jet(obj, WarpConfig(), point, v)
+        assert jet.curv is None and obj.n_hvp == 0
+        assert jet.theta is point.theta and jet.v is v
+
+    def test_warp_below_the_jets_accuracy_is_the_straight_ray(self):
+        # psi^2 ||grad||^2 = 1e-12 lies above rounding but below FD_STEP^2,
+        # the relative accuracy of the jet's own central differences.
+        obj = CountingObjective(QuadraticProblem(3))
+        point = self.point(1e-12, 1.0)
+        assert 2.0 ** -53 < point.psi_sq * point.grad_sq < FD_STEP ** 2
         v = riemannian_gradient(point)
         jet = warpcg.rcg._jet(obj, WarpConfig(), point, v)
         assert jet.curv is None and obj.n_hvp == 0
